@@ -342,6 +342,10 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float, n_steps: int = 512) 
     integrated; the rows are the two tip conditions of the linearized
     boundary set.  Zeros coincide with the characteristic residual's zeros,
     which makes this the independent root oracle for the curve module.
+
+    The linearized system s' = A s has constant coefficients, so one
+    classical RK4 step of size h is exactly s -> M s with the stability
+    polynomial M = sum_{k<=4} (hA)^k / k!, and n_steps steps are M^n_steps.
     """
     denom = 1.0 - kappa * p.lambda2
     if denom <= 0.0:
@@ -350,20 +354,16 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float, n_steps: int = 512) 
     co0 = p.lambda1 / denom
     h = 1.0 / n_steps
 
-    def rhs(state):
-        y, d1, d2, d3 = state
-        return np.array([d1, d2, d3, -co2 * d2 + co0 * y])
-
-    cols = []
-    for ic in ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
-        s = np.array(ic)
-        for _ in range(n_steps):
-            k1 = rhs(s)
-            k2 = rhs(s + 0.5 * h * k1)
-            k3 = rhs(s + 0.5 * h * k2)
-            k4 = rhs(s + h * k3)
-            s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        b1 = s[2] * denom + kappa * p.lambda1 * s[0]
-        b2 = s[3] * denom + (kappa * p.lambda1 + p.lambda2) * s[1]
-        cols.append((b1, b2))
-    return cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+    # state (y, y', y'', y'''), y'''' = -co2 y'' + co0 y
+    hA = np.zeros((4, 4))
+    hA[0, 1] = hA[1, 2] = hA[2, 3] = h
+    hA[3, 0], hA[3, 2] = h * co0, -h * co2
+    step = term = np.eye(4)
+    for k in range(1, 5):
+        term = term @ hA / k
+        step = step + term
+    # columns: the unit solutions started from y''(0) = 1 and y'''(0) = 1
+    s = np.linalg.matrix_power(step, n_steps)[:, 2:]
+    b1 = s[2] * denom + kappa * p.lambda1 * s[0]
+    b2 = s[3] * denom + (kappa * p.lambda1 + p.lambda2) * s[1]
+    return float(b1[0] * b2[1] - b2[0] * b1[1])

@@ -28,10 +28,10 @@ Conventions adopted here:
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegeneratePointError,
@@ -62,6 +62,14 @@ def lambda2_max(kappa: float) -> float:
     return (1.0 - ADMISSIBLE_MARGIN) / kappa
 
 
+# Elementwise functions the residual is written in: math for one load point
+# (cheapest per call), numpy for a whole scan column in one evaluation.
+_SCALAR_OPS = SimpleNamespace(sqrt=math.sqrt, cos=math.cos, cosh=math.cosh,
+                              sin=math.sin, sinh=math.sinh, maximum=max)
+_ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, cos=np.cos, cosh=np.cosh,
+                             sin=np.sin, sinh=np.sinh, maximum=np.maximum)
+
+
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
     denom = 1.0 - kappa * lambda2
     if denom <= 0.0:
@@ -73,13 +81,26 @@ def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
     return denom
 
 
+def _check_admissible_array(lambda1, lambda2, kappa: float):
+    denom = 1.0 - kappa * lambda2
+    if np.any(denom <= 0.0) or np.any(lambda1 < 0.0):
+        for l1, l2 in np.broadcast(lambda1, lambda2):
+            _check_admissible(float(l1), float(l2), kappa)  # raises at the first bad point
+    return denom
+
+
+def _wavenumbers(l1, l2, kappa, denom, ops):
+    half = 0.5 * (kappa * l1 + l2) / denom
+    s = ops.sqrt(l1 / denom + half * half)
+    return ops.sqrt(s + half), ops.sqrt(ops.maximum(s - half, 0.0))
+
+
 def wavenumbers(p: LoadPoint, kappa: float) -> Wavenumbers:
     """Wavenumbers r1 (oscillatory) and r2 (hyperbolic) at a load point."""
     l1, l2 = p.lambda1, p.lambda2
     denom = _check_admissible(l1, l2, kappa)
-    half = 0.5 * (kappa * l1 + l2) / denom
-    s = math.sqrt(l1 / denom + half * half)
-    return Wavenumbers(r1=math.sqrt(s + half), r2=math.sqrt(max(s - half, 0.0)))
+    r1, r2 = _wavenumbers(l1, l2, kappa, denom, _SCALAR_OPS)
+    return Wavenumbers(r1=r1, r2=r2)
 
 
 def char_residual(p: LoadPoint, kappa: float) -> float:
@@ -94,18 +115,22 @@ def char_f(p: LoadPoint, kappa: float) -> float:
     return math.sqrt(l1 / denom) * _residual(l1, l2, kappa)
 
 
-def _residual(l1: float, l2: float, kappa: float) -> float:
-    denom = _check_admissible(l1, l2, kappa)
-    w = wavenumbers(LoadPoint(l1, l2), kappa)
-    pref = math.sqrt(l1 / denom)
+def _residual(l1, l2, kappa: float):
+    """F at one load point, or elementwise when lambda1 or lambda2 is an array."""
+    if isinstance(l1, np.ndarray) or isinstance(l2, np.ndarray):
+        ops, denom = _ARRAY_OPS, _check_admissible_array(l1, l2, kappa)
+    else:
+        ops, denom = _SCALAR_OPS, _check_admissible(l1, l2, kappa)
+    r1, r2 = _wavenumbers(l1, l2, kappa, denom, ops)
+    pref = ops.sqrt(l1 / denom)
     return (
         2.0 * l1
         + kappa * l1 * (kappa * l1 - l2)
-        + (2.0 * l1 + l2 * l2 - kappa * l1 * l2) * math.cos(w.r1) * math.cosh(w.r2)
+        + (2.0 * l1 + l2 * l2 - kappa * l1 * l2) * ops.cos(r1) * ops.cosh(r2)
         - pref
         * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
-        * math.sin(w.r1)
-        * math.sinh(w.r2)
+        * ops.sin(r1)
+        * ops.sinh(r2)
     )
 
 
@@ -136,9 +161,61 @@ def eta_prime(p0: LoadPoint, kappa: float) -> float:
     return -df1 / df2
 
 
+def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, maxiter=100):
+    """Root of f on [a, b], where f(a) and f(b) differ in sign.
+
+    Brent's method (Brent 1973, ch. 4), step for step as the classic
+    ``brentq`` routine: secant or inverse quadratic interpolation,
+    safeguarded by bisection, until the bracket half-width drops below
+    (xtol + rtol |x|) / 2.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootNotFoundError(f"no sign change on [{a}, {b}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise RootNotFoundError(f"Brent iteration did not converge on [{a}, {b}]")
+
+
 def _scan_roots(fun, lo, hi, panels=SCAN_PANELS, allow_touch=True, touch_gate=None):
     """All roots of fun on [lo, hi]: sign-change roots plus tangency (double) roots.
 
+    fun must evaluate elementwise on an array: the scan grid is evaluated
+    in one call, and only the refinements evaluate point by point.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
     via Newton on fun', to a stationary point where |fun| is negligible:
     either against the scan scale, or against the caller-supplied gate
@@ -146,16 +223,16 @@ def _scan_roots(fun, lo, hi, panels=SCAN_PANELS, allow_touch=True, touch_gate=No
     printing precision of the transverse load parameter).
     """
     xs = np.linspace(lo, hi, panels + 1)
-    vals = np.array([fun(x) for x in xs])
+    vals = fun(xs)
     scale = float(np.max(np.abs(vals)))
+    zero = vals[:-1] == 0.0
+    change = vals[:-1] * vals[1:] < 0.0
     roots = []
-    for i in range(panels):
-        a, b = xs[i], xs[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append((a, False))
-        elif fa * fb < 0.0:
-            roots.append((brentq(fun, a, b, xtol=1e-14, rtol=8.9e-16), False))
+    for i in np.flatnonzero(zero | change):
+        if zero[i]:
+            roots.append((xs[i], False))
+        else:
+            roots.append((_brentq(fun, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16), False))
     if vals[-1] == 0.0:
         roots.append((hi, False))
     if allow_touch and scale > 0.0:
@@ -168,14 +245,14 @@ def _touch_roots(fun, xs, vals, scale, known, touch_gate=None):
     """Local |fun| minima that are numerically double roots."""
     touches = []
     absv = np.abs(vals)
+    mid = absv[1:-1]
+    candidates = (
+        (mid <= absv[:-2]) & (mid <= absv[2:]) & (mid <= 1e-3 * scale)
+        # a genuine sign change on either side is already refined
+        & ~(vals[:-2] * vals[1:-1] < 0.0) & ~(vals[1:-1] * vals[2:] < 0.0)
+    )
     step = xs[1] - xs[0]
-    for i in range(1, len(xs) - 1):
-        if not (absv[i] <= absv[i - 1] and absv[i] <= absv[i + 1]):
-            continue
-        if absv[i] > 1e-3 * scale:
-            continue
-        if vals[i - 1] * vals[i] < 0.0 or vals[i] * vals[i + 1] < 0.0:
-            continue  # a genuine sign change, already refined
+    for i in np.flatnonzero(candidates) + 1:
         x = _refine_stationary(fun, xs[i], step)
         if x is None or not (xs[0] <= x <= xs[-1]):
             continue
@@ -184,7 +261,7 @@ def _touch_roots(fun, xs, vals, scale, known, touch_gate=None):
             gate = max(gate, touch_gate(x))
         if abs(fun(x)) > gate:
             continue
-        if any(abs(x - r) < 10.0 * step for r in known + [t for t in touches]):
+        if any(abs(x - r) < 10.0 * step for r in known + touches):
             continue
         touches.append(x)
     return [(x, True) for x in touches]

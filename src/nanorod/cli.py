@@ -122,11 +122,27 @@ def _emit(rows, header, args, meta):
         sys.stdout.write(text)
 
 
+class _UsageError(Exception):
+    """Malformed command-line input, reported in one line with exit code 1."""
+
+
+def _check_finite(args):
+    """NaN or infinity in a numeric option is a usage error, caught before any solver."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise _UsageError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+
+
 def _parse_range(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise InvalidInputError(f"range must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise _UsageError(f"range must be three numbers start:stop:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise _UsageError(f"range bounds and step must be finite numbers, got {text!r}")
     if step <= 0:
         raise InvalidInputError("range step must be positive")
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -295,8 +311,7 @@ def cmd_verify(args):
     for l1, kappa in ((5.0, 0.2), (10.0, 0.25), (2.0, 0.45)):
         r_char = charcurve.solve_lambda2(l1, kappa)
         det = lambda x: bvp.linear_shooting_determinant(LoadPoint(l1, x), kappa)
-        from scipy.optimize import brentq
-        r_det = brentq(det, r_char - 0.05, r_char + 0.05, xtol=1e-12)
+        r_det = charcurve._brentq(det, r_char - 0.05, r_char + 0.05, xtol=1e-12)
         agree = agree and abs(r_char - r_det) < 1e-6
     check("shooting determinant oracle", agree)
     # fold and kappa_cr
@@ -422,7 +437,11 @@ def main(argv=None):
         if "out" in cfg and not getattr(args, "out", None):
             args.out = cfg["out"]
     try:
+        _check_finite(args)
         return args.func(args)
+    except _UsageError as exc:
+        print(f"nanorod: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except _DOMAIN_ERRORS as exc:
         print(f"nanorod: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -56,9 +56,6 @@ FIG579_PAIRS = [
     (2.5, 1.82714, 2), (0.05, 2.01637, 2),
 ]
 
-_solutions = []  # accepted BVP solutions, re-checked by criterion 13
-
-
 def report(num, name, ok, detail=""):
     print(f"criterion {num:02d} {name:<38s} {'PASS' if ok else 'FAIL'}  {detail}")
     return ok
@@ -258,19 +255,31 @@ def test_criterion_10_unfolding_universality():
     assert report(10, "two-parameter unfolding exists", ok, str(bad[:3]))
 
 
-def test_criterion_11_postbuckling_morphology():
-    bad = []
-    for l1, near in FIG6_PAIRS:
-        p0 = crit_point(l1, 0.25, near)
-        sol = solve_postbuckling(p0, 0.25, 0.5, grid=GRID)
-        _solutions.append(sol)
-        if node_count(sol) != 0 or sol.m2_residual >= 1e-4:
-            bad.append((l1, node_count(sol), sol.m2_residual))
+@pytest.fixture(scope="session")
+def postbuckling_solutions():
+    """The criterion 11/12 shapes, built once so criterion 13 re-checks all of
+    them whichever criteria run and in whatever order."""
+    fig6 = [(l1, solve_postbuckling(crit_point(l1, 0.25, near), 0.25, 0.5, grid=GRID))
+            for l1, near in FIG6_PAIRS]
     below = crit_point(5.0, 0.45, 1.05447)
     above = crit_point(7.5, 0.45, 1.05978)
-    sol_b = solve_postbuckling(below, 0.45, 0.02, "along-lambda2", grid=GRID)
-    sol_a = solve_postbuckling(above, 0.45, 0.02, "along-lambda2", grid=GRID)
-    _solutions.extend([sol_b, sol_a])
+    p0 = crit_point(10.0, 0.25, 0.682732)
+    return {
+        "fig6": fig6,
+        "below-min": solve_postbuckling(below, 0.45, 0.02, "along-lambda2", grid=GRID),
+        "above-min": solve_postbuckling(above, 0.45, 0.02, "along-lambda2", grid=GRID),
+        "scaling": [(dl1, solve_postbuckling(p0, 0.25, dl1, grid=GRID))
+                    for dl1 in (0.1, 0.2, 0.3, 0.4, 0.5)],
+    }
+
+
+def test_criterion_11_postbuckling_morphology(postbuckling_solutions):
+    bad = []
+    for l1, sol in postbuckling_solutions["fig6"]:
+        if node_count(sol) != 0 or sol.m2_residual >= 1e-4:
+            bad.append((l1, node_count(sol), sol.m2_residual))
+    sol_b = postbuckling_solutions["below-min"]
+    sol_a = postbuckling_solutions["above-min"]
     if node_count(sol_b) != 0 or sol_b.m2_residual >= 1e-4:
         bad.append(("below-min", node_count(sol_b), sol_b.m2_residual))
     if node_count(sol_a) != 1 or sol_a.m2_residual >= 1e-4:
@@ -279,29 +288,29 @@ def test_criterion_11_postbuckling_morphology():
     assert report(11, "post-buckling morphology", ok, str(bad[:3]))
 
 
-def test_criterion_12_pitchfork_scaling():
-    p0 = crit_point(10.0, 0.25, 0.682732)
-    ratios = []
-    for dl1 in (0.1, 0.2, 0.3, 0.4, 0.5):
-        sol = solve_postbuckling(p0, 0.25, dl1, grid=GRID)
-        _solutions.append(sol)
-        ratios.append(abs(tip_deflection(sol)) / math.sqrt(dl1))
+def test_criterion_12_pitchfork_scaling(postbuckling_solutions):
+    ratios = [abs(tip_deflection(sol)) / math.sqrt(dl1)
+              for dl1, sol in postbuckling_solutions["scaling"]]
     spread = max(ratios) / min(ratios) - 1.0
     ok = spread < 0.15
     assert report(12, "sqrt amplitude scaling", ok, f"spread {spread:.3f}")
 
 
-def test_criterion_13_bvp_invariants():
+def test_criterion_13_bvp_invariants(postbuckling_solutions):
     p0 = crit_point(10.0, 0.25, 0.682732)
     plus = solve_postbuckling(p0, 0.25, 0.3, sign=1, grid=GRID)
     minus = solve_postbuckling(p0, 0.25, 0.3, sign=-1, grid=GRID)
     mirror = float(np.max(np.abs(plus.trajectory.y + minus.trajectory.y)))
+    solutions = ([sol for _, sol in postbuckling_solutions["fig6"]]
+                 + [postbuckling_solutions["below-min"], postbuckling_solutions["above-min"]]
+                 + [sol for _, sol in postbuckling_solutions["scaling"]]
+                 + [plus, minus])
     worst_inext = 0.0
-    for sol in _solutions + [plus, minus]:
+    for sol in solutions:
         th = sol.trajectory.theta
         worst_inext = max(worst_inext, float(np.max(np.abs(
             np.cos(th) ** 2 + np.sin(th) ** 2 - 1.0))))
     ok = mirror < 1e-8 and worst_inext < 1e-14
     assert report(13, "inextensibility + mirror pair", ok,
                   f"mirror {mirror:.1e} inext {worst_inext:.1e} "
-                  f"({len(_solutions) + 2} solutions)")
+                  f"({len(solutions)} solutions)")

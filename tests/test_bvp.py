@@ -222,6 +222,33 @@ class TestLinearShootingDeterminant:
         val = linear_shooting_determinant(LoadPoint(7.3, 0.41), 0.25)
         assert abs(val) > 1e-12
 
+    @pytest.mark.parametrize("l1,l2,kappa", [(10.0, 0.68, 0.25), (5.0, 1.6, 0.45),
+                                             (3.0, -0.5, 0.0)])
+    def test_matches_stepwise_rk4(self, l1, l2, kappa):
+        # the matrix-power form against classical RK4 applied step by step
+        n = 128
+        denom = 1.0 - kappa * l2
+        co2, co0 = (kappa * l1 + l2) / denom, l1 / denom
+        h = 1.0 / n
+
+        def rhs(s):
+            return np.array([s[1], s[2], s[3], -co2 * s[2] + co0 * s[0]])
+
+        cols = []
+        for ic in ((0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)):
+            s = np.array(ic)
+            for _ in range(n):
+                k1 = rhs(s)
+                k2 = rhs(s + 0.5 * h * k1)
+                k3 = rhs(s + 0.5 * h * k2)
+                k4 = rhs(s + h * k3)
+                s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            cols.append((s[2] * denom + kappa * l1 * s[0],
+                         s[3] * denom + (kappa * l1 + l2) * s[1]))
+        stepwise = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
+        det = linear_shooting_determinant(LoadPoint(l1, l2), kappa, n_steps=n)
+        assert det == pytest.approx(stepwise, rel=1e-10)
+
     def test_agrees_with_char_residual_roots(self):
         from scipy.optimize import brentq
         rng = np.random.default_rng(42)

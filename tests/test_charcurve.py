@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from nanorod.bvp import linear_shooting_determinant
 from nanorod.charcurve import (
+    SCAN_PANELS,
+    _brentq,
+    _residual,
+    _scan_roots,
     char_f,
     char_partials,
     char_residual,
@@ -11,6 +16,7 @@ from nanorod.charcurve import (
     find_branch_minimum,
     find_fold,
     find_kappa_cr,
+    lambda2_max,
     solve_lambda1,
     solve_lambda2,
     trace_curve,
@@ -273,3 +279,100 @@ class TestTraceCurve:
                     folded.append((mode, b.fold))
         assert folded
         assert all(mode >= 2 for mode, _ in folded)
+
+
+def _reference_scan(fun, lo, hi, panels=SCAN_PANELS):
+    """Sign-change roots from one scalar residual call per grid point, refined
+    by scipy's brentq: the scan as it stood before array evaluation."""
+    from scipy.optimize import brentq
+    xs = np.linspace(lo, hi, panels + 1)
+    vals = [fun(float(x)) for x in xs]
+    roots = []
+    for i in range(panels):
+        if vals[i] == 0.0:
+            roots.append(float(xs[i]))
+        elif vals[i] * vals[i + 1] < 0.0:
+            roots.append(brentq(fun, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16))
+    if vals[-1] == 0.0:
+        roots.append(float(hi))
+    return roots
+
+
+class TestArrayScanAndBrent:
+    def test_array_residual_matches_scalar_calls(self):
+        xs = np.linspace(-2.0, lambda2_max(0.45), 401)
+        vals = _residual(5.0, xs, 0.45)
+        ref = np.array([_residual(5.0, float(x), 0.45) for x in xs])
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))
+        l1s = np.linspace(0.0, 60.0, 301)
+        ref = np.array([_residual(float(x), 0.3, 0.25) for x in l1s])
+        assert np.max(np.abs(_residual(l1s, 0.3, 0.25) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_array_residual_keeps_scalar_errors(self):
+        with pytest.raises(SingularDenominatorError) as scalar:
+            _residual(10.0, 5.0, 0.25)
+        with pytest.raises(SingularDenominatorError) as array:
+            _residual(10.0, np.array([0.5, 5.0, 6.0]), 0.25)
+        assert str(array.value) == str(scalar.value)
+        with pytest.raises(DomainError, match=r"lambda1 = -1\.0 < 0"):
+            _residual(np.array([1.0, -1.0]), 0.5, 0.25)
+
+    def test_brent_matches_scipy_on_residual_brackets(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(20240)
+        checked = 0
+        for _ in range(25):
+            kappa = float(rng.choice([0.0, rng.uniform(0.0, 0.6)]))
+            l1 = float(rng.uniform(0.0, 40.0))
+            f = lambda x: _residual(l1, x, kappa)
+            xs = np.linspace(-1.0, lambda2_max(kappa), 301)
+            vals = [f(float(x)) for x in xs]
+            for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+                if fa * fb < 0.0:
+                    assert _brentq(f, a, b) == brentq(f, a, b)
+                    assert (_brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
+                            == brentq(f, a, b, xtol=1e-14, rtol=8.9e-16))
+                    checked += 1
+        assert checked > 50
+
+    def test_brent_matches_scipy_on_shooting_determinant(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(77)
+        for _ in range(8):
+            kappa = float(rng.uniform(0.0, 0.35))
+            l1 = float(rng.uniform(0.5, 12.0))
+            r = solve_lambda2(l1, kappa)
+            det = lambda x: linear_shooting_determinant(LoadPoint(l1, x), kappa)
+            for xtol in (1e-12, 1e-13):
+                assert (_brentq(det, r - 0.05, r + 0.05, xtol=xtol)
+                        == brentq(det, r - 0.05, r + 0.05, xtol=xtol))
+
+    def test_brent_rejects_bracket_without_sign_change(self):
+        with pytest.raises(RootNotFoundError):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0)
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+
+    @pytest.mark.parametrize("l1,kappa,lo", [
+        (5.0, 0.0, 1e-9),        # classical limit, scan capped at DEFAULT_L2_CAP
+        (10.0, 0.25, 1e-9),      # below kappa_cr
+        (5.0, 0.45, 1e-9),       # above kappa_cr: lower and upper branch
+        (8.0, 0.45, -3.0),
+        (25.0, 0.25, -3.0),      # first root at negative lambda2
+        (33.0, 0.36, -3.0),      # just below kappa_cr, negative lambda2
+        (10.0, 0.39, -20.0),     # just above kappa_cr, roots crowd toward 1/kappa
+    ])
+    def test_scan_roots_match_reference_scan(self, l1, kappa, lo):
+        f = lambda x: _residual(l1, x, kappa)
+        hi = lambda2_max(kappa)
+        roots, _ = _scan_roots(f, lo, hi, allow_touch=False)
+        ref = _reference_scan(f, lo, hi)
+        assert ref
+        assert [r for r, _ in roots] == ref
+        with_touch, _ = _scan_roots(f, lo, hi)
+        assert [r for r, touch in with_touch if not touch] == ref
+
+    def test_lambda1_scan_matches_reference_scan(self):
+        f = lambda x: _residual(x, 0.0, 0.25)
+        roots, _ = _scan_roots(f, 1e-6, 60.0, allow_touch=False)
+        ref = _reference_scan(f, 1e-6, 60.0)
+        assert ref and [r for r, _ in roots] == ref

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from nanorod.cli import main
 
 
@@ -168,3 +170,40 @@ def test_module_invocation():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "kappa_cr" in proc.stdout
+
+
+@pytest.mark.parametrize("args,named", [
+    (["curve", "--kappa", "0.25", "--l1", "0.5:inf:0.5"], "range"),
+    (["curve", "--kappa", "nan", "--l1", "0.5:8.5:0.25"], "--kappa"),
+    (["kcr", "--seed-kappa", "nan"], "--seed-kappa"),
+])
+def test_nonfinite_input_rejected(args, named, capsys):
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and named in err and "finite" in err
+
+
+_NO_SCIPY = (
+    "import sys\n"
+    "{body}\n"
+    "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+    "print(loaded, file=sys.stderr)\n"
+    "sys.exit(1 if loaded else 0)\n"
+)
+
+
+def test_import_and_cli_load_no_scipy():
+    bodies = (
+        "import nanorod",
+        "import runpy\n"
+        "sys.argv = ['nanorod', 'kcr']\n"
+        "try:\n"
+        "    runpy.run_module('nanorod.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code",
+    )
+    for body in bodies:
+        proc = subprocess.run([sys.executable, "-c", _NO_SCIPY.format(body=body)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
