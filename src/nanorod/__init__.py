@@ -24,22 +24,15 @@ from .bvp import (
     integrate,
     linear_shooting_determinant,
     node_count,
-    reduce_rhs,
     residual_M2,
     shoot,
     solve_postbuckling,
     tip_deflection,
 )
 from .model import LoadPoint, PhysicalRod, RodSetup, nondimensionalize
-from .modes import AdjointKernel, ModeShape, adjoint_kernel, linear_residual_L2, linear_residual_L4, mode_shape
-from .quadrature import DEFAULT_N, Grid, SampledFn, inner_product
-from .reduction import (
-    ReductionCoefficients,
-    Verdict,
-    bifurcation_amplitude,
-    classify_pitchfork,
-    reduction_coefficients,
-)
+from .modes import adjoint_kernel, linear_residual_L2, linear_residual_L4, mode_shape
+from .quadrature import DEFAULT_N, Grid
+from .reduction import ReductionCoefficients, Verdict, critical_chain, reduction_coefficients
 from .unfolding import (
     UnfoldingCoefficients,
     is_universal_unfolding,
@@ -51,31 +44,26 @@ from .unfolding import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointKernel",
     "BranchCurve",
     "BvpSolution",
     "DEFAULT_N",
     "Grid",
     "LoadPoint",
-    "ModeShape",
     "PhysicalRod",
     "ReductionCoefficients",
     "RodSetup",
-    "SampledFn",
     "UnfoldingCoefficients",
     "Verdict",
     "Wavenumbers",
     "adjoint_kernel",
-    "bifurcation_amplitude",
     "char_f",
     "char_partials",
     "char_residual",
-    "classify_pitchfork",
+    "critical_chain",
     "eta_prime",
     "find_branch_minimum",
     "find_fold",
     "find_kappa_cr",
-    "inner_product",
     "integrate",
     "is_universal_unfolding",
     "linear_residual_L2",
@@ -85,7 +73,6 @@ __all__ = [
     "node_count",
     "nondimensionalize",
     "psi",
-    "reduce_rhs",
     "reduction_coefficients",
     "residual_M2",
     "shoot",

@@ -24,37 +24,41 @@ import numpy as np
 from .errors import (
     AmplitudeSeedError,
     ConstitutiveSingularityError,
-    InadmissibleSlopeError,
     NoConvergenceError,
     RegimeError,
 )
 from .model import LoadPoint, RodSetup
-from .modes import adjoint_kernel, mode_shape
 from .quadrature import Grid
-from .reduction import (
-    Verdict,
-    amplitude_for_offsets,
-    crossing_offsets,
-    reduction_coefficients,
-)
+from .reduction import Verdict, amplitude_for_offsets, critical_chain, crossing_offsets
 
 SING_TOL = 1e-8
 THETA_LIMIT = 0.5 * math.pi
 
 
+def _make_rhs(p: LoadPoint, setup: RodSetup):
+    """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives."""
+    l1, l2, kappa = p.lambda1, p.lambda2, setup.kappa
+    alpha1 = setup.alpha1
+    rho0 = setup.rho0
+    cos, sin = math.cos, math.sin
+
+    def rhs(tt, xx, yy, thth, vv, mm):
+        if abs(thth) >= THETA_LIMIT:
+            raise RegimeError(f"|theta| reached pi/2 at t = {tt:.4f}")
+        c = cos(thth)
+        s = sin(thth)
+        den = 1.0 + kappa * (vv * s - l2 * c)
+        if abs(den) < SING_TOL:
+            raise ConstitutiveSingularityError(tt)
+        curv = alpha1 * float(rho0(tt)) if alpha1 != 0.0 else 0.0
+        return c, s, (mm - kappa * l1 * yy * c + curv) / den, -l1 * yy, -vv * c - l2 * s
+
+    return rhs
+
+
 def reduce_rhs(state, p: LoadPoint, setup: RodSetup, t: float):
     """Time derivative (x', y', theta', v', m') of the closed first-order system."""
-    x, y, theta, v, m = state
-    if abs(theta) >= THETA_LIMIT:
-        raise RegimeError(f"|theta| = {abs(theta):.4f} >= pi/2 at t = {t:.4f}")
-    c = math.cos(theta)
-    s = math.sin(theta)
-    den = 1.0 + setup.kappa * (v * s - p.lambda2 * c)
-    if abs(den) < SING_TOL:
-        raise ConstitutiveSingularityError(t)
-    curv = setup.alpha1 * float(setup.rho0(t)) if setup.alpha1 != 0.0 else 0.0
-    theta_dot = (m - setup.kappa * p.lambda1 * y * c + curv) / den
-    return (c, s, theta_dot, -p.lambda1 * y, -v * c - p.lambda2 * s)
+    return _make_rhs(p, setup)(t, *state)
 
 
 @dataclass
@@ -77,10 +81,7 @@ def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
         grid = Grid()
     n = n_steps if n_steps is not None else grid.n
     h = 1.0 / n
-    l1, l2, kappa = p.lambda1, p.lambda2, setup.kappa
-    alpha1 = setup.alpha1
-    rho0 = setup.rho0
-    cos, sin = math.cos, math.sin
+    rhs = _make_rhs(p, setup)
 
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)
@@ -92,17 +93,6 @@ def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
     xs[0] = ys[0] = ths[0] = 0.0
     vs[0], ms[0] = v, m
     t = 0.0
-
-    def rhs(tt, xx, yy, thth, vv, mm):
-        if abs(thth) >= THETA_LIMIT:
-            raise RegimeError(f"|theta| reached pi/2 at t = {tt:.4f}")
-        c = cos(thth)
-        s = sin(thth)
-        den = 1.0 + kappa * (vv * s - l2 * c)
-        if abs(den) < SING_TOL:
-            raise ConstitutiveSingularityError(tt)
-        curv = alpha1 * float(rho0(tt)) if alpha1 != 0.0 else 0.0
-        return c, s, (mm - kappa * l1 * yy * c + curv) / den, -l1 * yy, -vv * c - l2 * s
 
     h2 = 0.5 * h
     h6 = h / 6.0
@@ -134,10 +124,6 @@ class BvpSolution:
     m0: float
     terminal_residuals: tuple
     m2_residual: Optional[float] = field(default=None)
-
-    @property
-    def grid_t(self):
-        return self.trajectory.t
 
 
 def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
@@ -200,11 +186,11 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
     )
 
 
-def _mode_seed(p0: LoadPoint, kappa: float, amplitude: float, grid: Grid):
+def _mode_seed(yL, amplitude: float, grid: Grid):
     """Initial (v0, m0) predicted from the linear mode at amplitude a."""
-    yL = mode_shape(p0, kappa, grid)
-    v0 = amplitude * p0.lambda1 * grid.inner(np.ones_like(grid.t), yL.y(grid.t))
-    m0 = amplitude * (1.0 - kappa * p0.lambda2) * float(yL.d2y(0.0))
+    p0 = yL.p0
+    v0 = amplitude * p0.lambda1 * grid.inner(np.ones_like(grid.t), yL(grid.t))
+    m0 = amplitude * (1.0 - yL.kappa * p0.lambda2) * float(yL(0.0, 2))
     return v0, m0
 
 
@@ -224,9 +210,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         grid = Grid()
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    yL = mode_shape(p0, kappa, grid)
-    q2 = adjoint_kernel(2, p0, kappa, grid)
-    rc = reduction_coefficients(p0, kappa, yL, q2, grid)
+    yL, _, rc = critical_chain(p0, kappa, grid)
     if rc.verdict is Verdict.DEGENERATE:
         raise AmplitudeSeedError("degenerate critical point; no seeding amplitude")
 
@@ -239,9 +223,9 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
             raise AmplitudeSeedError(
                 f"offset {d} lies on the trivial side; no nontrivial branch to seed")
         p = p0.offset(dl1, dl2)
-        v0, m0 = guess if guess is not None else _mode_seed(p0, kappa, sign * amp, grid)
+        v0, m0 = guess if guess is not None else _mode_seed(yL, sign * amp, grid)
         sol = shoot(p, setup, v0, m0, grid=grid)
-        if abs(tip_deflection(sol)) < 0.2 * amp * abs(float(yL.y(1.0))):
+        if abs(tip_deflection(sol)) < 0.2 * amp * abs(float(yL(1.0))):
             raise NoConvergenceError("converged to the trivial branch",
                                      last_iterate=(sol.v0, sol.m0))
         return sol
@@ -258,6 +242,15 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     return sol
 
 
+def _central_second_derivative(slope: np.ndarray, h: float) -> np.ndarray:
+    """y'' from the sampled slope y' by central differences, endpoints copied inward."""
+    ydd = np.empty_like(slope)
+    ydd[1:-1] = (slope[2:] - slope[:-2]) / (2.0 * h)
+    ydd[0] = ydd[1]
+    ydd[-1] = ydd[-2]
+    return ydd
+
+
 def residual_M2(sol: BvpSolution, grid: Optional[Grid] = None) -> float:
     """Sup-norm of the single-equation operator residual on the sampled deflection.
 
@@ -271,18 +264,12 @@ def residual_M2(sol: BvpSolution, grid: Optional[Grid] = None) -> float:
     kappa, l1, l2 = setup.kappa, p.lambda1, p.lambda2
     y = sol.trajectory.y
     yd = np.sin(sol.trajectory.theta)
-    if np.max(np.abs(yd)) >= 1.0:
-        raise InadmissibleSlopeError("|y'| reached 1 on the trajectory")
-    h = grid.h
-    ydd = np.empty_like(y)
-    ydd[1:-1] = (yd[2:] - yd[:-2]) / (2.0 * h)
-    ydd[0] = ydd[1]
-    ydd[-1] = ydd[-2]
+    j1 = grid.j1(yd)  # rejects |y'| >= 1
+    j2 = grid.j2(y, yd)
+    ydd = _central_second_derivative(yd, grid.h)
 
     root = np.sqrt(1.0 - yd**2)
     i1y = grid.i1(y)
-    j1 = grid.cumint_right(root)
-    j2 = grid.cumint_right(root * i1y)
     i1yd = grid.i1(yd)
     curv = setup.alpha1 * np.asarray(setup.rho0(grid.t), dtype=float) if setup.alpha1 else 0.0
     numer = curv + setup.alpha2 * j1 + l1 * (j2 - kappa * y * root) + l2 * i1yd
@@ -299,11 +286,7 @@ def closed_form_moment(sol: BvpSolution) -> np.ndarray:
     setup, p = sol.setup, sol.load
     th = sol.trajectory.theta
     c, s = np.cos(th), np.sin(th)
-    h = sol.trajectory.t[1] - sol.trajectory.t[0]
-    ydd = np.empty_like(s)
-    ydd[1:-1] = (s[2:] - s[:-2]) / (2.0 * h)
-    ydd[0] = ydd[1]
-    ydd[-1] = ydd[-2]
+    ydd = _central_second_derivative(s, sol.trajectory.t[1] - sol.trajectory.t[0])
     den = 1.0 + setup.kappa * (sol.trajectory.v * s - p.lambda2 * c)
     curv = (setup.alpha1 * np.asarray(setup.rho0(sol.trajectory.t), dtype=float)
             if setup.alpha1 else np.zeros_like(th))
@@ -322,7 +305,7 @@ def node_count(sol: BvpSolution, zero_tol: float = 1e-9) -> int:
 
 def mode_node_count(yL, grid: Grid, zero_tol: float = 1e-9) -> int:
     """Same morphology metric applied to a closed-form mode shape."""
-    return _sign_changes(yL.dy(grid.t)[1:-1], zero_tol)
+    return _sign_changes(yL(grid.t, 1)[1:-1], zero_tol)
 
 
 def _sign_changes(samples: np.ndarray, zero_tol: float) -> int:

@@ -392,36 +392,31 @@ def _local_scale(l1, l2, kappa, dl=0.05):
     return max(probes) if probes else 1.0
 
 
-def find_fold(kappa: float, guess: LoadPoint) -> LoadPoint:
-    """Fold of the interaction curve: F = 0 and dF/dlambda2 = 0 near the guess."""
+def _stationary_point(kappa: float, guess: LoadPoint, wrt: int, what: str) -> tuple[float, float]:
+    """(lambda1, lambda2) with F = 0 and dF/dlambda_wrt = 0 near the guess, wrt 1 or 2."""
     scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
 
     def system(x):
         l1, l2 = x
-        df1, df2 = char_partials(LoadPoint(l1, l2), kappa)
-        return (_residual(l1, l2, kappa) / scale, df2 / scale)
+        partial = char_partials(LoadPoint(l1, l2), kappa)[wrt - 1]
+        return (_residual(l1, l2, kappa) / scale, partial / scale)
 
     sol = _damped_newton2(system, (guess.lambda1, guess.lambda2), tol=1e-8 / max(scale, 1.0))
     l1, l2 = float(sol[0]), float(sol[1])
     if l1 <= 0.0 or l2 < -1e-9:
-        raise NoFoldError(f"fold Newton left the first-mode quadrant: ({l1}, {l2})")
+        raise NoFoldError(f"{what} Newton left the admissible quadrant: ({l1}, {l2})")
+    return l1, l2
+
+
+def find_fold(kappa: float, guess: LoadPoint) -> LoadPoint:
+    """Fold of the interaction curve: F = 0 and dF/dlambda2 = 0 near the guess."""
+    l1, l2 = _stationary_point(kappa, guess, 2, "fold")
     return LoadPoint(l1, max(l2, 0.0))
 
 
 def find_branch_minimum(kappa: float, guess: LoadPoint) -> LoadPoint:
     """Stationary lambda2 along the curve: F = 0 and dF/dlambda1 = 0."""
-    scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
-
-    def system(x):
-        l1, l2 = x
-        df1, df2 = char_partials(LoadPoint(l1, l2), kappa)
-        return (_residual(l1, l2, kappa) / scale, df1 / scale)
-
-    sol = _damped_newton2(system, (guess.lambda1, guess.lambda2), tol=1e-8 / max(scale, 1.0))
-    l1, l2 = float(sol[0]), float(sol[1])
-    if l1 <= 0.0 or l2 < -1e-9:
-        raise NoFoldError(f"branch-minimum Newton left the admissible quadrant: ({l1}, {l2})")
-    return LoadPoint(l1, l2)
+    return LoadPoint(*_stationary_point(kappa, guess, 1, "branch-minimum"))
 
 
 def find_kappa_cr(guess_kappa: float = 0.37, guess_lambda1: float = 29.0) -> tuple[float, float]:

@@ -38,13 +38,17 @@ from .errors import (
     SingularDenominatorError,
 )
 from .model import LoadPoint, RodSetup
-from .modes import adjoint_kernel, linear_residual_L4, mode_shape
+from .modes import linear_residual_L4, mode_shape
 from .quadrature import DEFAULT_N, Grid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
+
+FORMATS = ("csv", "json")
+KERNEL_ORDERS = {"q2": 2, "q4": 4}
+MAX_RANGE_POINTS = 10_000  # the README grid has 33
 
 _DOMAIN_ERRORS = (
     DomainError,
@@ -82,18 +86,64 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _UsageError(Exception):
+    """Malformed command-line input, reported in one line with exit code 1."""
+
+
 def _load_config(path):
     cfg = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise InvalidInputError(f"bad config line: {line!r}")
-            key, _, value = line.partition("=")
-            cfg[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _UsageError(f"bad config line: {line!r}")
+        key, _, value = line.partition("=")
+        cfg[key.strip()] = value.strip()
     return cfg
+
+
+def _apply_config(args):
+    """Fill n, format and out from the config file where the command line left
+    them at their defaults; values are checked as on the command line."""
+    cfg = _load_config(args.config)
+    unknown = sorted(set(cfg) - {"n", "format", "out"})
+    if unknown:
+        raise _UsageError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
+    if "n" in cfg and args.n == DEFAULT_N:
+        try:
+            args.n = _grid_size(cfg["n"])
+        except argparse.ArgumentTypeError as exc:
+            raise _UsageError(f"config file {args.config}: {exc}") from None
+    if "format" in cfg and args.format == "csv":
+        if cfg["format"] not in FORMATS:
+            raise _UsageError(f"config file {args.config}: format must be one of "
+                              f"{', '.join(FORMATS)}, got {cfg['format']!r}")
+        args.format = cfg["format"]
+    if "out" in cfg and not args.out:
+        args.out = cfg["out"]
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def _grid_size(text):
+    n = _positive_int(text)
+    if n % 2:
+        raise argparse.ArgumentTypeError(f"grid size must be even, got {n}")
+    return n
 
 
 def _emit(rows, header, args, meta):
@@ -109,21 +159,19 @@ def _emit(rows, header, args, meta):
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         directory = os.path.dirname(os.path.abspath(out))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nanorod-")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".nanorod-")
             with os.fdopen(fd, "w", encoding="ascii") as fh:
                 fh.write(text)
             os.replace(tmp, out)
-        except BaseException:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            raise _UsageError(f"cannot write {out}: {exc}") from None
+        finally:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
     else:
         sys.stdout.write(text)
-
-
-class _UsageError(Exception):
-    """Malformed command-line input, reported in one line with exit code 1."""
 
 
 def _check_finite(args):
@@ -135,8 +183,6 @@ def _check_finite(args):
 
 def _parse_range(text):
     parts = text.split(":")
-    if len(parts) != 3:
-        raise InvalidInputError(f"range must be start:stop:step, got {text!r}")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
@@ -144,8 +190,11 @@ def _parse_range(text):
     if not all(math.isfinite(v) for v in (start, stop, step)):
         raise _UsageError(f"range bounds and step must be finite numbers, got {text!r}")
     if step <= 0:
-        raise InvalidInputError("range step must be positive")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        raise _UsageError(f"range step must be positive, got {text!r}")
+    span = (stop - start) / step
+    if span + 1 > MAX_RANGE_POINTS:
+        raise _UsageError(f"range {text!r} has more than {MAX_RANGE_POINTS} points")
+    count = int(math.floor(span + 1e-9)) + 1
     return [start + i * step for i in range(max(count, 0))]
 
 
@@ -200,7 +249,7 @@ def cmd_mode(args):
     grid = Grid(args.n)
     p0 = _critical_point(args)
     yL = mode_shape(p0, args.kappa, grid)
-    rows = [[float(t), float(y)] for t, y in zip(grid.t, yL.y(grid.t))]
+    rows = [[float(t), float(y)] for t, y in zip(grid.t, yL(grid.t))]
     _emit(rows, ["t", "y"], args,
           {"command": "mode", "kappa": args.kappa,
            "lambda1": p0.lambda1, "lambda2": p0.lambda2})
@@ -210,10 +259,7 @@ def cmd_mode(args):
 def cmd_reduce(args):
     grid = Grid(args.n)
     p0 = _critical_point(args)
-    yL = mode_shape(p0, args.kappa, grid)
-    order = 4 if args.kernel == "q4" else 2
-    q = adjoint_kernel(order, p0, args.kappa, grid)
-    rc = reduction.reduction_coefficients(p0, args.kappa, yL, q, grid)
+    _, _, rc = reduction.critical_chain(p0, args.kappa, grid, KERNEL_ORDERS[args.kernel])
     rows = [[p0.lambda1, p0.lambda2, rc.c11, rc.c12, rc.c13, rc.c3, rc.eta_prime,
              rc.tangential_coefficient, rc.crossing_coefficient,
              rc.epsilon, rc.delta, str(rc.verdict)]]
@@ -224,11 +270,16 @@ def cmd_reduce(args):
     return EXIT_OK
 
 
-def _profile_from_file(path, grid):
-    data = np.loadtxt(path, delimiter=",")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise InvalidInputError("profile file must be two-column CSV t,value")
+def _profile_from_file(path):
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read profile file {path}: {exc}") from None
+    if data.shape[1] != 2:
+        raise _UsageError(f"profile file {path} must be two-column CSV t,value")
     ts, vals = data[:, 0], data[:, 1]
+    if np.any(np.diff(ts) <= 0.0):
+        raise _UsageError(f"profile file {path}: t must increase from row to row")
 
     def rho0(t):
         return np.interp(np.asarray(t, dtype=float), ts, vals)
@@ -237,14 +288,10 @@ def _profile_from_file(path, grid):
 
 
 def cmd_unfold(args):
+    rho0 = _profile_from_file(args.profile) if args.profile else section_fixture_curvature
     grid = Grid(args.n)
     p0 = _critical_point(args)
-    yL = mode_shape(p0, args.kappa, grid)
-    order = 4 if args.kernel == "q4" else 2
-    q = adjoint_kernel(order, p0, args.kappa, grid)
-    rc = reduction.reduction_coefficients(p0, args.kappa, yL, q, grid)
-    rho0 = (_profile_from_file(args.profile, grid) if args.profile
-            else section_fixture_curvature)
+    yL, q, rc = reduction.critical_chain(p0, args.kappa, grid, KERNEL_ORDERS[args.kernel])
     uc = unfolding.unfolding_coefficients(p0, args.kappa, yL, q, rho0, grid)
     report = unfolding.is_universal_unfolding(rc, uc)
     names = ["d01", "d02", "d11", "d12", "d13", "d14", "d21", "d22", "d23", "d24",
@@ -269,9 +316,7 @@ def cmd_postbuckle(args):
                                      sign=args.sign, grid=grid)
     except AmplitudeSeedError:
         # offset lies on the trivial side: the equilibrium there is straight
-        yL = mode_shape(p0, args.kappa, grid)
-        q2 = adjoint_kernel(2, p0, args.kappa, grid)
-        rc = reduction.reduction_coefficients(p0, args.kappa, yL, q2, grid)
+        _, _, rc = reduction.critical_chain(p0, args.kappa, grid)
         dl1, dl2 = reduction.crossing_offsets(rc, delta, direction)
         sol = bvp.shoot(p0.offset(dl1, dl2), RodSetup(kappa=args.kappa), 0.0, 0.0,
                         grid=grid)
@@ -350,14 +395,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=int, default=DEFAULT_N, help="grid size (even)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--n", type=_grid_size, default=DEFAULT_N, help="grid size (even)")
+        p.add_argument("--format", choices=FORMATS, default="csv")
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("curve", help="interaction-curve sweep")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--l1", required=True, help="lambda1 range start:stop:step")
-    p.add_argument("--mode", type=int, default=1)
+    p.add_argument("--mode", type=_positive_int, default=1)
     common(p)
     p.set_defaults(func=cmd_curve)
 
@@ -384,7 +429,7 @@ def build_parser():
     def critical_args(p):
         p.add_argument("--kappa", type=float, required=True)
         p.add_argument("--l1", type=float, required=True)
-        p.add_argument("--which", type=int, default=1,
+        p.add_argument("--which", type=_positive_int, default=1,
                        help="root index in lambda2 (2 = upper branch)")
         p.add_argument("--branch", choices=("lower", "upper"),
                        help="branch name; shorthand for --which 1/2")
@@ -396,13 +441,13 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="reduction coefficients and verdict")
     critical_args(p)
-    p.add_argument("--kernel", choices=("q2", "q4"), default="q2")
+    p.add_argument("--kernel", choices=tuple(KERNEL_ORDERS), default="q2")
     common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("unfold", help="imperfection unfolding constants")
     critical_args(p)
-    p.add_argument("--kernel", choices=("q2", "q4"), default="q2")
+    p.add_argument("--kernel", choices=tuple(KERNEL_ORDERS), default="q2")
     p.add_argument("--profile", help="two-column CSV t,value curvature profile")
     common(p)
     p.set_defaults(func=cmd_unfold)
@@ -428,15 +473,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
-    if args.config:
-        cfg = _load_config(args.config)
-        if "n" in cfg and getattr(args, "n", None) == DEFAULT_N:
-            args.n = int(cfg["n"])
-        if "format" in cfg and getattr(args, "format", "csv") == "csv":
-            args.format = cfg["format"]
-        if "out" in cfg and not getattr(args, "out", None):
-            args.out = cfg["out"]
     try:
+        if args.config:
+            _apply_config(args)
         _check_finite(args)
         return args.func(args)
     except _UsageError as exc:

@@ -39,9 +39,6 @@ class LoadPoint:
     def offset(self, dl1: float, dl2: float) -> "LoadPoint":
         return LoadPoint(self.lambda1 + dl1, self.lambda2 + dl2)
 
-    def astuple(self):
-        return (self.lambda1, self.lambda2)
-
 
 def _zero_curvature(t):
     return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0

@@ -7,8 +7,9 @@ At a critical point (lambda01, lambda02) the linearized fourth-order operator
 has a one-dimensional kernel spanned by a cos/cosh/sin/sinh combination with
 wavenumbers (r01, r02).  The formal adjoints share the same interior form but
 carry their own boundary sets; their kernels are again closed-form trig and
-hyperbolic combinations.  Everything here is evaluated analytically, with
-derivatives up to fourth order.
+hyperbolic combinations, so the mode and both kernels are one class,
+ClosedFormShape, told apart by their order.  Everything here is evaluated
+analytically, with derivatives up to fourth order.
 
 Sign and normalization conventions (they fix the arbitrary constants):
   * mode shape: unit L2 norm and y''(0) > 0;
@@ -17,22 +18,31 @@ Sign and normalization conventions (they fix the arbitrary constants):
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .charcurve import char_residual, wavenumbers
 from .errors import DegenerateShapeError, DomainError
 from .model import LoadPoint
-from .quadrature import Grid, SampledFn
+from .quadrature import Grid
 
 CRITICAL_TOL = 1e-8  # |residual| demanded of p0, relative to its local scale
 
 
 @dataclass(frozen=True)
-class TrigHypShape:
-    """a cos(r1 t) + b cosh(r2 t) + c sin(r1 t) + d sinh(r2 t) with analytic derivatives."""
+class ClosedFormShape:
+    """Kernel element at the critical point p0: the buckling mode (order 0) or
+    an adjoint kernel (order 2 or 4),
 
+        a cos(r1 t) + b cosh(r2 t) + c sin(r1 t) + d sinh(r2 t),
+
+    with r1, r2 the wavenumbers at p0.  Calling it gives the k-th derivative.
+    """
+
+    p0: LoadPoint
+    kappa: float
+    order: int
     r1: float
     r2: float
     a: float
@@ -40,16 +50,15 @@ class TrigHypShape:
     c: float
     d: float
 
-    def value(self, t, order: int = 0):
+    def __call__(self, t, k: int = 0):
         t = np.asarray(t, dtype=float)
         r1, r2 = self.r1, self.r2
-        k = order % 4
-        s1 = r1**order
-        s2 = r2**order
-        cos_part = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)[k]
-        sin_part = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))[k]
-        cosh_part = (np.cosh, np.sinh)[order % 2]
-        sinh_part = (np.sinh, np.cosh)[order % 2]
+        s1 = r1**k
+        s2 = r2**k
+        cos_part = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)[k % 4]
+        sin_part = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))[k % 4]
+        cosh_part = (np.cosh, np.sinh)[k % 2]
+        sinh_part = (np.sinh, np.cosh)[k % 2]
         return (
             self.a * s1 * cos_part(r1 * t)
             + self.b * s2 * cosh_part(r2 * t)
@@ -57,208 +66,96 @@ class TrigHypShape:
             + self.d * s2 * sinh_part(r2 * t)
         )
 
-    def scaled(self, factor: float) -> "TrigHypShape":
-        return TrigHypShape(self.r1, self.r2, factor * self.a, factor * self.b,
-                            factor * self.c, factor * self.d)
+    def scaled(self, factor: float) -> "ClosedFormShape":
+        return replace(self, a=factor * self.a, b=factor * self.b,
+                       c=factor * self.c, d=factor * self.d)
 
 
-def _require_critical(p0: LoadPoint, kappa: float):
+def _critical_wavenumbers(p0: LoadPoint, kappa: float) -> tuple[float, float]:
+    """Wavenumbers at p0, once p0 is verified to lie on the interaction curve."""
     res = char_residual(p0, kappa)
     scale = max(abs(char_residual(LoadPoint(p0.lambda1, p0.lambda2 + 0.05), kappa)), 1.0)
     if abs(res) > CRITICAL_TOL * scale:
         raise DomainError(
             f"({p0.lambda1}, {p0.lambda2}) is not a critical point: residual {res:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class ModeShape:
-    """Normalized kernel element of the linearized operator at a critical point."""
-
-    p0: LoadPoint
-    kappa: float
-    r01: float
-    r02: float
-    D: float
-    C: float
-    shape: TrigHypShape
-
-    def y(self, t):
-        return self.shape.value(t, 0)
-
-    def dy(self, t):
-        return self.shape.value(t, 1)
-
-    def d2y(self, t):
-        return self.shape.value(t, 2)
-
-    def d3y(self, t):
-        return self.shape.value(t, 3)
-
-    def d4y(self, t):
-        return self.shape.value(t, 4)
-
-    def sampled(self, grid: Grid) -> SampledFn:
-        return SampledFn(grid, self.y(grid.t), self.dy(grid.t))
-
-
-@dataclass(frozen=True)
-class AdjointKernel:
-    """Normalized kernel element of a formal adjoint (order 2 or 4)."""
-
-    order: int
-    p0: LoadPoint
-    kappa: float
-    r01: float
-    r02: float
-    B: float
-    C: float
-    shape: TrigHypShape
-
-    def q(self, t):
-        return self.shape.value(t, 0)
-
-    def dq(self, t):
-        return self.shape.value(t, 1)
-
-    def d2q(self, t):
-        return self.shape.value(t, 2)
-
-    def d3q(self, t):
-        return self.shape.value(t, 3)
-
-    def d4q(self, t):
-        return self.shape.value(t, 4)
-
-    def sampled(self, grid: Grid) -> SampledFn:
-        return SampledFn(grid, self.q(grid.t), self.dq(grid.t))
-
-
-def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ModeShape:
-    """Closed-form normalized mode shape at a verified critical point."""
-    _require_critical(p0, kappa)
     w = wavenumbers(p0, kappa)
-    r1, r2 = w.r1, w.r2
+    if w.r2 == 0.0:
+        raise DegenerateShapeError(f"closed-form shapes need lambda1 > 0, got {p0.lambda1}")
+    return w.r1, w.r2
+
+
+def _ratio(num: float, den: float, what: str, p0: LoadPoint) -> float:
+    if abs(den) < 1e-12 * max(1.0, abs(num)):
+        raise DegenerateShapeError(f"{what} denominator {den:.3e} at ({p0.lambda1}, {p0.lambda2})")
+    return num / den
+
+
+def _normalized(raw: ClosedFormShape, grid: Grid, probe_t: float, probe_k: int) -> ClosedFormShape:
+    """raw scaled to unit L2 norm, with its k-th derivative positive at the probe."""
+    c_const = 1.0 / grid.norm(raw(grid.t))
+    if raw(probe_t, probe_k) * c_const < 0.0:
+        c_const = -c_const
+    return raw.scaled(c_const)
+
+
+def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
+    """Closed-form normalized mode shape at a verified critical point."""
+    r1, r2 = _critical_wavenumbers(p0, kappa)
     kp = kappa * p0.lambda1 / (1.0 - kappa * p0.lambda2)
     num = r1**2 * math.cos(r1) + r2**2 * math.cosh(r2) + kp * (math.cosh(r2) - math.cos(r1))
     den = (r1**2 * math.sin(r1) + r1 * r2 * math.sinh(r2)
            + kp * ((r1 / r2) * math.sinh(r2) - math.sin(r1)))
-    if abs(den) < 1e-12 * max(1.0, abs(num)):
-        raise DegenerateShapeError(f"mode-shape denominator {den:.3e} at ({p0.lambda1}, {p0.lambda2})")
-    d_const = num / den
-    raw = TrigHypShape(r1, r2, 1.0, -1.0, -d_const, d_const * r1 / r2)
-    nrm = grid.norm(raw.value(grid.t))
-    c_const = 1.0 / nrm
-    if raw.value(0.0, 2) * c_const < 0.0:
-        c_const = -c_const
-    return ModeShape(p0=p0, kappa=kappa, r01=r1, r02=r2, D=d_const, C=c_const,
-                     shape=raw.scaled(c_const))
+    d_const = _ratio(num, den, "mode-shape", p0)
+    raw = ClosedFormShape(p0, kappa, 0, r1, r2, 1.0, -1.0, -d_const, d_const * r1 / r2)
+    return _normalized(raw, grid, 0.0, 2)
 
 
-def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> AdjointKernel:
+def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
     """Closed-form normalized adjoint kernel of order 2 or 4."""
     if order not in (2, 4):
         raise DomainError(f"adjoint kernel order must be 2 or 4, got {order}")
-    _require_critical(p0, kappa)
-    w = wavenumbers(p0, kappa)
-    r1, r2 = w.r1, w.r2
+    r1, r2 = _critical_wavenumbers(p0, kappa)
     num = math.cos(r1) + (r2**2 / r1**2) * math.cosh(r2)
     den = math.sin(r1) + (r2 / r1) * math.sinh(r2)
-    if abs(den) < 1e-12 * max(1.0, abs(num)):
-        raise DegenerateShapeError(f"kernel denominator {den:.3e} at ({p0.lambda1}, {p0.lambda2})")
-    b_const = num / den
+    b_const = _ratio(num, den, "kernel", p0)
     if order == 2:
-        raw = TrigHypShape(r1, r2, 1.0, r2**2 / r1**2, -b_const, -b_const * r2 / r1)
-    else:
-        raw = TrigHypShape(r1, r2, 1.0, -1.0, -b_const, b_const * r1 / r2)
-    nrm = grid.norm(raw.value(grid.t))
-    c_const = 1.0 / nrm
-    probe = raw.value(grid.t[1], 0) if order == 2 else raw.value(0.0, 2)
-    if probe * c_const < 0.0:
-        c_const = -c_const
-    return AdjointKernel(order=order, p0=p0, kappa=kappa, r01=r1, r02=r2, B=b_const,
-                         C=c_const, shape=raw.scaled(c_const))
+        raw = ClosedFormShape(p0, kappa, 2, r1, r2, 1.0, r2**2 / r1**2,
+                              -b_const, -b_const * r2 / r1)
+        return _normalized(raw, grid, grid.t[1], 0)
+    raw = ClosedFormShape(p0, kappa, 4, r1, r2, 1.0, -1.0, -b_const, b_const * r1 / r2)
+    return _normalized(raw, grid, 0.0, 2)
 
 
-def _coefficients(p: LoadPoint, kappa: float) -> tuple[float, float]:
-    denom = 1.0 - kappa * p.lambda2
-    return (kappa * p.lambda1 + p.lambda2) / denom, p.lambda1 / denom
-
-
-def linear_residual_L4(y, p: LoadPoint, kappa: float, grid: Grid):
+def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid):
     """Interior sup-residual of the fourth-order linearization, plus its four
-    boundary values, for a ModeShape or a SampledFn with derivative stencils.
+    boundary values, for a closed-form shape.
     """
-    co2, co0 = _coefficients(p, kappa)
     denom = 1.0 - kappa * p.lambda2
-    if isinstance(y, ModeShape):
-        t = grid.t
-        interior = y.d4y(t) + co2 * y.d2y(t) - co0 * y.y(t)
-        b = [
-            float(y.y(0.0)),
-            float(y.dy(0.0)),
-            float(y.d2y(1.0) * denom + kappa * p.lambda1 * y.y(1.0)),
-            float(y.d3y(1.0) * denom + (kappa * p.lambda1 + p.lambda2) * y.dy(1.0)),
-        ]
-        return float(np.max(np.abs(interior))), b
-    vals = y.values
-    d1, d2, d3, d4 = _fd_derivatives(vals, grid.h)
-    interior = d4 + co2 * d2 - co0 * vals
+    co2, co0 = (kappa * p.lambda1 + p.lambda2) / denom, p.lambda1 / denom
+    t = grid.t
+    interior = y(t, 4) + co2 * y(t, 2) - co0 * y(t)
     b = [
-        float(vals[0]),
-        float(d1[0]),
-        float(d2[-1] * denom + kappa * p.lambda1 * vals[-1]),
-        float(d3[-1] * denom + (kappa * p.lambda1 + p.lambda2) * d1[-1]),
+        float(y(0.0)),
+        float(y(0.0, 1)),
+        float(y(1.0, 2) * denom + kappa * p.lambda1 * y(1.0)),
+        float(y(1.0, 3) * denom + (kappa * p.lambda1 + p.lambda2) * y(1.0, 1)),
     ]
     return float(np.max(np.abs(interior))), b
 
 
-def linear_residual_L2(y, p: LoadPoint, kappa: float, grid: Grid) -> float:
+def linear_residual_L2(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid) -> float:
     """Sup-residual of the second-order integro-differential linearization."""
     denom = 1.0 - kappa * p.lambda2
-    if isinstance(y, ModeShape):
-        vals = y.y(grid.t)
-        d1 = y.dy(grid.t)
-        d2 = y.d2y(grid.t)
-    else:
-        vals = y.values
-        d1fd, d2fd, _, _ = _fd_derivatives(vals, grid.h)
-        d1 = y.deriv if y.deriv is not None else d1fd
-        d2 = d2fd
-    res = (d2
+    t = grid.t
+    vals = y(t)
+    res = (y(t, 2)
            - p.lambda1 / denom * (grid.i2(vals) - kappa * vals)
-           - p.lambda2 / denom * grid.i1(d1))
+           - p.lambda2 / denom * grid.i1(y(t, 1)))
     return float(np.max(np.abs(res)))
 
 
-def _fd_derivatives(vals: np.ndarray, h: float):
-    """Five-point one-sided/centered stencils for derivatives 1..4 on the grid."""
-    n = len(vals) - 1
-    d1 = np.gradient(vals, h, edge_order=2)
-    d2 = np.empty_like(vals)
-    d2[1:-1] = (vals[:-2] - 2.0 * vals[1:-1] + vals[2:]) / h**2
-    d2[0] = (2 * vals[0] - 5 * vals[1] + 4 * vals[2] - vals[3]) / h**2
-    d2[-1] = (2 * vals[-1] - 5 * vals[-2] + 4 * vals[-3] - vals[-4]) / h**2
-    d3 = np.empty_like(vals)
-    d3[2:-2] = (-vals[:-4] + 2 * vals[1:-3] - 2 * vals[3:-1] + vals[4:]) / (2 * h**3)
-    for i in (0, 1):
-        d3[i] = (-2.5 * vals[i] + 9 * vals[i + 1] - 12 * vals[i + 2]
-                 + 7 * vals[i + 3] - 1.5 * vals[i + 4]) / h**3
-    for i in (n - 1, n):
-        d3[i] = (2.5 * vals[i] - 9 * vals[i - 1] + 12 * vals[i - 2]
-                 - 7 * vals[i - 3] + 1.5 * vals[i - 4]) / h**3
-    d4 = np.empty_like(vals)
-    d4[2:-2] = (vals[:-4] - 4 * vals[1:-3] + 6 * vals[2:-2] - 4 * vals[3:-1] + vals[4:]) / h**4
-    for i in (0, 1):
-        d4[i] = (3 * vals[i] - 14 * vals[i + 1] + 26 * vals[i + 2] - 24 * vals[i + 3]
-                 + 11 * vals[i + 4] - 2 * vals[i + 5]) / h**4
-    for i in (n - 1, n):
-        d4[i] = (3 * vals[i] - 14 * vals[i - 1] + 26 * vals[i - 2] - 24 * vals[i - 3]
-                 + 11 * vals[i - 4] - 2 * vals[i - 5]) / h**4
-    return d1, d2, d3, d4
-
-
-def adjoint_boundary_residuals(kernel: AdjointKernel, grid: Grid) -> list[float]:
+def adjoint_boundary_residuals(kernel: ClosedFormShape, grid: Grid) -> list[float]:
     """Boundary-set residuals of an adjoint kernel.
 
     Order 4: q(0), q'(0), q''(1), q'''(1) + l2/(1-k l2) q'(1).
@@ -270,19 +167,19 @@ def adjoint_boundary_residuals(kernel: AdjointKernel, grid: Grid) -> list[float]
     denom = 1.0 - kappa * p.lambda2
     if kernel.order == 4:
         return [
-            float(kernel.q(0.0)),
-            float(kernel.dq(0.0)),
-            float(kernel.d2q(1.0)),
-            float(kernel.d3q(1.0) + p.lambda2 / denom * kernel.dq(1.0)),
+            float(kernel(0.0)),
+            float(kernel(0.0, 1)),
+            float(kernel(1.0, 2)),
+            float(kernel(1.0, 3) + p.lambda2 / denom * kernel(1.0, 1)),
         ]
-    qv = kernel.q(grid.t)
+    qv = kernel(grid.t)
     one = np.ones_like(grid.t)
     q_1 = grid.inner(one, qv)
     qt = grid.inner(grid.t, qv)
     return [
-        float(kernel.q(1.0)),
-        float(kernel.dq(1.0) + p.lambda2 / denom * q_1),
-        float(kernel.d2q(1.0) + p.lambda1 / denom * (qt - q_1)),
-        float(kernel.d3q(1.0) + (kappa * p.lambda1 + p.lambda2) / denom * kernel.dq(1.0)
+        float(kernel(1.0)),
+        float(kernel(1.0, 1) + p.lambda2 / denom * q_1),
+        float(kernel(1.0, 2) + p.lambda1 / denom * (qt - q_1)),
+        float(kernel(1.0, 3) + (kappa * p.lambda1 + p.lambda2) / denom * kernel(1.0, 1)
               - p.lambda1 / denom * q_1),
     ]

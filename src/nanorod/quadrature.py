@@ -8,9 +8,6 @@ Simpson, odd indices add a half-panel integrated from the parabola through
 the three nearest samples.
 """
 
-from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .errors import ConfigurationError, GridMismatchError, InadmissibleSlopeError
@@ -100,51 +97,3 @@ class Grid:
             raise InadmissibleSlopeError("|dz/dt| reaches 1; sqrt(1 - zdot^2) kernel undefined")
         return zdot
 
-
-@dataclass
-class SampledFn:
-    """Function samples on a shared grid, with optional derivative samples."""
-
-    grid: Grid
-    values: np.ndarray
-    deriv: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        self.values = self.grid._check(self.values)
-        if self.deriv is not None:
-            self.deriv = self.grid._check(self.deriv)
-
-    def _need_deriv(self) -> np.ndarray:
-        if self.deriv is None:
-            raise InadmissibleSlopeError("operator needs derivative samples, none supplied")
-        return self.deriv
-
-
-def I1(f: SampledFn) -> SampledFn:
-    return SampledFn(f.grid, f.grid.i1(f.values))
-
-
-def I2(f: SampledFn) -> SampledFn:
-    return SampledFn(f.grid, f.grid.i2(f.values))
-
-
-def I3(f: SampledFn) -> SampledFn:
-    # the operator contract restricts sampled deflections to |dz/dt| < 1
-    zdot = f._need_deriv()
-    if np.max(np.abs(zdot)) >= 1.0:
-        raise InadmissibleSlopeError("|dz/dt| reaches 1")
-    return SampledFn(f.grid, f.grid.i3(f.values, zdot))
-
-
-def J1(f: SampledFn) -> SampledFn:
-    return SampledFn(f.grid, f.grid.j1(f._need_deriv()))
-
-
-def J2(f: SampledFn) -> SampledFn:
-    return SampledFn(f.grid, f.grid.j2(f.values, f._need_deriv()))
-
-
-def inner_product(y: SampledFn, q: SampledFn) -> float:
-    if y.grid != q.grid:
-        raise GridMismatchError("inner product of functions on different grids")
-    return y.grid.inner(y.values, q.values)

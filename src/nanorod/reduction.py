@@ -26,10 +26,18 @@ linear coefficient is
 
 so delta = sgn(c12): increasing the axial force through the critical curve
 is the destabilizing crossing.  This is orientation-stable through branch
-minima (where eta' changes sign) and folds, gives identical verdicts for the
-order-2 and order-4 kernels, and matches the side on which the nonlinear
-equilibrium branch is actually found by the shooting solver.  The tangential
-value is exported for inspection.
+minima (where eta' changes sign) and folds, and matches the side on which
+the nonlinear equilibrium branch is actually found by the shooting solver.
+The tangential value is exported for inspection.
+
+The verdict is taken with the order-2 kernel q2, which every caller uses by
+default (CLI, critical_chain, solve_postbuckling).  The order-4 kernel gives
+the same verdict only at some points, and agreement is verified only at the
+points acceptance criterion 07 checks (kappa = 0.25 at lambda1 = 10, and
+kappa = 0.45).  Elsewhere q4 can disagree: at kappa = 0.25 for lambda1 in
+{2.4, 2.5, 5, 6, 7, 7.5}, including Fig. 6 caption points, and on the
+kappa = 0.45 lower branch for lambda1 in {1.1, 1.5, 2.3}, q2 gives
+Supercritical and q4 Subcritical.
 """
 
 import math
@@ -39,7 +47,7 @@ from enum import Enum
 from .charcurve import eta_prime
 from .errors import AmplitudeSeedError, DegeneratePointError, FoldPointError
 from .model import LoadPoint
-from .modes import AdjointKernel, ModeShape
+from .modes import ClosedFormShape, adjoint_kernel, mode_shape
 from .quadrature import Grid
 
 DEGENERATE_TOL = 1e-10
@@ -71,8 +79,8 @@ class ReductionCoefficients:
 def reduction_coefficients(
     p0: LoadPoint,
     kappa: float,
-    yL: ModeShape,
-    q: AdjointKernel,
+    yL: ClosedFormShape,
+    q: ClosedFormShape,
     grid: Grid,
 ) -> ReductionCoefficients:
     """Assemble the reduction coefficients at a verified critical point."""
@@ -80,9 +88,9 @@ def reduction_coefficients(
     x = 1.0 - kappa * l2
 
     t = grid.t
-    yv = yL.y(t)
-    yd = yL.dy(t)
-    qv = q.q(t)
+    yv = yL(t)
+    yd = yL(t, 1)
+    qv = q(t)
 
     a_term = grid.i2(yv) - kappa * yv
     b_term = grid.i1(yd)
@@ -129,22 +137,13 @@ def reduction_coefficients(
     )
 
 
-def classify_pitchfork(rc: ReductionCoefficients) -> Verdict:
-    """Verdict from the signs: supercritical iff epsilon * delta = -1."""
-    return rc.verdict
-
-
-def bifurcation_amplitude(rc: ReductionCoefficients, delta_lambda1: float):
-    """Leading-order mode amplitude for a load offset of delta_lambda1 along
-    the crossing path (delta_lambda1, -eta' delta_lambda1); None when the
-    radicand is negative (trivial side of the curve).
+def critical_chain(p0: LoadPoint, kappa: float, grid: Grid, order: int = 2):
+    """Mode, order-2 or order-4 adjoint kernel, and reduction coefficients at
+    a verified critical point: (yL, q, rc).
     """
-    if rc.verdict is Verdict.DEGENERATE:
-        raise AmplitudeSeedError("degenerate reduction; no amplitude law available")
-    radicand = -(rc.c11 - rc.eta_prime * rc.c12) * delta_lambda1 / rc.c3
-    if radicand <= 0.0:
-        return None
-    return math.sqrt(radicand)
+    yL = mode_shape(p0, kappa, grid)
+    q = adjoint_kernel(order, p0, kappa, grid)
+    return yL, q, reduction_coefficients(p0, kappa, yL, q, grid)
 
 
 def crossing_offsets(rc: ReductionCoefficients, delta: float, direction: str) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularCurvatureError
 from .model import LoadPoint
-from .modes import AdjointKernel, ModeShape
+from .modes import ClosedFormShape
 from .quadrature import Grid
 from .reduction import DEGENERATE_TOL, ReductionCoefficients, Verdict
 
@@ -62,8 +62,8 @@ class UnfoldingCoefficients:
 def unfolding_coefficients(
     p0: LoadPoint,
     kappa: float,
-    yL: ModeShape,
-    q: AdjointKernel,
+    yL: ClosedFormShape,
+    q: ClosedFormShape,
     rho0: Callable,
     grid: Grid,
 ) -> UnfoldingCoefficients:
@@ -83,9 +83,9 @@ def unfolding_coefficients(
     if not np.all(np.isfinite(curv)):
         raise SingularCurvatureError("curvature profile is not finite on [0, 1]")
 
-    yv = yL.y(t)
-    yd = yL.dy(t)
-    qv = q.q(t)
+    yv = yL(t)
+    yd = yL(t, 1)
+    qv = q(t)
     one_minus_t = 1.0 - t
     i1y = grid.i1(yv)
     i2y = grid.i2(yv)

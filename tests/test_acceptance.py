@@ -194,7 +194,7 @@ def test_criterion_08_mode_and_kernel_residuals():
         co0 = p0.lambda1 / denom
         for order in (2, 4):
             q = adjoint_kernel(order, p0, kappa, GRID)
-            ode = q.d4q(GRID.t) + co2 * q.d2q(GRID.t) - co0 * q.q(GRID.t)
+            ode = q(GRID.t, 4) + co2 * q(GRID.t, 2) - co0 * q(GRID.t)
             worst_interior = max(worst_interior, float(np.max(np.abs(ode))))
             res = adjoint_boundary_residuals(q, GRID)
             worst_adjoint = max(worst_adjoint, max(abs(r) for r in res))
@@ -225,10 +225,8 @@ def test_criterion_09_reduction_robustness():
     yL = mode_shape(p0, 0.25, GRID)
     q = adjoint_kernel(2, p0, 0.25, GRID)
     rc = reduction_coefficients(p0, 0.25, yL, q, GRID)
-    q_f = type(q)(order=q.order, p0=q.p0, kappa=q.kappa, r01=q.r01, r02=q.r02,
-                  B=q.B, C=-q.C, shape=q.shape.scaled(-1.0))
-    yL_s = type(yL)(p0=yL.p0, kappa=yL.kappa, r01=yL.r01, r02=yL.r02, D=yL.D,
-                    C=2.0 * yL.C, shape=yL.shape.scaled(2.0))
+    q_f = q.scaled(-1.0)
+    yL_s = yL.scaled(2.0)
     same = (reduction_coefficients(p0, 0.25, yL, q_f, GRID).verdict is rc.verdict
             and reduction_coefficients(p0, 0.25, yL_s, q, GRID).verdict is rc.verdict)
     ok = drift < 1e-6 and same

@@ -173,6 +173,16 @@ class TestPostbuckling:
         assert node_count(sol_below) == 0
         assert node_count(sol_above) == 1
 
+    def test_mode_built_once_per_solve(self, bgrid, monkeypatch):
+        # the shooting seed reuses the mode of the reduction chain
+        import nanorod.reduction as reduction
+        calls = []
+        build = reduction.mode_shape
+        monkeypatch.setattr(reduction, "mode_shape", lambda *a: calls.append(a) or build(*a))
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        solve_postbuckling(p0, 0.25, 0.3, grid=bgrid)
+        assert len(calls) == 1
+
     def test_mirror_pair(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
         plus = solve_postbuckling(p0, 0.25, 0.3, sign=1, grid=bgrid)

@@ -207,3 +207,52 @@ def test_import_and_cli_load_no_scipy():
         proc = subprocess.run([sys.executable, "-c", _NO_SCIPY.format(body=body)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("case", [
+    "config-format-xml", "config-n-not-int", "config-missing", "config-unknown-key",
+    "profile-missing", "profile-non-numeric", "profile-t-decreasing", "out-dir-missing",
+])
+def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
+    mode = ["mode", "--kappa", "0.25", "--l1", "10"]
+    unfold = ["unfold", "--kappa", "0.25", "--l1", "10", "--n", "256", "--profile"]
+    argv = {
+        "config-format-xml": lambda: ["--config", _write(tmp_path / "a.cfg", "format = xml\n")] + mode,
+        "config-n-not-int": lambda: ["--config", _write(tmp_path / "a.cfg", "n = abc\n")] + mode,
+        "config-missing": lambda: ["--config", str(tmp_path / "absent.cfg")] + mode,
+        "config-unknown-key": lambda: ["--config", _write(tmp_path / "a.cfg", "fromat = json\n")] + mode,
+        "profile-missing": lambda: unfold + [str(tmp_path / "absent.csv")],
+        "profile-non-numeric": lambda: unfold + [_write(tmp_path / "p.csv", "0.0,abc\n1.0,2.0\n")],
+        "profile-t-decreasing": lambda: unfold + [_write(tmp_path / "p.csv", "1.0,2.0\n0.0,1.0\n")],
+        "out-dir-missing": lambda: mode + ["--out", str(tmp_path / "absent" / "m.csv")],
+    }[case]()
+    code, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("nanorod: error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["curve", "--kappa", "0.25", "--l1", "1:2"],
+    ["curve", "--kappa", "0.25", "--l1", "1:2:0"],
+    ["curve", "--kappa", "0.25", "--l1", "1:2:x"],
+    ["curve", "--kappa", "0.25", "--l1", "0:1e9:1e-3"],
+    ["curve", "--kappa", "0.25", "--l1", "0:10000:1"],
+    ["curve", "--kappa", "0.25", "--l1", "0.5:8.5:0.25", "--mode", "0"],
+    ["mode", "--kappa", "0.25", "--l1", "10", "--n", "3"],
+    ["mode", "--kappa", "0.25", "--l1", "10", "--which", "0"],
+])
+def test_malformed_option_value_is_usage_error(args, capsys):
+    code, out = run_cli(args)
+    assert code == 1 and out == ""
+    assert "error" in capsys.readouterr().err
+
+
+def test_range_point_cap_is_inclusive():
+    from nanorod.cli import MAX_RANGE_POINTS, _parse_range
+    assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nanorod.charcurve import find_fold
-from nanorod.errors import DomainError
+from nanorod.charcurve import find_fold, solve_lambda2
+from nanorod.errors import DegenerateShapeError, DomainError
 from nanorod.model import LoadPoint
 from nanorod.modes import (
     adjoint_boundary_residuals,
@@ -11,8 +11,6 @@ from nanorod.modes import (
     linear_residual_L4,
     mode_shape,
 )
-from nanorod.quadrature import SampledFn
-
 from conftest import critical_point
 
 
@@ -30,13 +28,13 @@ def p_axis():
 class TestModeShape:
     def test_clamped_end_conditions_exact(self, grid, p25):
         yL = mode_shape(p25, 0.25, grid)
-        assert abs(yL.y(0.0)) < 1e-15
-        assert abs(yL.dy(0.0)) < 1e-15
+        assert abs(yL(0.0)) < 1e-15
+        assert abs(yL(0.0, 1)) < 1e-15
 
     def test_normalization_and_sign(self, grid, p25):
         yL = mode_shape(p25, 0.25, grid)
-        assert grid.inner(yL.y(grid.t), yL.y(grid.t)) == pytest.approx(1.0, abs=1e-10)
-        assert yL.d2y(0.0) > 0.0
+        assert grid.inner(yL(grid.t), yL(grid.t)) == pytest.approx(1.0, abs=1e-10)
+        assert yL(0.0, 2) > 0.0
 
     def test_residual_at_axis_point(self, grid, p_axis):
         yL = mode_shape(p_axis, 0.25, grid)
@@ -48,6 +46,14 @@ class TestModeShape:
         with pytest.raises(DomainError):
             mode_shape(LoadPoint(10.0, 0.5), 0.25, grid)
 
+    def test_zero_lambda1_is_degenerate(self, grid):
+        # r2 = 0 at lambda1 = 0: the closed forms divide by it
+        p0 = LoadPoint(0.0, solve_lambda2(0.0, 0.25))
+        for build in (lambda: mode_shape(p0, 0.25, grid),
+                      lambda: adjoint_kernel(4, p0, 0.25, grid)):
+            with pytest.raises(DegenerateShapeError):
+                build()
+
     def test_branch_point_shape_second_mode_like(self, grid):
         from nanorod.bvp import mode_node_count
         fold = find_fold(0.45, LoadPoint(8.3, 1.16))
@@ -58,8 +64,8 @@ class TestModeShape:
         # perturbing the normalization path must collapse to the same shape
         yL = mode_shape(p25, 0.25, grid)
         rebuilt = mode_shape(p25, 0.25, grid)
-        ref = yL.y(grid.t)
-        alt = -3.7 * rebuilt.y(grid.t)
+        ref = yL(grid.t)
+        alt = -3.7 * rebuilt(grid.t)
         alt /= -np.sqrt(grid.inner(alt, alt)) * np.sign(-alt[2])
         alt *= np.sign(alt[2] * ref[2])
         assert np.max(np.abs(alt - ref)) < 1e-10
@@ -68,8 +74,8 @@ class TestModeShape:
 class TestAdjointKernels:
     def test_order4_clamped_conditions(self, grid, p25):
         q4 = adjoint_kernel(4, p25, 0.25, grid)
-        assert abs(q4.q(0.0)) < 1e-15
-        assert abs(q4.dq(0.0)) < 1e-15
+        assert abs(q4(0.0)) < 1e-15
+        assert abs(q4(0.0, 1)) < 1e-15
 
     def test_order4_tip_conditions(self, grid, p25):
         q4 = adjoint_kernel(4, p25, 0.25, grid)
@@ -81,9 +87,17 @@ class TestAdjointKernels:
         res = adjoint_boundary_residuals(q2, grid)
         assert max(abs(r) for r in res) < 1e-6
 
+    def test_scaled_copy_keeps_metadata(self, grid, p25):
+        q4 = adjoint_kernel(4, p25, 0.25, grid)
+        s = q4.scaled(-2.0)
+        assert (s.p0, s.kappa, s.order, s.r1, s.r2) == (q4.p0, q4.kappa, 4, q4.r1, q4.r2)
+        for k in range(5):
+            ref = q4(grid.t, k)
+            assert np.max(np.abs(s(grid.t, k) + 2.0 * ref)) <= 1e-13 * np.max(np.abs(ref))
+
     def test_order2_positive_near_zero(self, grid, p25):
         q2 = adjoint_kernel(2, p25, 0.25, grid)
-        assert q2.q(grid.t[1]) > 0.0
+        assert q2(grid.t[1]) > 0.0
 
     def test_interior_equation(self, grid, p25):
         # both kernels satisfy the fourth-order interior equation
@@ -92,7 +106,7 @@ class TestAdjointKernels:
         co0 = p25.lambda1 / denom
         for order in (2, 4):
             k = adjoint_kernel(order, p25, 0.25, grid)
-            res = k.d4q(grid.t) + co2 * k.d2q(grid.t) - co0 * k.q(grid.t)
+            res = k(grid.t, 4) + co2 * k(grid.t, 2) - co0 * k(grid.t)
             assert np.max(np.abs(res)) < 1e-6
 
     def test_formal_adjoint_identity(self, grid, p25):
@@ -109,25 +123,10 @@ class TestAdjointKernels:
         ]:
             l2y = (ydd - p25.lambda1 / denom * (grid.i2(y) - 0.25 * y)
                    - p25.lambda2 / denom * grid.i1(yd))
-            assert abs(grid.inner(l2y, q2.q(t))) < 1e-6
+            assert abs(grid.inner(l2y, q2(t))) < 1e-6
 
 
 class TestLinearResiduals:
-    def test_zero_function(self, grid, p25):
-        zero = SampledFn(grid, np.zeros_like(grid.t), np.zeros_like(grid.t))
-        interior, boundary = linear_residual_L4(zero, p25, 0.25, grid)
-        assert interior == 0.0
-        assert all(b == 0.0 for b in boundary)
-        assert linear_residual_L2(zero, p25, 0.25, grid) == 0.0
-
-    def test_polynomial_plugin(self, grid):
-        # y = t^2 at loads (1, 0), kappa = 0: residual is |2 I2(1) - t^2| ...
-        # L4 y = -lambda1 y = -t^2, sup = 1 at t = 1
-        p = LoadPoint(1.0, 0.0)
-        f = SampledFn(grid, grid.t**2)
-        interior, _ = linear_residual_L4(f, p, 0.0, grid)
-        assert interior == pytest.approx(1.0, abs=1e-4)
-
     def test_mode_satisfies_L2_form(self, grid, p25):
         yL = mode_shape(p25, 0.25, grid)
         assert linear_residual_L2(yL, p25, 0.25, grid) < 1e-6

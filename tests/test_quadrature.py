@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanorod.errors import ConfigurationError, GridMismatchError, InadmissibleSlopeError
-from nanorod.quadrature import Grid, I2, I3, J1, J2, SampledFn, inner_product
+from nanorod.quadrature import Grid
 
 
 def test_grid_requires_even_size():
@@ -31,17 +31,15 @@ def test_i1_matches_analytic_antiderivative(grid):
 def test_zero_slope_collapse(grid):
     one = np.ones_like(grid.t)
     zero = np.zeros_like(grid.t)
-    f = SampledFn(grid, one, zero)
-    np.testing.assert_allclose(I2(f).values, (1.0 - grid.t) ** 2 / 2.0, atol=1e-12)
-    np.testing.assert_allclose(I3(f).values, 0.0, atol=1e-15)
-    np.testing.assert_allclose(J1(f).values, 1.0 - grid.t, atol=1e-13)
-    np.testing.assert_allclose(J2(f).values, I2(f).values, atol=1e-13)
+    np.testing.assert_allclose(grid.i2(one), (1.0 - grid.t) ** 2 / 2.0, atol=1e-12)
+    np.testing.assert_allclose(grid.i3(one, zero), 0.0, atol=1e-15)
+    np.testing.assert_allclose(grid.j1(zero), 1.0 - grid.t, atol=1e-13)
+    np.testing.assert_allclose(grid.j2(one, zero), grid.i2(one), atol=1e-13)
 
 
 def test_unit_slope_is_inadmissible(grid):
-    f = SampledFn(grid, grid.t, np.ones_like(grid.t))
     with pytest.raises(InadmissibleSlopeError):
-        I3(f)
+        grid.j1(np.ones_like(grid.t))
 
 
 def test_all_operators_against_fine_trapezoid(grid):
@@ -80,7 +78,7 @@ def test_inner_product_constants(grid):
 def test_inner_product_grid_mismatch(grid):
     other = Grid(2048)
     with pytest.raises(GridMismatchError):
-        inner_product(SampledFn(grid, grid.t), SampledFn(other, other.t))
+        grid.inner(grid.t, other.t)
 
 
 def test_linearity_and_composition(grid):

@@ -8,8 +8,9 @@ from nanorod.modes import adjoint_kernel, mode_shape
 from nanorod.quadrature import Grid
 from nanorod.reduction import (
     Verdict,
-    bifurcation_amplitude,
-    classify_pitchfork,
+    amplitude_for_offsets,
+    critical_chain,
+    crossing_offsets,
     reduction_coefficients,
 )
 
@@ -18,9 +19,7 @@ from conftest import critical_point
 
 def build_rc(lambda1, kappa, near, grid, order=2, which=1):
     p0 = critical_point(lambda1, kappa, near=near, which=which)
-    yL = mode_shape(p0, kappa, grid)
-    q = adjoint_kernel(order, p0, kappa, grid)
-    return p0, yL, q, reduction_coefficients(p0, kappa, yL, q, grid)
+    return (p0, *critical_chain(p0, kappa, grid, order))
 
 
 class TestCoefficients:
@@ -59,7 +58,7 @@ class TestCoefficients:
         p0, yL, q, rc = build_rc(10.0, 0.25, 0.682732, grid)
         kappa = 0.25
         x = 1.0 - kappa * p0.lambda2
-        first = -grid.inner(grid.i1(yL.dy(grid.t)), q.q(grid.t)) / x
+        first = -grid.inner(grid.i1(yL(grid.t, 1)), q(grid.t)) / x
         second = rc.c12 - first
         assert rc.c13 == pytest.approx(-kappa / x * second, rel=1e-10)
 
@@ -72,7 +71,7 @@ class TestCoefficients:
         rc = reduction_coefficients(p0, kappa, yL, q, grid)
 
         t = grid.t
-        yv, yd, qv = yL.y(t), yL.dy(t), q.q(t)
+        yv, yd, qv = yL(t), yL(t, 1), q(t)
         l1, l2 = p0.lambda1, p0.lambda2
         c11 = -grid.inner(grid.i2(yv), qv)
         c12 = -grid.inner(grid.i1(yd), qv)
@@ -108,8 +107,7 @@ class TestInvariances:
         yL = mode_shape(p0, 0.25, grid)
         q = adjoint_kernel(2, p0, 0.25, grid)
         rc = reduction_coefficients(p0, 0.25, yL, q, grid)
-        flipped = type(q)(order=q.order, p0=q.p0, kappa=q.kappa, r01=q.r01,
-                          r02=q.r02, B=q.B, C=-q.C, shape=q.shape.scaled(-1.0))
+        flipped = q.scaled(-1.0)
         rcf = reduction_coefficients(p0, 0.25, yL, flipped, grid)
         assert rcf.c11 == pytest.approx(-rc.c11, rel=1e-12)
         assert rcf.c12 == pytest.approx(-rc.c12, rel=1e-12)
@@ -123,8 +121,7 @@ class TestInvariances:
         q = adjoint_kernel(2, p0, 0.25, grid)
         rc = reduction_coefficients(p0, 0.25, yL, q, grid)
         s = 1.7
-        scaled = type(yL)(p0=yL.p0, kappa=yL.kappa, r01=yL.r01, r02=yL.r02,
-                          D=yL.D, C=s * yL.C, shape=yL.shape.scaled(s))
+        scaled = yL.scaled(s)
         rcs = reduction_coefficients(p0, 0.25, scaled, q, grid)
         assert rcs.c11 == pytest.approx(s * rc.c11, rel=1e-12)
         assert rcs.c3 == pytest.approx(s**3 * rc.c3, rel=1e-12)
@@ -142,21 +139,27 @@ class TestInvariances:
             assert rc2.verdict is rc4.verdict
 
 
+def lambda1_amplitude(rc, dl1):
+    """Amplitude law along the crossing path (dl1, -eta' dl1)."""
+    return amplitude_for_offsets(rc, *crossing_offsets(rc, dl1, "along-lambda1"))
+
+
 class TestClassifyAndAmplitude:
     def test_sign_table(self, grid):
         _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
-        assert classify_pitchfork(rc) is rc.verdict
+        expected = Verdict.SUPERCRITICAL if rc.epsilon * rc.delta < 0 else Verdict.SUBCRITICAL
+        assert rc.verdict is expected
         assert rc.epsilon == int(np.sign(rc.c3))
         assert rc.delta == int(np.sign(rc.crossing_coefficient))
 
     def test_zero_offset_amplitude(self, grid):
         _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
-        assert bifurcation_amplitude(rc, 0.0) is None
+        assert lambda1_amplitude(rc, 0.0) is None
 
     def test_wrong_side_returns_none(self, grid):
         _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
-        good = bifurcation_amplitude(rc, 0.3)
-        bad = bifurcation_amplitude(rc, -0.3)
+        good = lambda1_amplitude(rc, 0.3)
+        bad = lambda1_amplitude(rc, -0.3)
         assert good is not None and good > 0.0
         assert bad is None
 
@@ -164,7 +167,7 @@ class TestClassifyAndAmplitude:
         from nanorod.bvp import solve_postbuckling, tip_deflection
         p0, yL, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
         for dl1 in (0.05, 0.2, 0.5):
-            a = bifurcation_amplitude(rc, dl1)
+            a = lambda1_amplitude(rc, dl1)
             sol = solve_postbuckling(p0, 0.25, dl1, "along-lambda1", grid=grid)
-            predicted = a * abs(float(yL.y(1.0)))
+            predicted = a * abs(float(yL(1.0)))
             assert abs(tip_deflection(sol)) == pytest.approx(predicted, rel=1.0)

@@ -1,8 +1,7 @@
 import pytest
 
-from nanorod.modes import adjoint_kernel, mode_shape
 from nanorod.quadrature import Grid
-from nanorod.reduction import reduction_coefficients
+from nanorod.reduction import critical_chain, reduction_coefficients
 from nanorod.unfolding import (
     is_universal_unfolding,
     psi,
@@ -15,9 +14,7 @@ from conftest import critical_point, fixture_curvature
 
 def build_all(lambda1, kappa, near, grid, order=2, which=1, rho0=fixture_curvature):
     p0 = critical_point(lambda1, kappa, near=near, which=which)
-    yL = mode_shape(p0, kappa, grid)
-    q = adjoint_kernel(order, p0, kappa, grid)
-    rc = reduction_coefficients(p0, kappa, yL, q, grid)
+    yL, q, rc = critical_chain(p0, kappa, grid, order)
     uc = unfolding_coefficients(p0, kappa, yL, q, rho0, grid)
     return p0, yL, q, rc, uc
 
@@ -59,8 +56,8 @@ class TestCoefficients:
         # independent implementation of the local-rod constants
         p0, yL, q, rc, uc = build_all(5.0, 0.0, None, grid)
         t = grid.t
-        yd = yL.dy(t)
-        qv = q.q(t)
+        yd = yL(t, 1)
+        qv = q(t)
         curv = fixture_curvature(t)
         d01 = -grid.inner(curv, qv)
         d02 = -grid.inner(1.0 - t, qv)
@@ -124,8 +121,7 @@ class TestUniversality:
 
     def test_gauge_flip_keeps_decision(self, grid):
         p0, yL, q, rc, uc = build_all(10.0, 0.25, 0.682732, grid)
-        flipped_q = type(q)(order=q.order, p0=q.p0, kappa=q.kappa, r01=q.r01,
-                            r02=q.r02, B=q.B, C=-q.C, shape=q.shape.scaled(-1.0))
+        flipped_q = q.scaled(-1.0)
         rc_f = reduction_coefficients(p0, 0.25, yL, flipped_q, grid)
         uc_f = unfolding_coefficients(p0, 0.25, yL, flipped_q, fixture_curvature, grid)
         assert uc_f.d01 == pytest.approx(-uc.d01, rel=1e-12)
@@ -138,8 +134,7 @@ class TestUniversality:
     def test_mode_rescale_keeps_decision(self, grid):
         p0, yL, q, rc, uc = build_all(10.0, 0.25, 0.682732, grid)
         s = 2.3
-        scaled = type(yL)(p0=yL.p0, kappa=yL.kappa, r01=yL.r01, r02=yL.r02,
-                          D=yL.D, C=s * yL.C, shape=yL.shape.scaled(s))
+        scaled = yL.scaled(s)
         rc_s = reduction_coefficients(p0, 0.25, scaled, q, grid)
         uc_s = unfolding_coefficients(p0, 0.25, scaled, q, fixture_curvature, grid)
         assert is_universal_unfolding(rc_s, uc_s).universal == \
