@@ -33,6 +33,8 @@ from .reduction import Verdict, amplitude_for_offsets, critical_chain, crossing_
 
 SING_TOL = 1e-8
 THETA_LIMIT = 0.5 * math.pi
+SHOOT_TOL = 1e-9
+SHOOT_MAX_ITER = 50
 
 
 def _make_rhs(p: LoadPoint, setup: RodSetup):
@@ -56,11 +58,6 @@ def _make_rhs(p: LoadPoint, setup: RodSetup):
     return rhs
 
 
-def reduce_rhs(state, p: LoadPoint, setup: RodSetup, t: float):
-    """Time derivative (x', y', theta', v', m') of the closed first-order system."""
-    return _make_rhs(p, setup)(t, *state)
-
-
 @dataclass
 class Trajectory:
     t: np.ndarray
@@ -75,11 +72,11 @@ class Trajectory:
 
 
 def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
-              n_steps: Optional[int] = None, grid: Optional[Grid] = None) -> Trajectory:
+              grid: Optional[Grid] = None) -> Trajectory:
     """Fixed-step RK4 integration from the clamp, one step per grid interval."""
     if grid is None:
         grid = Grid()
-    n = n_steps if n_steps is not None else grid.n
+    n = grid.n
     h = 1.0 / n
     rhs = _make_rhs(p, setup)
 
@@ -127,7 +124,7 @@ class BvpSolution:
 
 
 def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
-          grid: Optional[Grid] = None, tol: float = 1e-9, max_iter: int = 50) -> BvpSolution:
+          grid: Optional[Grid] = None) -> BvpSolution:
     """Newton on (v(1) - alpha2, m(1)) over the initial values (v(0), m(0))."""
     if grid is None:
         grid = Grid()
@@ -143,11 +140,11 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
     except (ConstitutiveSingularityError, RegimeError) as exc:
         raise NoConvergenceError(f"initial guess not integrable: {exc}",
                                  last_iterate=tuple(u)) from exc
-    for _ in range(max_iter):
-        if np.max(np.abs(r)) < tol:
+    for _ in range(SHOOT_MAX_ITER):
+        if np.max(np.abs(r)) < SHOOT_TOL:
             sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
                               m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
-            sol.m2_residual = residual_M2(sol, grid=grid)
+            sol.m2_residual = residual_M2(sol)
             return sol
         jac = np.zeros((2, 2))
         for j in range(2):
@@ -181,7 +178,7 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
         u = u + lam * du
         r, traj = r_new, traj_new
     raise NoConvergenceError(
-        f"shooting Newton did not converge in {max_iter} iterations",
+        f"shooting Newton did not converge in {SHOOT_MAX_ITER} iterations",
         last_iterate=tuple(u), residual=float(np.max(np.abs(r))),
     )
 
@@ -203,8 +200,9 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     ((delta, -eta' delta) for along-lambda1, (-eta' delta, delta) for
     along-lambda2); the shooting seed comes from the bifurcation amplitude of
     the linear mode, with the requested branch sign.  If the direct solve
-    fails or collapses to the trivial state, the offset is walked up
-    geometrically in five continuation steps.
+    fails, or lands on the trivial state or the mirrored branch, the offset is
+    walked up quadratically in five continuation steps, each seeded with the
+    previous solution scaled by the amplitude law a ~ sqrt(offset).
     """
     if grid is None:
         grid = Grid()
@@ -215,6 +213,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         raise AmplitudeSeedError("degenerate critical point; no seeding amplitude")
 
     setup = RodSetup(kappa=kappa)
+    tip_mode = float(yL(1.0))
 
     def attempt(d, guess=None):
         dl1, dl2 = crossing_offsets(rc, d, direction)
@@ -225,8 +224,9 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         p = p0.offset(dl1, dl2)
         v0, m0 = guess if guess is not None else _mode_seed(yL, sign * amp, grid)
         sol = shoot(p, setup, v0, m0, grid=grid)
-        if abs(tip_deflection(sol)) < 0.2 * amp * abs(float(yL(1.0))):
-            raise NoConvergenceError("converged to the trivial branch",
+        # the tip must carry the requested sign and a share of the predicted size
+        if sign * math.copysign(1.0, tip_mode) * tip_deflection(sol) < 0.2 * amp * abs(tip_mode):
+            raise NoConvergenceError("converged to the trivial or the mirrored branch",
                                      last_iterate=(sol.v0, sol.m0))
         return sol
 
@@ -238,7 +238,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     guess = None
     for k in range(1, 6):
         sol = attempt(delta * (k / 5.0) ** 2, guess=guess)
-        guess = (sol.v0, sol.m0)
+        guess = ((k + 1) / k * sol.v0, (k + 1) / k * sol.m0)
     return sol
 
 
@@ -251,15 +251,14 @@ def _central_second_derivative(slope: np.ndarray, h: float) -> np.ndarray:
     return ydd
 
 
-def residual_M2(sol: BvpSolution, grid: Optional[Grid] = None) -> float:
+def residual_M2(sol: BvpSolution) -> float:
     """Sup-norm of the single-equation operator residual on the sampled deflection.
 
     The deflection's second derivative is taken by central differences; the
     integral kernels by the shared quadrature.  The first and last grid
     points are skipped (one-sided stencils would dominate the residual).
     """
-    if grid is None:
-        grid = Grid(len(sol.trajectory.t) - 1)
+    grid = Grid(len(sol.trajectory.t) - 1)
     setup, p = sol.setup, sol.load
     kappa, l1, l2 = setup.kappa, p.lambda1, p.lambda2
     y = sol.trajectory.y
@@ -297,22 +296,21 @@ def tip_deflection(sol: BvpSolution) -> float:
     return float(sol.trajectory.y[-1])
 
 
-def node_count(sol: BvpSolution, zero_tol: float = 1e-9) -> int:
+def node_count(sol: BvpSolution) -> int:
     """Interior sign changes of y' on (0, 1); 0 is first-mode-like."""
-    yd = np.sin(sol.trajectory.theta[1:-1])
-    return _sign_changes(yd, zero_tol)
+    return _sign_changes(np.sin(sol.trajectory.theta[1:-1]))
 
 
-def mode_node_count(yL, grid: Grid, zero_tol: float = 1e-9) -> int:
+def mode_node_count(yL, grid: Grid) -> int:
     """Same morphology metric applied to a closed-form mode shape."""
-    return _sign_changes(yL(grid.t, 1)[1:-1], zero_tol)
+    return _sign_changes(yL(grid.t, 1)[1:-1])
 
 
-def _sign_changes(samples: np.ndarray, zero_tol: float) -> int:
+def _sign_changes(samples: np.ndarray) -> int:
     scale = np.max(np.abs(samples))
     if scale == 0.0:
         return 0
-    signif = samples[np.abs(samples) > max(zero_tol, 1e-7 * scale)]
+    signif = samples[np.abs(samples) > max(1e-9, 1e-7 * scale)]
     if signif.size < 2:
         return 0
     return int(np.sum(np.sign(signif[:-1]) != np.sign(signif[1:])))

@@ -71,6 +71,8 @@ _ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, cos=np.cos, cosh=np.cosh,
 
 
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
+    if kappa < 0.0:
+        raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
     denom = 1.0 - kappa * lambda2
     if denom <= 0.0:
         raise SingularDenominatorError(
@@ -83,7 +85,7 @@ def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
 
 def _check_admissible_array(lambda1, lambda2, kappa: float):
     denom = 1.0 - kappa * lambda2
-    if np.any(denom <= 0.0) or np.any(lambda1 < 0.0):
+    if kappa < 0.0 or np.any(denom <= 0.0) or np.any(lambda1 < 0.0):
         for l1, l2 in np.broadcast(lambda1, lambda2):
             _check_admissible(float(l1), float(l2), kappa)  # raises at the first bad point
     return denom
@@ -134,11 +136,11 @@ def _residual(l1, l2, kappa: float):
     )
 
 
-def char_partials(p: LoadPoint, kappa: float, h: Optional[float] = None) -> tuple[float, float]:
+def char_partials(p: LoadPoint, kappa: float) -> tuple[float, float]:
     """Central finite differences (dF/dlambda1, dF/dlambda2) of the residual."""
     l1, l2 = p.lambda1, p.lambda2
-    h1 = h if h is not None else 1e-6 * max(1.0, abs(l1))
-    h2 = h if h is not None else 1e-6 * max(1.0, abs(l2))
+    h1 = 1e-6 * max(1.0, abs(l1))
+    h2 = 1e-6 * max(1.0, abs(l2))
     if l1 - h1 < 0.0 or 1.0 - kappa * (l2 + h2) <= 0.0:
         raise DomainError("finite-difference stencil leaves the admissible region")
     df1 = (_residual(l1 + h1, l2, kappa) - _residual(l1 - h1, l2, kappa)) / (2.0 * h1)
@@ -146,7 +148,8 @@ def char_partials(p: LoadPoint, kappa: float, h: Optional[float] = None) -> tupl
     return df1, df2
 
 
-def _kappa_partial(l1: float, l2: float, kappa: float, h: float = 1e-7) -> float:
+def _kappa_partial(l1: float, l2: float, kappa: float) -> float:
+    h = 1e-7
     lo = max(kappa - h, 0.0)
     return (_residual(l1, l2, kappa + h) - _residual(l1, l2, lo)) / (kappa + h - lo)
 
@@ -161,7 +164,7 @@ def eta_prime(p0: LoadPoint, kappa: float) -> float:
     return -df1 / df2
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, maxiter=100):
+def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps):
     """Root of f on [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method (Brent 1973, ch. 4), step for step as the classic
@@ -178,7 +181,7 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, maxiter=100):
     if (fpre < 0.0) == (fcur < 0.0):
         raise RootNotFoundError(f"no sign change on [{a}, {b}]")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -211,8 +214,9 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, maxiter=100):
     raise RootNotFoundError(f"Brent iteration did not converge on [{a}, {b}]")
 
 
-def _scan_roots(fun, lo, hi, panels=SCAN_PANELS, allow_touch=True, touch_gate=None):
-    """All roots of fun on [lo, hi]: sign-change roots plus tangency (double) roots.
+def _scan_roots(fun, lo, hi, touch_gate=None):
+    """All roots of fun on [lo, hi], sorted: sign-change roots, plus tangency
+    (double) roots when a touch gate is given.
 
     fun must evaluate elementwise on an array: the scan grid is evaluated
     in one call, and only the refinements evaluate point by point.
@@ -222,29 +226,31 @@ def _scan_roots(fun, lo, hi, panels=SCAN_PANELS, allow_touch=True, touch_gate=No
     ``touch_gate(x)`` (used to admit residuals explained by the finite
     printing precision of the transverse load parameter).
     """
-    xs = np.linspace(lo, hi, panels + 1)
+    xs = np.linspace(lo, hi, SCAN_PANELS + 1)
     vals = fun(xs)
-    scale = float(np.max(np.abs(vals)))
     zero = vals[:-1] == 0.0
     change = vals[:-1] * vals[1:] < 0.0
     roots = []
     for i in np.flatnonzero(zero | change):
         if zero[i]:
-            roots.append((xs[i], False))
+            roots.append(xs[i])
         else:
-            roots.append((_brentq(fun, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16), False))
+            roots.append(_brentq(fun, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16))
     if vals[-1] == 0.0:
-        roots.append((hi, False))
-    if allow_touch and scale > 0.0:
-        roots.extend(_touch_roots(fun, xs, vals, scale, [r for r, _ in roots], touch_gate))
-    roots.sort(key=lambda rt: rt[0])
-    return roots, scale
+        roots.append(hi)
+    if touch_gate is not None:
+        roots.extend(_touch_roots(fun, xs, vals, roots, touch_gate))
+    roots.sort()
+    return roots
 
 
-def _touch_roots(fun, xs, vals, scale, known, touch_gate=None):
+def _touch_roots(fun, xs, vals, known, touch_gate):
     """Local |fun| minima that are numerically double roots."""
-    touches = []
     absv = np.abs(vals)
+    scale = float(np.max(absv))
+    if scale == 0.0:
+        return []
+    touches = []
     mid = absv[1:-1]
     candidates = (
         (mid <= absv[:-2]) & (mid <= absv[2:]) & (mid <= 1e-3 * scale)
@@ -256,22 +262,19 @@ def _touch_roots(fun, xs, vals, scale, known, touch_gate=None):
         x = _refine_stationary(fun, xs[i], step)
         if x is None or not (xs[0] <= x <= xs[-1]):
             continue
-        gate = _TOUCH_REL * scale
-        if touch_gate is not None:
-            gate = max(gate, touch_gate(x))
-        if abs(fun(x)) > gate:
+        if abs(fun(x)) > max(_TOUCH_REL * scale, touch_gate(x)):
             continue
         if any(abs(x - r) < 10.0 * step for r in known + touches):
             continue
         touches.append(x)
-    return [(x, True) for x in touches]
+    return touches
 
 
-def _refine_stationary(fun, x0, step, iters=60):
+def _refine_stationary(fun, x0, step):
     """Newton on fun' = 0 with central differences, starting from x0."""
     x = x0
     h = max(1e-7, 1e-7 * abs(x0))
-    for _ in range(iters):
+    for _ in range(60):
         d1 = (fun(x + h) - fun(x - h)) / (2.0 * h)
         d2 = (fun(x + h) - 2.0 * fun(x) + fun(x - h)) / (h * h)
         if d2 == 0.0:
@@ -285,6 +288,32 @@ def _refine_stationary(fun, x0, step, iters=60):
     return None
 
 
+def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, which: int) -> float:
+    """The which-th root in lambda_axis of the residual, the other load held at fixed."""
+    if axis == 2:
+        fun = lambda x: _residual(fixed, x, kappa)
+    else:
+        fun = lambda x: _residual(x, fixed, kappa)
+
+    def gate(x):
+        # residual explainable by the fixed load and kappa known to ~6 significant digits
+        l1, l2 = (fixed, x) if axis == 2 else (x, fixed)
+        try:
+            d_fixed = char_partials(LoadPoint(l1, l2), kappa)[2 - axis]
+            dk = _kappa_partial(l1, l2, kappa)
+        except (DomainError, SingularDenominatorError, InvalidInputError):
+            return 0.0
+        return 1e-5 * (abs(d_fixed) * max(1.0, abs(fixed)) + abs(dk) * max(1.0, kappa))
+
+    roots = _scan_roots(fun, lo, hi, touch_gate=gate)
+    if len(roots) < which:
+        raise RootNotFoundError(
+            f"only {len(roots)} lambda{axis} root(s) on [{lo}, {hi}] at "
+            f"lambda{3 - axis} = {fixed}, requested #{which}"
+        )
+    return roots[which - 1]
+
+
 def solve_lambda2(
     lambda1: float,
     kappa: float,
@@ -295,23 +324,7 @@ def solve_lambda2(
     lo, hi = bracket if bracket is not None else (1e-9, lambda2_max(kappa))
     if kappa > 0.0 and hi * kappa >= 1.0:
         raise DomainError(f"bracket touches the singularity lambda2 = 1/kappa = {1.0 / kappa}")
-
-    def gate(x):
-        # residual explainable by lambda1 and kappa known to ~6 significant digits
-        try:
-            d1, _ = char_partials(LoadPoint(lambda1, x), kappa)
-            dk = _kappa_partial(lambda1, x, kappa)
-        except (DomainError, SingularDenominatorError, InvalidInputError):
-            return 0.0
-        return 1e-5 * (abs(d1) * max(1.0, abs(lambda1)) + abs(dk) * max(1.0, kappa))
-
-    roots, _ = _scan_roots(lambda x: _residual(lambda1, x, kappa), lo, hi, touch_gate=gate)
-    if len(roots) < which:
-        raise RootNotFoundError(
-            f"only {len(roots)} lambda2 root(s) on [{lo}, {hi}] at lambda1 = {lambda1}, "
-            f"requested #{which}"
-        )
-    return roots[which - 1][0]
+    return _solve_axis(lambda1, kappa, 2, lo, hi, which)
 
 
 def solve_lambda1(
@@ -323,26 +336,10 @@ def solve_lambda1(
     """The which-th root in lambda1 of the residual at fixed lambda2."""
     lo, hi = bracket if bracket is not None else (1e-6, 60.0)
     _check_admissible(lo, lambda2, kappa)
-
-    def gate(x):
-        # residual explainable by lambda2 and kappa known to ~6 significant digits
-        try:
-            _, d2 = char_partials(LoadPoint(x, lambda2), kappa)
-            dk = _kappa_partial(x, lambda2, kappa)
-        except (DomainError, SingularDenominatorError, InvalidInputError):
-            return 0.0
-        return 1e-5 * (abs(d2) * max(1.0, abs(lambda2)) + abs(dk) * max(1.0, kappa))
-
-    roots, _ = _scan_roots(lambda x: _residual(x, lambda2, kappa), lo, hi, touch_gate=gate)
-    if len(roots) < which:
-        raise RootNotFoundError(
-            f"only {len(roots)} lambda1 root(s) on [{lo}, {hi}] at lambda2 = {lambda2}, "
-            f"requested #{which}"
-        )
-    return roots[which - 1][0]
+    return _solve_axis(lambda2, kappa, 1, lo, hi, which)
 
 
-def _damped_newton2(fun, x0, max_iter=50, tol=1e-10, fd_step=1e-6):
+def _damped_newton2(fun, x0, max_iter=50, tol=1e-10):
     """Damped Newton for a 2-vector system with finite-difference Jacobian."""
     x = np.array(x0, dtype=float)
     r = np.array(fun(x), dtype=float)
@@ -352,7 +349,7 @@ def _damped_newton2(fun, x0, max_iter=50, tol=1e-10, fd_step=1e-6):
         jac = np.zeros((2, 2))
         for j in range(2):
             xp = x.copy()
-            hp = fd_step * max(1.0, abs(x[j]))
+            hp = 1e-6 * max(1.0, abs(x[j]))
             xp[j] += hp
             try:
                 jac[:, j] = (np.array(fun(xp)) - r) / hp
@@ -458,34 +455,37 @@ def _eta_prime_or_nan(p: LoadPoint, kappa: float) -> float:
         return float("nan")
 
 
-def trace_curve(kappa, lambda1_grid, mode_index: int = 1, l2_cap: Optional[float] = None):
+def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     """Trace the mode_index-th interaction-curve family over a lambda1 grid.
 
     All residual roots in lambda2 are found per grid column, chained into
     continuous branches, and grouped into families: two branches that
     terminate together at a fold form one family (tags lower/upper), a
     branch that exits alone stays single.  Families are numbered by the
-    lambda2-order of their lowest branch at its first column.
+    lambda2-order of their lowest branch at its first column.  The fold of
+    the returned family is refined from the midpoint of its branch ends.
     """
     grid = [float(l1) for l1 in lambda1_grid]
-    hi = l2_cap if l2_cap is not None else lambda2_max(kappa)
-    columns = []
-    for l1 in grid:
-        roots, _ = _scan_roots(lambda x: _residual(l1, x, kappa), 1e-9, hi, allow_touch=False)
-        columns.append([r for r, _ in roots])
-
-    chains = _chain_columns(grid, columns)
-    families = _group_families(chains, kappa)
-    result = []
-    for fam_index, fam in enumerate(families, start=1):
-        if fam_index != mode_index:
-            continue
-        for tag, chain in fam["branches"]:
-            pts = [(LoadPoint(l1, l2), _eta_prime_or_nan(LoadPoint(l1, l2), kappa))
-                   for l1, l2 in chain]
-            result.append(BranchCurve(kappa=kappa, mode_index=fam_index, branch_tag=tag,
-                                      points=pts, fold=fam["fold"]))
-    return result
+    hi = lambda2_max(kappa)
+    columns = [_scan_roots(lambda x: _residual(l1, x, kappa), 1e-9, hi) for l1 in grid]
+    families = _group_families(_chain_columns(grid, columns))
+    if len(families) < mode_index:
+        return []
+    branches = families[mode_index - 1]
+    fold = None
+    if len(branches) == 2:
+        (_, lower), (_, upper) = branches
+        seed = LoadPoint(0.5 * (lower[-1][0] + upper[-1][0]), 0.5 * (lower[-1][1] + upper[-1][1]))
+        try:
+            fold = find_fold(kappa, seed)
+        except (NoFoldError, DomainError, SingularDenominatorError, InvalidInputError):
+            pass
+    return [
+        BranchCurve(kappa=kappa, mode_index=mode_index, branch_tag=tag, fold=fold,
+                    points=[(LoadPoint(l1, l2), _eta_prime_or_nan(LoadPoint(l1, l2), kappa))
+                            for l1, l2 in chain])
+        for tag, chain in branches
+    ]
 
 
 def _chain_columns(grid, columns):
@@ -541,8 +541,12 @@ def _chain_columns(grid, columns):
     return chains
 
 
-def _group_families(chains, kappa):
-    """Pair branches that die at the same column with nearby endpoints (folds)."""
+def _group_families(chains):
+    """Pair branches that die at the same column with nearby endpoints (folds).
+
+    Returns the families in lambda2 order, each a list of (tag, points):
+    [("single", pts)] or [("lower", pts), ("upper", pts)].
+    """
     chains = sorted(chains, key=lambda c: (c["start_col"], c["pts"][0][1]))
     families = []
     paired = set()
@@ -562,20 +566,12 @@ def _group_families(chains, kappa):
                 partner = j
                 break
         if partner is None:
-            families.append({"branches": [("single", ca["pts"])], "fold": None,
-                             "l2_first": ca["pts"][0][1]})
+            families.append((ca["pts"][0][1], [("single", ca["pts"])]))
             continue
         cb = chains[partner]
         paired.add(partner)
         lower, upper = (ca, cb) if ca["pts"][-1][1] <= cb["pts"][-1][1] else (cb, ca)
-        fold = None
-        seed_l1 = 0.5 * (lower["pts"][-1][0] + upper["pts"][-1][0])
-        seed_l2 = 0.5 * (lower["pts"][-1][1] + upper["pts"][-1][1])
-        try:
-            fold = find_fold(kappa, LoadPoint(seed_l1, seed_l2))
-        except (NoFoldError, DomainError, SingularDenominatorError, InvalidInputError):
-            pass
-        families.append({"branches": [("lower", lower["pts"]), ("upper", upper["pts"])],
-                         "fold": fold, "l2_first": min(ca["pts"][0][1], cb["pts"][0][1])})
-    families.sort(key=lambda f: f["l2_first"])
-    return families
+        families.append((min(ca["pts"][0][1], cb["pts"][0][1]),
+                         [("lower", lower["pts"]), ("upper", upper["pts"])]))
+    families.sort(key=lambda f: f[0])
+    return [branches for _, branches in families]

@@ -25,18 +25,7 @@ import tempfile
 import numpy as np
 
 from . import bvp, charcurve, reduction, unfolding
-from .errors import (
-    AmplitudeSeedError,
-    DegeneratePointError,
-    DomainError,
-    InvalidInputError,
-    NanorodError,
-    NoConvergenceError,
-    NoFoldError,
-    RootNotFoundError,
-    SingularCurvatureError,
-    SingularDenominatorError,
-)
+from .errors import AmplitudeSeedError, NanorodError, NoConvergenceError, NoFoldError
 from .model import LoadPoint, RodSetup
 from .modes import linear_residual_L4, mode_shape
 from .quadrature import DEFAULT_N, Grid
@@ -50,14 +39,6 @@ FORMATS = ("csv", "json")
 KERNEL_ORDERS = {"q2": 2, "q4": 4}
 MAX_RANGE_POINTS = 10_000  # the README grid has 33
 
-_DOMAIN_ERRORS = (
-    DomainError,
-    SingularDenominatorError,
-    SingularCurvatureError,
-    InvalidInputError,
-    DegeneratePointError,
-    RootNotFoundError,
-)
 _CONVERGENCE_ERRORS = (NoFoldError, NoConvergenceError, AmplitudeSeedError)
 
 
@@ -238,9 +219,10 @@ def cmd_minimum(args):
 
 
 def _critical_point(args):
-    which = args.which
-    if getattr(args, "branch", None):
+    if args.branch:
         which = {"lower": 1, "upper": 2}[args.branch]
+    else:
+        which = args.which or 1
     lambda2 = charcurve.solve_lambda2(args.l1, args.kappa, which=which)
     return LoadPoint(args.l1, lambda2)
 
@@ -429,10 +411,13 @@ def build_parser():
     def critical_args(p):
         p.add_argument("--kappa", type=float, required=True)
         p.add_argument("--l1", type=float, required=True)
-        p.add_argument("--which", type=_positive_int, default=1,
-                       help="root index in lambda2 (2 = upper branch)")
-        p.add_argument("--branch", choices=("lower", "upper"),
-                       help="branch name; shorthand for --which 1/2")
+        root = p.add_mutually_exclusive_group()
+        # no default value: argparse sees a conflict only for a value that is
+        # not the default object, and --which 1 would parse to that object
+        root.add_argument("--which", type=_positive_int,
+                          help="root index in lambda2 (default 1; 2 = upper branch)")
+        root.add_argument("--branch", choices=("lower", "upper"),
+                          help="branch name; shorthand for --which 1/2")
 
     p = sub.add_parser("mode", help="linear buckling mode table")
     critical_args(p)
@@ -481,14 +466,11 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"nanorod: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"nanorod: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except _CONVERGENCE_ERRORS as exc:
         print(f"nanorod: convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except NanorodError as exc:
-        print(f"nanorod: error: {exc}", file=sys.stderr)
+        print(f"nanorod: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -29,12 +29,6 @@ class Grid:
         w[2:-1:2] = 2.0
         self.weights = w * (self.h / 3.0)
 
-    def __eq__(self, other):
-        return isinstance(other, Grid) and other.n == self.n
-
-    def __hash__(self):
-        return hash(("Grid", self.n))
-
     def __repr__(self):
         return f"Grid(n={self.n})"
 

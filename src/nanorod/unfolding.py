@@ -139,31 +139,20 @@ def unfolding_determinant(uc: UnfoldingCoefficients) -> float:
 @dataclass(frozen=True)
 class UnfoldingReport:
     universal: bool
-    c3: float
-    crossing_coefficient: float
     determinant: float
     reasons: tuple
 
 
-def is_universal_unfolding(
-    rc: ReductionCoefficients,
-    uc: UnfoldingCoefficients,
-    tol: float = DEGENERATE_TOL,
-) -> UnfoldingReport:
-    """True iff |c3|, the crossing coefficient, and the determinant all clear tol."""
+def is_universal_unfolding(rc: ReductionCoefficients, uc: UnfoldingCoefficients) -> UnfoldingReport:
+    """True iff |c3|, the crossing coefficient, and the determinant all clear DEGENERATE_TOL."""
     det = unfolding_determinant(uc)
     reasons = []
-    if abs(rc.c3) <= tol or abs(rc.crossing_coefficient) <= tol or rc.verdict is Verdict.DEGENERATE:
+    if (abs(rc.c3) <= DEGENERATE_TOL or abs(rc.crossing_coefficient) <= DEGENERATE_TOL
+            or rc.verdict is Verdict.DEGENERATE):
         reasons.append("c-condition")
-    if abs(det) <= tol:
+    if abs(det) <= DEGENERATE_TOL:
         reasons.append("determinant")
-    return UnfoldingReport(
-        universal=not reasons,
-        c3=rc.c3,
-        crossing_coefficient=rc.crossing_coefficient,
-        determinant=det,
-        reasons=tuple(reasons),
-    )
+    return UnfoldingReport(universal=not reasons, determinant=det, reasons=tuple(reasons))
 
 
 def psi(uc: UnfoldingCoefficients, rc: ReductionCoefficients):

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from nanorod import bvp
 from nanorod.bvp import (
+    _make_rhs,
     closed_form_moment,
     integrate,
     linear_shooting_determinant,
     node_count,
-    reduce_rhs,
     residual_M2,
     shoot,
     solve_postbuckling,
@@ -31,13 +32,13 @@ def bgrid():
 class TestRhs:
     def test_straight_configuration_is_stationary(self):
         setup = RodSetup(kappa=0.25)
-        deriv = reduce_rhs((0.3, 0.0, 0.0, 0.0, 0.0), LoadPoint(5.0, 1.0), setup, 0.3)
+        deriv = _make_rhs(LoadPoint(5.0, 1.0), setup)(0.3, 0.3, 0.0, 0.0, 0.0, 0.0)
         assert deriv == (1.0, 0.0, 0.0, 0.0, 0.0)
 
     def test_local_rod_closure(self):
         # kappa = 0: theta' = m + alpha1/rho0
         setup = RodSetup(kappa=0.0, alpha1=0.02, rho0=lambda t: 1.0 + 0.0 * t)
-        deriv = reduce_rhs((0.0, 0.1, 0.2, 0.3, 0.4), LoadPoint(5.0, 1.0), setup, 0.5)
+        deriv = _make_rhs(LoadPoint(5.0, 1.0), setup)(0.5, 0.0, 0.1, 0.2, 0.3, 0.4)
         assert deriv[2] == pytest.approx(0.4 + 0.02, rel=1e-14)
 
     def test_moment_closure_consistency_along_trajectory(self, bgrid):
@@ -69,8 +70,8 @@ class TestIntegrate:
         p0 = critical_point(10.0, 0.25, near=0.682732)
         sol = solve_postbuckling(p0, 0.25, 0.3, grid=bgrid)
         setup = RodSetup(kappa=0.25)
-        coarse = integrate(sol.load, setup, sol.v0, sol.m0, n_steps=1024)
-        fine = integrate(sol.load, setup, sol.v0, sol.m0, n_steps=2048)
+        coarse = integrate(sol.load, setup, sol.v0, sol.m0, grid=Grid(1024))
+        fine = integrate(sol.load, setup, sol.v0, sol.m0, grid=Grid(2048))
         assert abs(coarse.y[-1] - fine.y[-1]) < 1e-8
 
     def test_inextensibility_structural(self, bgrid):
@@ -113,7 +114,7 @@ class TestShoot:
     def test_nonconvergence_reports_last_iterate(self, bgrid):
         setup = RodSetup(kappa=0.45)
         with pytest.raises(NoConvergenceError) as err:
-            shoot(LoadPoint(5.0, 1.0), setup, 40.0, -35.0, grid=bgrid, max_iter=4)
+            shoot(LoadPoint(5.0, 1.0), setup, 40.0, -35.0, grid=bgrid)
         assert err.value.last_iterate is not None
 
 
@@ -190,6 +191,21 @@ class TestPostbuckling:
         assert np.max(np.abs(plus.trajectory.y + minus.trajectory.y)) < 1e-8
         assert np.max(np.abs(plus.trajectory.m + minus.trajectory.m)) < 1e-8
 
+    def test_continuation_keeps_requested_sign(self, bgrid, monkeypatch):
+        # at kappa = 0, lambda1 = 5 the direct solve from the mode seed fails
+        # for dl1 = 4, so the offset is reached by the five-step continuation
+        p0 = critical_point(5.0, 0.0)
+        sols = {}
+        for sign in (1, -1):
+            calls = []
+            monkeypatch.setattr(bvp, "shoot", lambda *a, _f=shoot, **k: calls.append(a) or _f(*a, **k))
+            sols[sign] = solve_postbuckling(p0, 0.0, 4.0, sign=sign, grid=bgrid)
+            assert len(calls) == 6
+            assert np.sign(tip_deflection(sols[sign])) == sign
+            assert sols[sign].m2_residual < 1e-4
+            assert max(abs(r) for r in sols[sign].terminal_residuals) < 1e-9
+        assert np.max(np.abs(sols[1].trajectory.y + sols[-1].trajectory.y)) < 1e-8
+
     def test_supercritical_amplitude_scaling(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
         ratios = []
@@ -201,10 +217,10 @@ class TestPostbuckling:
     def test_residual_sensitivity_to_perturbation(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
         sol = solve_postbuckling(p0, 0.25, 0.3, grid=bgrid)
-        base = residual_M2(sol, grid=bgrid)
+        base = residual_M2(sol)
         perturbed = sol.trajectory.y + 1e-3 * np.sin(np.pi * bgrid.t)
         sol.trajectory.y = perturbed
-        bumped = residual_M2(sol, grid=bgrid)
+        bumped = residual_M2(sol)
         assert base < 1e-4
         assert bumped > base + 1e-4
 
@@ -213,7 +229,7 @@ class TestResidualM2:
     def test_trivial_solution_zero(self, bgrid):
         setup = RodSetup(kappa=0.25)
         sol = shoot(LoadPoint(5.0, 0.3), setup, 0.0, 0.0, grid=bgrid)
-        assert residual_M2(sol, grid=bgrid) < 1e-10
+        assert residual_M2(sol) < 1e-10
 
 
 class TestLinearShootingDeterminant:

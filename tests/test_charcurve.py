@@ -25,11 +25,14 @@ from nanorod.charcurve import (
 from nanorod.errors import (
     DegeneratePointError,
     DomainError,
+    InvalidInputError,
     NoFoldError,
     RootNotFoundError,
     SingularDenominatorError,
 )
 from nanorod.model import LoadPoint
+from nanorod.modes import mode_shape
+from nanorod.quadrature import Grid
 
 from conftest import critical_point
 
@@ -103,13 +106,19 @@ class TestPartials:
         assert abs(df2) < 1e-4 * abs(df1)
 
     def test_step_halving_richardson(self):
+        # reference: central differences of the residual at h and h/2,
+        # Richardson-extrapolated to h = 0
         p = critical_point(10.0, 0.25, near=0.682732)
-        d1a, d2a = char_partials(p, 0.25, h=1e-4)
-        d1b, d2b = char_partials(p, 0.25, h=5e-5)
-        rich1 = (4.0 * d1b - d1a) / 3.0
-        rich2 = (4.0 * d2b - d2a) / 3.0
-        assert rich1 == pytest.approx(d1b, rel=1e-6)
-        assert rich2 == pytest.approx(d2b, rel=1e-6)
+        l1, l2 = p.lambda1, p.lambda2
+
+        def central(h):
+            return ((_residual(l1 + h, l2, 0.25) - _residual(l1 - h, l2, 0.25)) / (2.0 * h),
+                    (_residual(l1, l2 + h, 0.25) - _residual(l1, l2 - h, 0.25)) / (2.0 * h))
+
+        (d1a, d2a), (d1b, d2b) = central(1e-4), central(5e-5)
+        d1, d2 = char_partials(p, 0.25)
+        assert d1 == pytest.approx((4.0 * d1b - d1a) / 3.0, rel=1e-6)
+        assert d2 == pytest.approx((4.0 * d2b - d2a) / 3.0, rel=1e-6)
 
     def test_stencil_domain_guard(self):
         with pytest.raises(DomainError):
@@ -170,12 +179,26 @@ class TestRootSolvers:
             assert abs(r_char - r_det) < 1e-6
 
     def test_missing_root_raises(self):
-        with pytest.raises(RootNotFoundError):
+        with pytest.raises(RootNotFoundError, match=r"0 lambda2 root\(s\) .* at lambda1 = 5\.0,"):
             solve_lambda2(5.0, 0.45, bracket=(0.1, 0.5))
+        with pytest.raises(RootNotFoundError, match=r"1 lambda1 root\(s\) .* at lambda2 = 0\.0, "
+                                                    r"requested #2"):
+            solve_lambda1(0.0, 0.25, bracket=(1.0, 20.0), which=2)
 
     def test_bracket_singularity_guard(self):
         with pytest.raises(DomainError):
             solve_lambda2(5.0, 0.45, bracket=(0.1, 3.0))
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_lambda2(10.0, -0.1),
+        lambda: solve_lambda1(0.5, -0.1),
+        lambda: trace_curve(-1.0, [1.0, 1.5, 2.0]),
+        lambda: find_fold(-0.1, LoadPoint(8.3, 1.16)),
+        lambda: mode_shape(LoadPoint(10.0, 0.68), -0.1, Grid(256)),
+    ], ids=["solve_lambda2", "solve_lambda1", "trace_curve", "find_fold", "mode_shape"])
+    def test_negative_kappa_rejected(self, call):
+        with pytest.raises(InvalidInputError, match=r"kappa must be nonnegative, got -"):
+            call()
 
 
 class TestFoldAndCritical:
@@ -364,15 +387,16 @@ class TestArrayScanAndBrent:
     def test_scan_roots_match_reference_scan(self, l1, kappa, lo):
         f = lambda x: _residual(l1, x, kappa)
         hi = lambda2_max(kappa)
-        roots, _ = _scan_roots(f, lo, hi, allow_touch=False)
         ref = _reference_scan(f, lo, hi)
         assert ref
-        assert [r for r, _ in roots] == ref
-        with_touch, _ = _scan_roots(f, lo, hi)
-        assert [r for r, touch in with_touch if not touch] == ref
+        assert _scan_roots(f, lo, hi) == ref
+        # tangency detection only adds roots: with a zero gate every
+        # sign-change root is kept
+        with_touch = _scan_roots(f, lo, hi, touch_gate=lambda x: 0.0)
+        assert with_touch == sorted(with_touch)
+        assert [r for r in with_touch if r in ref] == ref
 
     def test_lambda1_scan_matches_reference_scan(self):
         f = lambda x: _residual(x, 0.0, 0.25)
-        roots, _ = _scan_roots(f, 1e-6, 60.0, allow_touch=False)
         ref = _reference_scan(f, 1e-6, 60.0)
-        assert ref and [r for r, _ in roots] == ref
+        assert ref and _scan_roots(f, 1e-6, 60.0) == ref

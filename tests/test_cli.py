@@ -158,6 +158,18 @@ def test_domain_error_exit_code():
     assert code == 2
 
 
+@pytest.mark.parametrize("args,named", [
+    (["mode", "--kappa", "-0.1", "--l1", "10"], "kappa must be nonnegative"),
+    (["curve", "--kappa", "-1", "--l1", "1:2:0.5"], "kappa must be nonnegative"),
+    (["mode", "--kappa", "0.25", "--l1", "0"], "lambda1 > 0"),  # DegenerateShapeError
+])
+def test_domain_error_exits_2_in_one_line(args, named, capsys):
+    code, out = run_cli(args)
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("nanorod: domain error: ") and named in err
+
+
 def test_convergence_error_exit_code():
     code, _ = run_cli(["fold", "--kappa", "0.25", "--seed-l1", "10.0",
                        "--seed-l2", "0.7"])
@@ -246,6 +258,8 @@ def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
     ["curve", "--kappa", "0.25", "--l1", "0.5:8.5:0.25", "--mode", "0"],
     ["mode", "--kappa", "0.25", "--l1", "10", "--n", "3"],
     ["mode", "--kappa", "0.25", "--l1", "10", "--which", "0"],
+    ["reduce", "--kappa", "0.45", "--l1", "5", "--which", "2", "--branch", "lower"],
+    ["reduce", "--kappa", "0.45", "--l1", "5", "--which", "1", "--branch", "upper"],
 ])
 def test_malformed_option_value_is_usage_error(args, capsys):
     code, out = run_cli(args)

@@ -1,7 +1,9 @@
 """Guard on the package's public names: the consolidated analysis layer keeps
-one shape class, one critical-point chain and no wrapper layer."""
+one shape class, one critical-point chain and no wrapper layer, and no
+function takes a tuning parameter that only ever runs at its default."""
 
 import importlib
+import inspect
 
 import nanorod
 
@@ -19,6 +21,26 @@ REMOVED = (
     ("quadrature", "inner_product"),
     ("reduction", "classify_pitchfork"),
     ("reduction", "bifurcation_amplitude"),
+    ("bvp", "reduce_rhs"),
+)
+
+# (module, function, parameter) that became constants or are derived from inputs
+REMOVED_PARAMETERS = (
+    ("charcurve", "char_partials", "h"),
+    ("charcurve", "_kappa_partial", "h"),
+    ("charcurve", "trace_curve", "l2_cap"),
+    ("charcurve", "_scan_roots", "panels"),
+    ("charcurve", "_scan_roots", "allow_touch"),
+    ("charcurve", "_refine_stationary", "iters"),
+    ("charcurve", "_brentq", "maxiter"),
+    ("charcurve", "_damped_newton2", "fd_step"),
+    ("bvp", "integrate", "n_steps"),
+    ("bvp", "shoot", "tol"),
+    ("bvp", "shoot", "max_iter"),
+    ("bvp", "node_count", "zero_tol"),
+    ("bvp", "mode_node_count", "zero_tol"),
+    ("bvp", "residual_M2", "grid"),
+    ("unfolding", "is_universal_unfolding", "tol"),
 )
 
 
@@ -36,5 +58,10 @@ def test_removed_names_stay_removed():
         assert not hasattr(module, name), f"nanorod.{module_name}.{name}"
         assert name not in nanorod.__all__
         assert not hasattr(nanorod, name)
-    # internal to the RK4 integrator: still importable from bvp, not exported
-    assert "reduce_rhs" not in nanorod.__all__
+
+
+def test_removed_parameters_stay_removed():
+    for module_name, func, param in REMOVED_PARAMETERS:
+        module = importlib.import_module(f"nanorod.{module_name}")
+        params = inspect.signature(getattr(module, func)).parameters
+        assert param not in params, f"nanorod.{module_name}.{func}({param})"
