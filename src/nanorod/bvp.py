@@ -35,6 +35,7 @@ SING_TOL = 1e-8
 THETA_LIMIT = 0.5 * math.pi
 SHOOT_TOL = 1e-9
 SHOOT_MAX_ITER = 50
+COARSE_N = 256  # steps of the grid shoot converges on before the requested one
 
 
 def _make_rhs(p: LoadPoint, setup: RodSetup):
@@ -125,10 +126,32 @@ class BvpSolution:
 
 def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
           grid: Optional[Grid] = None) -> BvpSolution:
-    """Newton on (v(1) - alpha2, m(1)) over the initial values (v(0), m(0))."""
+    """Newton on (v(1) - alpha2, m(1)) over the initial values (v(0), m(0)).
+
+    Grid-sequenced: on a grid finer than COARSE_N steps, Newton first
+    converges on Grid(COARSE_N) and then restarts on the requested grid from
+    that solution, which differs from the fine-grid one only by the coarse
+    RK4 error.  The returned trajectory and residuals, and the SHOOT_TOL
+    check, are those of the requested grid.
+    """
     if grid is None:
         grid = Grid()
-    u = np.array([guess_v0, guess_m0], dtype=float)
+    if grid.n > COARSE_N:
+        try:
+            coarse = _newton(p, setup, guess_v0, guess_m0, Grid(COARSE_N))
+        except NoConvergenceError as exc:
+            raise NoConvergenceError(f"{exc} on the {COARSE_N}-step grid",
+                                     last_iterate=exc.last_iterate,
+                                     residual=exc.residual) from exc
+        guess_v0, guess_m0 = coarse.v0, coarse.m0
+    sol = _newton(p, setup, guess_v0, guess_m0, grid)
+    sol.m2_residual = residual_M2(sol)
+    return sol
+
+
+def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> BvpSolution:
+    """Damped finite-difference Newton for the terminal conditions on one grid."""
+    u = np.array([v0, m0], dtype=float)
 
     def residual(uu):
         traj = integrate(p, setup, uu[0], uu[1], grid=grid)
@@ -142,10 +165,8 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
                                  last_iterate=tuple(u)) from exc
     for _ in range(SHOOT_MAX_ITER):
         if np.max(np.abs(r)) < SHOOT_TOL:
-            sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
-                              m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
-            sol.m2_residual = residual_M2(sol)
-            return sol
+            return BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
+                               m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
         jac = np.zeros((2, 2))
         for j in range(2):
             up = u.copy()
@@ -202,7 +223,9 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     the linear mode, with the requested branch sign.  If the direct solve
     fails, or lands on the trivial state or the mirrored branch, the offset is
     walked up quadratically in five continuation steps, each seeded with the
-    previous solution scaled by the amplitude law a ~ sqrt(offset).
+    previous solution scaled by the amplitude law a ~ sqrt(offset); a step
+    that fails from that seed is retried once from the unscaled previous
+    solution.
     """
     if grid is None:
         grid = Grid()
@@ -234,11 +257,15 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         return attempt(delta)
     except (NoConvergenceError, ConstitutiveSingularityError, RegimeError):
         pass
-    sol = None
-    guess = None
-    for k in range(1, 6):
-        sol = attempt(delta * (k / 5.0) ** 2, guess=guess)
-        guess = ((k + 1) / k * sol.v0, (k + 1) / k * sol.m0)
+    sol = attempt(delta * (1 / 5.0) ** 2)
+    for k in range(2, 6):
+        d = delta * (k / 5.0) ** 2
+        try:
+            sol = attempt(d, guess=(k / (k - 1) * sol.v0, k / (k - 1) * sol.m0))
+        except NoConvergenceError:
+            # the tip grows slower than sqrt(offset) at large offsets, where
+            # the scaled seed can leave the |theta| < pi/2 regime
+            sol = attempt(d, guess=(sol.v0, sol.m0))
     return sol
 
 

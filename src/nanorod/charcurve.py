@@ -57,7 +57,9 @@ class Wavenumbers:
 
 def lambda2_max(kappa: float) -> float:
     """Upper end of the admissible lambda2 range (constitutive singularity)."""
-    if kappa <= 0.0:
+    if kappa < 0.0:
+        raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
+    if kappa == 0.0:
         return DEFAULT_L2_CAP
     return (1.0 - ADMISSIBLE_MARGIN) / kappa
 

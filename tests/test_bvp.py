@@ -5,6 +5,8 @@ import pytest
 
 from nanorod import bvp
 from nanorod.bvp import (
+    SHOOT_TOL,
+    BvpSolution,
     _make_rhs,
     closed_form_moment,
     integrate,
@@ -16,7 +18,7 @@ from nanorod.bvp import (
     tip_deflection,
 )
 from nanorod.charcurve import solve_lambda2
-from nanorod.errors import NoConvergenceError
+from nanorod.errors import ConstitutiveSingularityError, NoConvergenceError, RegimeError
 from nanorod.model import LoadPoint, RodSetup
 from nanorod.quadrature import Grid
 
@@ -112,8 +114,9 @@ class TestShoot:
         assert tip_deflection(sol) == pytest.approx(y_lin, rel=0.10)
 
     def test_nonconvergence_reports_last_iterate(self, bgrid):
+        # the failure happens in the coarse stage, and the message says so
         setup = RodSetup(kappa=0.45)
-        with pytest.raises(NoConvergenceError) as err:
+        with pytest.raises(NoConvergenceError, match=f"on the {bvp.COARSE_N}-step grid") as err:
             shoot(LoadPoint(5.0, 1.0), setup, 40.0, -35.0, grid=bgrid)
         assert err.value.last_iterate is not None
 
@@ -194,17 +197,13 @@ class TestPostbuckling:
     def test_continuation_keeps_requested_sign(self, bgrid, monkeypatch):
         # at kappa = 0, lambda1 = 5 the direct solve from the mode seed fails
         # for dl1 = 4, so the offset is reached by the five-step continuation
-        p0 = critical_point(5.0, 0.0)
-        sols = {}
-        for sign in (1, -1):
-            calls = []
-            monkeypatch.setattr(bvp, "shoot", lambda *a, _f=shoot, **k: calls.append(a) or _f(*a, **k))
-            sols[sign] = solve_postbuckling(p0, 0.0, 4.0, sign=sign, grid=bgrid)
-            assert len(calls) == 6
-            assert np.sign(tip_deflection(sols[sign])) == sign
-            assert sols[sign].m2_residual < 1e-4
-            assert max(abs(r) for r in sols[sign].terminal_residuals) < 1e-9
-        assert np.max(np.abs(sols[1].trajectory.y + sols[-1].trajectory.y)) < 1e-8
+        _check_continuation_pair(critical_point(5.0, 0.0), 6, bgrid, monkeypatch)
+
+    def test_continuation_retries_from_unscaled_solution(self, bgrid, monkeypatch):
+        # at kappa = 0, lambda1 = 1 the step-5 seed scaled by the sqrt law
+        # leaves the |theta| < pi/2 regime; the step is retried from the
+        # unscaled step-4 solution, one shoot call more
+        _check_continuation_pair(critical_point(1.0, 0.0), 7, bgrid, monkeypatch)
 
     def test_supercritical_amplitude_scaling(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
@@ -223,6 +222,125 @@ class TestPostbuckling:
         bumped = residual_M2(sol)
         assert base < 1e-4
         assert bumped > base + 1e-4
+
+
+def _check_continuation_pair(p0, shoots, grid, monkeypatch):
+    """Both signs at dl1 = 4 through the continuation: sign, residuals, mirror."""
+    sols = {}
+    for sign in (1, -1):
+        calls = []
+        monkeypatch.setattr(bvp, "shoot", lambda *a, _f=shoot, **k: calls.append(a) or _f(*a, **k))
+        sols[sign] = solve_postbuckling(p0, 0.0, 4.0, sign=sign, grid=grid)
+        assert len(calls) == shoots
+        assert np.sign(tip_deflection(sols[sign])) == sign
+        assert sols[sign].m2_residual < 1e-4
+        assert max(abs(r) for r in sols[sign].terminal_residuals) < 1e-9
+    assert np.max(np.abs(sols[1].trajectory.y + sols[-1].trajectory.y)) < 1e-8
+
+
+# the criterion points of the post-buckling checks: (lambda1, kappa, which, delta, direction)
+CRITERION_POINTS = [
+    (10.0, 0.25, 1, 0.3, "along-lambda1"),
+    (5.0, 0.45, 1, 0.02, "along-lambda2"),
+    (5.0, 0.45, 2, 0.02, "along-lambda2"),
+]
+
+
+def _single_grid_shoot(p, setup, guess_v0, guess_m0, grid=None):
+    """Reference: the Newton loop shoot ran on the requested grid alone
+    before it converged on a coarse grid first."""
+    u = np.array([guess_v0, guess_m0], dtype=float)
+
+    def residual(uu):
+        traj = integrate(p, setup, uu[0], uu[1], grid=grid)
+        v1, m1 = traj.terminal()
+        return np.array([v1 - setup.alpha2, m1]), traj
+
+    try:
+        r, traj = residual(u)
+    except (ConstitutiveSingularityError, RegimeError) as exc:
+        raise NoConvergenceError(f"initial guess not integrable: {exc}",
+                                 last_iterate=tuple(u)) from exc
+    for _ in range(bvp.SHOOT_MAX_ITER):
+        if np.max(np.abs(r)) < SHOOT_TOL:
+            sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
+                              m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
+            sol.m2_residual = residual_M2(sol)
+            return sol
+        jac = np.zeros((2, 2))
+        for j in range(2):
+            up = u.copy()
+            hp = 1e-7 * max(1.0, abs(u[j]))
+            up[j] += hp
+            try:
+                rp, _ = residual(up)
+            except (ConstitutiveSingularityError, RegimeError) as exc:
+                raise NoConvergenceError(f"Jacobian probe failed: {exc}",
+                                         last_iterate=tuple(u)) from exc
+            jac[:, j] = (rp - r) / hp
+        try:
+            du = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError("singular shooting Jacobian", last_iterate=tuple(u)) from exc
+        base = np.max(np.abs(r))
+        lam = 1.0
+        while lam > 1e-3:
+            try:
+                r_new, traj_new = residual(u + lam * du)
+            except (ConstitutiveSingularityError, RegimeError):
+                lam *= 0.5
+                continue
+            if np.max(np.abs(r_new)) < base or lam <= 0.125:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergenceError("shooting line search stalled",
+                                     last_iterate=tuple(u), residual=float(base))
+        u = u + lam * du
+        r, traj = r_new, traj_new
+    raise NoConvergenceError("shooting Newton did not converge", last_iterate=tuple(u))
+
+
+class TestGridSequencing:
+    @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
+    def test_matches_single_grid_reference(self, grid, monkeypatch, l1, kappa, which,
+                                           delta, direction):
+        # the coarse stage changes the fine-grid solution by less than the
+        # shooting tolerance moves it
+        p0 = critical_point(l1, kappa, which=which)
+        for sign in (1, -1):
+            sol = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
+            with monkeypatch.context() as patch:
+                patch.setattr(bvp, "shoot", _single_grid_shoot)
+                ref = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
+            assert len(sol.trajectory.y) == grid.n + 1
+            assert np.max(np.abs(sol.trajectory.y - ref.trajectory.y)) <= 1e-8
+            assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
+
+    @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
+    def test_rk4_steps_per_solve(self, grid, monkeypatch, l1, kappa, which, delta, direction):
+        # Newton converges on the coarse grid; the requested grid then needs
+        # about one integration (the single-grid loop made 28,672 steps here)
+        p0 = critical_point(l1, kappa, which=which)
+        steps = []
+        run = bvp.integrate
+        monkeypatch.setattr(bvp, "integrate",
+                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
+        solve_postbuckling(p0, kappa, delta, direction, grid=grid)
+        assert steps[-1] == grid.n
+        assert sum(steps) <= 2 * grid.n
+
+    def test_coarse_grid_runs_one_stage(self, monkeypatch):
+        grid = Grid(bvp.COARSE_N)
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        steps = []
+        run = bvp.integrate
+        monkeypatch.setattr(bvp, "integrate",
+                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
+        sol = solve_postbuckling(p0, 0.25, 0.3, grid=grid)
+        assert set(steps) == {bvp.COARSE_N}
+        assert len(sol.trajectory.y) == bvp.COARSE_N + 1
+        assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
 
 
 class TestResidualM2:

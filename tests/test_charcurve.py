@@ -193,9 +193,11 @@ class TestRootSolvers:
         lambda: solve_lambda2(10.0, -0.1),
         lambda: solve_lambda1(0.5, -0.1),
         lambda: trace_curve(-1.0, [1.0, 1.5, 2.0]),
+        lambda: trace_curve(-1.0, []),
         lambda: find_fold(-0.1, LoadPoint(8.3, 1.16)),
         lambda: mode_shape(LoadPoint(10.0, 0.68), -0.1, Grid(256)),
-    ], ids=["solve_lambda2", "solve_lambda1", "trace_curve", "find_fold", "mode_shape"])
+    ], ids=["solve_lambda2", "solve_lambda1", "trace_curve", "trace_curve_empty", "find_fold",
+            "mode_shape"])
     def test_negative_kappa_rejected(self, call):
         with pytest.raises(InvalidInputError, match=r"kappa must be nonnegative, got -"):
             call()

@@ -162,6 +162,7 @@ def test_domain_error_exit_code():
     (["mode", "--kappa", "-0.1", "--l1", "10"], "kappa must be nonnegative"),
     (["curve", "--kappa", "-1", "--l1", "1:2:0.5"], "kappa must be nonnegative"),
     (["mode", "--kappa", "0.25", "--l1", "0"], "lambda1 > 0"),  # DegenerateShapeError
+    (["curve", "--kappa", "-1", "--l1", "2:1:0.5"], "kappa must be nonnegative"),  # empty range
 ])
 def test_domain_error_exits_2_in_one_line(args, named, capsys):
     code, out = run_cli(args)
