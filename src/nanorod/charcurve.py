@@ -26,6 +26,7 @@ Conventions adopted here:
     merge into a double root in lambda1 there.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -47,6 +48,7 @@ SCAN_PANELS = 2000
 ADMISSIBLE_MARGIN = 1e-9
 DEFAULT_L2_CAP = 40.0  # scan ceiling for kappa = 0, where 1/kappa is no bound
 _TOUCH_REL = 1e-5      # |F| at a tangency, relative to the scan scale
+_CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,15 @@ def lambda2_max(kappa: float) -> float:
 
 
 # Elementwise functions the residual is written in: math for one load point
-# (cheapest per call), numpy for a whole scan column in one evaluation.
+# (cheapest per call), numpy for a whole scan column in one evaluation, cmath
+# for a complex step.  The real paths clamp s - half at 0 against roundoff
+# (-5e-171 at lambda1 = 0, lambda2 = 1e-170); a clamp would cut a complex step.
 _SCALAR_OPS = SimpleNamespace(sqrt=math.sqrt, cos=math.cos, cosh=math.cosh,
                               sin=math.sin, sinh=math.sinh, maximum=max)
 _ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, cos=np.cos, cosh=np.cosh,
                              sin=np.sin, sinh=np.sinh, maximum=np.maximum)
+_COMPLEX_OPS = SimpleNamespace(sqrt=cmath.sqrt, cos=cmath.cos, cosh=cmath.cosh,
+                               sin=cmath.sin, sinh=cmath.sinh, maximum=lambda z, _: z)
 
 
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
@@ -120,9 +126,15 @@ def char_f(p: LoadPoint, kappa: float) -> float:
 
 
 def _residual(l1, l2, kappa: float):
-    """F at one load point, or elementwise when lambda1 or lambda2 is an array."""
-    if isinstance(l1, np.ndarray) or isinstance(l2, np.ndarray):
+    """F at one load point, or elementwise when lambda1 or lambda2 is an array;
+    a complex scalar (a complex step) is admitted when its real part is."""
+    # one type test of the sum: a test per argument adds ~10% to a real call
+    probe = l1 + l2 + kappa
+    if isinstance(probe, np.ndarray):
         ops, denom = _ARRAY_OPS, _check_admissible_array(l1, l2, kappa)
+    elif isinstance(probe, complex):
+        _check_admissible(l1.real, l2.real, kappa.real)
+        ops, denom = _COMPLEX_OPS, 1.0 - kappa * l2
     else:
         ops, denom = _SCALAR_OPS, _check_admissible(l1, l2, kappa)
     r1, r2 = _wavenumbers(l1, l2, kappa, denom, ops)
@@ -138,22 +150,21 @@ def _residual(l1, l2, kappa: float):
     )
 
 
+def _derivative(f, x):
+    """f'(x) = Im f(x + ih) / h, the complex step (Squire & Trapp 1998): no
+    difference is taken, so it is exact to roundoff.  f must accept complex."""
+    return f(complex(x, _CS_STEP)).imag / _CS_STEP
+
+
 def char_partials(p: LoadPoint, kappa: float) -> tuple[float, float]:
-    """Central finite differences (dF/dlambda1, dF/dlambda2) of the residual."""
+    """(dF/dlambda1, dF/dlambda2) of the residual, exact to roundoff."""
     l1, l2 = p.lambda1, p.lambda2
-    h1 = 1e-6 * max(1.0, abs(l1))
-    h2 = 1e-6 * max(1.0, abs(l2))
-    if l1 - h1 < 0.0 or 1.0 - kappa * (l2 + h2) <= 0.0:
-        raise DomainError("finite-difference stencil leaves the admissible region")
-    df1 = (_residual(l1 + h1, l2, kappa) - _residual(l1 - h1, l2, kappa)) / (2.0 * h1)
-    df2 = (_residual(l1, l2 + h2, kappa) - _residual(l1, l2 - h2, kappa)) / (2.0 * h2)
-    return df1, df2
+    return (_derivative(lambda x: _residual(x, l2, kappa), l1),
+            _derivative(lambda x: _residual(l1, x, kappa), l2))
 
 
 def _kappa_partial(l1: float, l2: float, kappa: float) -> float:
-    h = 1e-7
-    lo = max(kappa - h, 0.0)
-    return (_residual(l1, l2, kappa + h) - _residual(l1, l2, lo)) / (kappa + h - lo)
+    return _derivative(lambda k: _residual(l1, l2, k), kappa)
 
 
 def eta_prime(p0: LoadPoint, kappa: float) -> float:
@@ -221,12 +232,15 @@ def _scan_roots(fun, lo, hi, touch_gate=None):
     (double) roots when a touch gate is given.
 
     fun must evaluate elementwise on an array: the scan grid is evaluated
-    in one call, and only the refinements evaluate point by point.
+    in one call, and only the refinements evaluate point by point.  With a
+    touch gate, fun must also accept a complex scalar: its derivative is
+    taken by complex step.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
-    via Newton on fun', to a stationary point where |fun| is negligible:
-    either against the scan scale, or against the caller-supplied gate
-    ``touch_gate(x)`` (used to admit residuals explained by the finite
-    printing precision of the transverse load parameter).
+    by Brent on fun' between the neighbouring grid points, to a stationary
+    point where |fun| is negligible: either against the scan scale, or
+    against the caller-supplied gate ``touch_gate(x)`` (used to admit
+    residuals explained by the finite printing precision of the transverse
+    load parameter).
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
     vals = fun(xs)
@@ -260,9 +274,11 @@ def _touch_roots(fun, xs, vals, known, touch_gate):
         & ~(vals[:-2] * vals[1:-1] < 0.0) & ~(vals[1:-1] * vals[2:] < 0.0)
     )
     step = xs[1] - xs[0]
+    slope = lambda x: _derivative(fun, x)
     for i in np.flatnonzero(candidates) + 1:
-        x = _refine_stationary(fun, xs[i], step)
-        if x is None or not (xs[0] <= x <= xs[-1]):
+        try:
+            x = _brentq(slope, xs[i - 1], xs[i + 1], xtol=1e-14, rtol=8.9e-16)
+        except RootNotFoundError:  # fun' keeps its sign: no stationary point here
             continue
         if abs(fun(x)) > max(_TOUCH_REL * scale, touch_gate(x)):
             continue
@@ -270,24 +286,6 @@ def _touch_roots(fun, xs, vals, known, touch_gate):
             continue
         touches.append(x)
     return touches
-
-
-def _refine_stationary(fun, x0, step):
-    """Newton on fun' = 0 with central differences, starting from x0."""
-    x = x0
-    h = max(1e-7, 1e-7 * abs(x0))
-    for _ in range(60):
-        d1 = (fun(x + h) - fun(x - h)) / (2.0 * h)
-        d2 = (fun(x + h) - 2.0 * fun(x) + fun(x - h)) / (h * h)
-        if d2 == 0.0:
-            return None
-        dx = -d1 / d2
-        if abs(dx) > 5.0 * step:
-            dx = math.copysign(5.0 * step, dx)
-        x += dx
-        if abs(dx) < 1e-13 * max(1.0, abs(x)):
-            return x
-    return None
 
 
 def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, which: int) -> float:
@@ -300,11 +298,8 @@ def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, whi
     def gate(x):
         # residual explainable by the fixed load and kappa known to ~6 significant digits
         l1, l2 = (fixed, x) if axis == 2 else (x, fixed)
-        try:
-            d_fixed = char_partials(LoadPoint(l1, l2), kappa)[2 - axis]
-            dk = _kappa_partial(l1, l2, kappa)
-        except (DomainError, SingularDenominatorError, InvalidInputError):
-            return 0.0
+        d_fixed = char_partials(LoadPoint(l1, l2), kappa)[2 - axis]
+        dk = _kappa_partial(l1, l2, kappa)
         return 1e-5 * (abs(d_fixed) * max(1.0, abs(fixed)) + abs(dk) * max(1.0, kappa))
 
     roots = _scan_roots(fun, lo, hi, touch_gate=gate)

@@ -16,9 +16,10 @@ Classification note.  The linear coefficient taken along the interaction
 curve's own tangent, c11 + c12 eta', vanishes identically: the order-2
 adjoint kernel is orthogonal to the range of the linearized operator, and a
 kernel element persists along the curve, so the tangential derivative of the
-projected linearization is exactly zero (the computed value is quadrature
-noise, ~1e-11).  A nondegenerate pitchfork therefore requires a load path
-that crosses the curve.  The verdict here uses the normal-direction crossing
+projected linearization is exactly zero (the computed value is roundoff,
+~1e-14 of |c11| + |c12 eta'|, since eta' comes from exact partials).  A
+nondegenerate pitchfork therefore requires a load path that crosses the
+curve.  The verdict here uses the normal-direction crossing
 parameterized by the axial-load increment, offsets (-eta' dl2, dl2), whose
 linear coefficient is
 

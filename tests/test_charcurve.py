@@ -7,6 +7,7 @@ from nanorod.bvp import linear_shooting_determinant
 from nanorod.charcurve import (
     SCAN_PANELS,
     _brentq,
+    _kappa_partial,
     _residual,
     _scan_roots,
     char_f,
@@ -88,17 +89,41 @@ class TestResidual:
         assert root == pytest.approx(math.pi**2 / 4.0, abs=1e-3)
 
 
+def _mp_residual(l1, l2, kappa):
+    """F in 40-digit mpmath: the defining formulas written out once more."""
+    import mpmath as mp
+    d = 1 - kappa * l2
+    half = (kappa * l1 + l2) / (2 * d)
+    s = mp.sqrt(l1 / d + half * half)
+    r1, r2 = mp.sqrt(s + half), mp.sqrt(s - half)
+    return (2 * l1 + kappa * l1 * (kappa * l1 - l2)
+            + (2 * l1 + l2 * l2 - kappa * l1 * l2) * mp.cos(r1) * mp.cosh(r2)
+            - mp.sqrt(l1 / d) * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
+            * mp.sin(r1) * mp.sinh(r2))
+
+
 class TestPartials:
-    def test_polynomial_selfcheck(self):
-        # the same central-difference stencil reproduces the gradient of
-        # ftilde = l1^2 + 3 l2 to 1e-8
-        h = 1e-6
-        l1, l2 = 2.0, 0.5
-        f = lambda a, b: a * a + 3.0 * b
-        d1 = (f(l1 + h, l2) - f(l1 - h, l2)) / (2 * h)
-        d2 = (f(l1, l2 + h) - f(l1, l2 - h)) / (2 * h)
-        assert d1 == pytest.approx(2.0 * l1, abs=1e-8)
-        assert d2 == pytest.approx(3.0, abs=1e-8)
+    @pytest.mark.parametrize("kappa,point", [
+        (0.25, lambda: critical_point(10.0, 0.25, near=0.682732)),
+        (0.45, lambda: critical_point(5.0, 0.45, near=1.05447)),
+        (0.45, lambda: find_fold(0.45, LoadPoint(8.3, 1.16))),
+    ], ids=["kappa0.25-l1_10", "kappa0.45-l1_5", "kappa0.45-fold"])
+    def test_partials_match_mpmath(self, kappa, point):
+        # complex-step partials against 40-digit differentiation of the same
+        # formulas at the same floats; central differences miss by 8e-12 to 1e-8
+        import mpmath as mp
+        p = point()
+        with mp.workdps(40):
+            l1, l2, kap = mp.mpf(p.lambda1), mp.mpf(p.lambda2), mp.mpf(kappa)
+            ref1 = mp.diff(lambda x: _mp_residual(x, l2, kap), l1)
+            ref2 = mp.diff(lambda x: _mp_residual(l1, x, kap), l2)
+            refk = mp.diff(lambda x: _mp_residual(l1, l2, x), kap)
+        scale = max(abs(ref1), abs(ref2))
+        for k in (kappa, np.float64(kappa)):  # a numpy kappa must not drop the complex step
+            d1, d2 = char_partials(p, k)
+            assert abs(d1 - ref1) <= 1e-13 * scale
+            assert abs(d2 - ref2) <= 1e-13 * scale
+            assert abs(_kappa_partial(p.lambda1, p.lambda2, k) - refk) <= 1e-13 * abs(refk)
 
     def test_fold_has_vanishing_lambda2_partial(self):
         fold = find_fold(0.45, LoadPoint(8.3, 1.16))
@@ -119,10 +144,6 @@ class TestPartials:
         d1, d2 = char_partials(p, 0.25)
         assert d1 == pytest.approx((4.0 * d1b - d1a) / 3.0, rel=1e-6)
         assert d2 == pytest.approx((4.0 * d2b - d2a) / 3.0, rel=1e-6)
-
-    def test_stencil_domain_guard(self):
-        with pytest.raises(DomainError):
-            char_partials(LoadPoint(10.0, (1.0 - 1e-12) / 0.25), 0.25)
 
 
 class TestEtaPrime:
@@ -168,6 +189,16 @@ class TestRootSolvers:
     def test_lambda1_axis_roots(self):
         assert solve_lambda1(0.0, 0.25) == pytest.approx(16.71310, abs=1e-3)
         assert solve_lambda1(0.0, 0.375325) == pytest.approx(29.145, abs=5e-3)
+
+    def test_axis_touch_is_the_stationary_point(self):
+        # just above kappa_cr the lambda2 = 0 column only touches zero: the
+        # accepted tangency is the 40-digit root of dF/dlambda1 (Newton on
+        # central differences stopped 1e-10 short of it)
+        import mpmath as mp
+        with mp.workdps(40):
+            kap = mp.mpf(0.375325)
+            ref = mp.findroot(lambda x: mp.diff(lambda y: _mp_residual(y, 0, kap), x), 29.145)
+        assert solve_lambda1(0.0, 0.375325) == pytest.approx(float(ref), rel=1e-13)
 
     def test_kappa_zero_against_linear_shooting(self):
         from nanorod.bvp import linear_shooting_determinant

@@ -67,6 +67,13 @@ def test_curve_branched_emits_fold_row(tmp_path):
     assert {"lower", "upper", "fold"} <= tags
 
 
+def test_curve_grid_through_zero_lambda1():
+    # eta' at lambda1 = 0 is the 40-digit value -0.028833069917474
+    code, out = run_cli(["curve", "--kappa", "0.45", "--l1", "0:1:0.5"])
+    assert code == 0
+    assert out.splitlines()[1] == "0.45,1,single,0,1.16920127249,-0.0288330699175"
+
+
 def test_reduce_prints_verdict():
     code, out = run_cli(["reduce", "--kappa", "0.25", "--l1", "10", "--n", "2048"])
     assert code == 0

@@ -22,6 +22,7 @@ REMOVED = (
     ("reduction", "classify_pitchfork"),
     ("reduction", "bifurcation_amplitude"),
     ("bvp", "reduce_rhs"),
+    ("charcurve", "_refine_stationary"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs
@@ -31,7 +32,6 @@ REMOVED_PARAMETERS = (
     ("charcurve", "trace_curve", "l2_cap"),
     ("charcurve", "_scan_roots", "panels"),
     ("charcurve", "_scan_roots", "allow_touch"),
-    ("charcurve", "_refine_stationary", "iters"),
     ("charcurve", "_brentq", "maxiter"),
     ("charcurve", "_damped_newton2", "fd_step"),
     ("bvp", "integrate", "n_steps"),

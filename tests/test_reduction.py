@@ -39,12 +39,13 @@ class TestCoefficients:
     def test_tangential_coefficient_vanishes(self, grid):
         # the adjoint kernel annihilates the range of the linearization, so
         # the slope-weighted combination c11 + c12 eta' is exactly zero on
-        # the curve; quadrature and finite differences leave ~1e-10 of noise
+        # the curve; with exact partials in eta' only roundoff remains
+        # (1e-15 to 1.4e-14 of the scale; finite differences left 4e-11 to 9e-10)
         for l1, kappa, near in ((10.0, 0.25, 0.682732), (5.0, 0.45, 1.05447),
                                 (2.5, 0.45, 1.82714)):
             _, _, _, rc = build_rc(l1, kappa, near, grid)
             scale = abs(rc.c11) + abs(rc.c12 * rc.eta_prime)
-            assert abs(rc.tangential_coefficient) < 1e-8 * scale
+            assert abs(rc.tangential_coefficient) < 1e-13 * scale
 
     def test_crossing_coefficient_identity(self, grid):
         # with c11 = -c12 eta' on the curve, the normal-crossing coefficient
