@@ -49,6 +49,7 @@ ADMISSIBLE_MARGIN = 1e-9
 DEFAULT_L2_CAP = 40.0  # scan ceiling for kappa = 0, where 1/kappa is no bound
 _TOUCH_REL = 1e-5      # |F| at a tangency, relative to the scan scale
 _CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
+_SCAN_XTOL, _SCAN_RTOL = 1e-14, 8.9e-16  # Brent stop for the roots of a scan
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
 
 def _check_admissible_array(lambda1, lambda2, kappa: float):
     denom = 1.0 - kappa * lambda2
-    if kappa < 0.0 or np.any(denom <= 0.0) or np.any(lambda1 < 0.0):
+    if kappa < 0.0 or ((denom <= 0.0) | (lambda1 < 0.0)).any():  # np.any costs ~6 us a call
         for l1, l2 in np.broadcast(lambda1, lambda2):
             _check_admissible(float(l1), float(l2), kappa)  # raises at the first bad point
     return denom
@@ -127,7 +128,9 @@ def char_f(p: LoadPoint, kappa: float) -> float:
 
 def _residual(l1, l2, kappa: float):
     """F at one load point, or elementwise when lambda1 or lambda2 is an array;
-    a complex scalar (a complex step) is admitted when its real part is."""
+    a complex scalar (a complex step) is admitted when its real part is.
+    At one point, a load so large that a wavenumber overflows raises
+    DomainError; an array holds inf or nan there (see _bulk)."""
     # one type test of the sum: a test per argument adds ~10% to a real call
     probe = l1 + l2 + kappa
     if isinstance(probe, np.ndarray):
@@ -139,15 +142,19 @@ def _residual(l1, l2, kappa: float):
         ops, denom = _SCALAR_OPS, _check_admissible(l1, l2, kappa)
     r1, r2 = _wavenumbers(l1, l2, kappa, denom, ops)
     pref = ops.sqrt(l1 / denom)
-    return (
-        2.0 * l1
-        + kappa * l1 * (kappa * l1 - l2)
-        + (2.0 * l1 + l2 * l2 - kappa * l1 * l2) * ops.cos(r1) * ops.cosh(r2)
-        - pref
-        * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
-        * ops.sin(r1)
-        * ops.sinh(r2)
-    )
+    try:
+        return (
+            2.0 * l1
+            + kappa * l1 * (kappa * l1 - l2)
+            + (2.0 * l1 + l2 * l2 - kappa * l1 * l2) * ops.cos(r1) * ops.cosh(r2)
+            - pref
+            * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
+            * ops.sin(r1)
+            * ops.sinh(r2)
+        )
+    except (ValueError, OverflowError):  # math or cmath met an infinite wavenumber
+        raise DomainError(f"the residual overflows at lambda1 = {l1.real}, "
+                          f"lambda2 = {l2.real}: load too large") from None
 
 
 def _derivative(f, x):
@@ -227,14 +234,39 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps):
     raise RootNotFoundError(f"Brent iteration did not converge on [{a}, {b}]")
 
 
+def _bulk(fun, *arrays):
+    """fun(*arrays), evaluated elementwise with numpy's floating-point
+    warnings off.  At a non-finite value fun is called again on that point
+    alone, so the scalar path raises its error (DomainError for an
+    overflowed wavenumber)."""
+    with np.errstate(all="ignore"):
+        vals = fun(*arrays)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            fun(*[a[i] for a in arrays])
+            raise DomainError(f"the residual evaluates to {vals[i]}")
+    return vals
+
+
+def _sign_brackets(vals):
+    """The scan's root rule, (exact, brackets) as index arrays: a grid point
+    where vals is exactly zero is a root (the last point included), and a
+    panel whose ends differ strictly in sign brackets one to refine."""
+    return np.flatnonzero(vals == 0.0), np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+
+
 def _scan_roots(fun, lo, hi, touch_gate=None):
     """All roots of fun on [lo, hi], sorted: sign-change roots, plus tangency
     (double) roots when a touch gate is given.
 
     fun must evaluate elementwise on an array: the scan grid is evaluated
-    in one call, and only the refinements evaluate point by point.  With a
-    touch gate, fun must also accept a complex scalar: its derivative is
-    taken by complex step.
+    in one call, and only the refinements evaluate point by point.  (One
+    column's dozen or so brackets take 0.5-0.7 ms in scalar _brentq and
+    1.9-3.2 ms in _brentq_batch, whose ~15 array calls each carry ~60 us
+    of fixed numpy cost; batching pays only across many columns, see
+    _scan_columns.)  With a touch gate, fun must also accept a complex
+    scalar: its derivative is taken by complex step.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
     by Brent on fun' between the neighbouring grid points, to a stationary
     point where |fun| is negligible: either against the scan scale, or
@@ -243,21 +275,103 @@ def _scan_roots(fun, lo, hi, touch_gate=None):
     load parameter).
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
-    vals = fun(xs)
-    zero = vals[:-1] == 0.0
-    change = vals[:-1] * vals[1:] < 0.0
-    roots = []
-    for i in np.flatnonzero(zero | change):
-        if zero[i]:
-            roots.append(xs[i])
-        else:
-            roots.append(_brentq(fun, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16))
-    if vals[-1] == 0.0:
-        roots.append(hi)
+    vals = _bulk(fun, xs)
+    exact, brackets = _sign_brackets(vals)
+    roots = [xs[i] for i in exact]
+    roots += [_brentq(fun, xs[i], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL) for i in brackets]
     if touch_gate is not None:
         roots.extend(_touch_roots(fun, xs, vals, roots, touch_gate))
     roots.sort()
     return roots
+
+
+def _scan_columns(fun, params, lo, hi):
+    """Sign-change roots in x of fun(p, x) on [lo, hi] for every p in params,
+    one sorted list per p, as _scan_roots finds them without a touch gate.
+
+    Each column is scanned in one array call; the brackets of all columns
+    are then refined together by _brentq_batch, so fun must also evaluate
+    elementwise on arrays of p and x alike.
+    """
+    xs = np.linspace(lo, hi, SCAN_PANELS + 1)
+    columns, ends = [], []
+    for c, p in enumerate(params):
+        vals = _bulk(lambda x: fun(p, x), xs)
+        exact, brackets = _sign_brackets(vals)
+        columns.append(xs[exact].tolist())
+        ends.append((np.full(brackets.size, c), brackets, vals[brackets], vals[brackets + 1]))
+    if ends:
+        col, i, fa, fb = (np.concatenate(e) for e in zip(*ends))
+        ps = np.asarray(params, dtype=float)
+        roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), xs[i], xs[i + 1], fa, fb)
+        for c, r in zip(col.tolist(), roots.tolist()):
+            columns[c].append(r)
+    for roots in columns:
+        roots.sort()
+    return columns
+
+
+def _brentq_batch(fun, a, b, fa, fb):
+    """Elementwise _brentq on the brackets [a[k], b[k]], whose end values
+    fa[k], fb[k] are known and differ strictly in sign.
+
+    fun(k, x) evaluates the functions of the brackets k (an index array) at
+    the points x.  Every bracket takes _brentq's steps with the scan's stop
+    (_SCAN_XTOL, _SCAN_RTOL) and the same 100-evaluation cap; one array call
+    per iteration evaluates the open brackets (and the spare lanes below).
+    """
+    # The lanes of the iteration come in power-of-two counts: numpy keeps
+    # freed blocks under 1 KiB for reuse, per byte size, so open-bracket
+    # subsets of every size would pile up there (+1 MB of peak RSS on a
+    # curve sweep).  Spare lanes repeat a bracket or hold a converged one,
+    # frozen at points fun has already seen.
+    roots = np.empty(a.size)
+    if not a.size:
+        return roots
+    k = np.resize(np.arange(a.size), _lanes(a.size))
+    xpre, xcur, fpre, fcur = a[k], b[k], fa[k], fb[k]
+    xblk = fblk = spre = scur = np.zeros(k.size)
+    open_ = np.ones(k.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):  # interpolants a lane does not take
+        for _ in range(100):
+            new = np.sign(fpre) * np.sign(fcur) < 0.0  # both nonzero, signs differ
+            step = xcur - xpre
+            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
+            spre, scur = np.where(new, step, spre), np.where(new, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (_SCAN_XTOL + _SCAN_RTOL * np.abs(xcur)) / 2.0
+            sbis = (xblk - xcur) / 2.0
+            done = open_ & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            roots[k] = np.where(done, xcur, roots[k])
+            open_ &= ~done
+            m = int(np.count_nonzero(open_))
+            if m == 0:
+                return roots
+            if _lanes(m) < k.size:  # open lanes first, then converged ones as spares
+                keep = np.argsort(~open_, kind="stable")[:_lanes(m)]
+                k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, open_ = (
+                    v[keep] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, open_))
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            iqi = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, iqi)
+            interp = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+            accept = interp & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta))
+            spre, scur = np.where(accept, scur, sbis), np.where(accept, stry, sbis)
+            xpre, fpre = xcur, fcur
+            step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
+            xcur = np.where(open_, xcur + step, xcur)
+            fcur = _bulk(fun, k, xcur)
+    first = k[np.argmax(open_)]
+    raise RootNotFoundError(f"Brent iteration did not converge on [{a[first]}, {b[first]}]")
+
+
+def _lanes(count: int) -> int:
+    """The power of two at or above count."""
+    return 1 << (count - 1).bit_length()
 
 
 def _touch_roots(fun, xs, vals, known, touch_gate):
@@ -277,7 +391,7 @@ def _touch_roots(fun, xs, vals, known, touch_gate):
     slope = lambda x: _derivative(fun, x)
     for i in np.flatnonzero(candidates) + 1:
         try:
-            x = _brentq(slope, xs[i - 1], xs[i + 1], xtol=1e-14, rtol=8.9e-16)
+            x = _brentq(slope, xs[i - 1], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL)
         except RootNotFoundError:  # fun' keeps its sign: no stationary point here
             continue
         if abs(fun(x)) > max(_TOUCH_REL * scale, touch_gate(x)):
@@ -381,8 +495,8 @@ def _local_scale(l1, l2, kappa, dl=0.05):
     for d1, d2 in ((dl, 0.0), (-dl, 0.0), (0.0, dl), (0.0, -dl)):
         try:
             probes.append(abs(_residual(max(l1 + d1, 1e-9), l2 + d2, kappa)))
-        except (SingularDenominatorError, DomainError):
-            pass
+        except SingularDenominatorError:
+            pass  # a probe past 1/kappa; an overflowing guess raises DomainError here
     return max(probes) if probes else 1.0
 
 
@@ -455,16 +569,17 @@ def _eta_prime_or_nan(p: LoadPoint, kappa: float) -> float:
 def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     """Trace the mode_index-th interaction-curve family over a lambda1 grid.
 
-    All residual roots in lambda2 are found per grid column, chained into
-    continuous branches, and grouped into families: two branches that
-    terminate together at a fold form one family (tags lower/upper), a
-    branch that exits alone stays single.  Families are numbered by the
-    lambda2-order of their lowest branch at its first column.  The fold of
-    the returned family is refined from the midpoint of its branch ends.
+    All residual roots in lambda2 are found per grid column (each column
+    scanned in one array call, the brackets of all columns refined
+    together), chained into continuous branches, and grouped into
+    families: two branches that terminate together at a fold form one
+    family (tags lower/upper), a branch that exits alone stays single.
+    Families are numbered by the lambda2-order of their lowest branch at
+    its first column.  The fold of the returned family is refined from the
+    midpoint of its branch ends.
     """
     grid = [float(l1) for l1 in lambda1_grid]
-    hi = lambda2_max(kappa)
-    columns = [_scan_roots(lambda x: _residual(l1, x, kappa), 1e-9, hi) for l1 in grid]
+    columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), grid, 1e-9, lambda2_max(kappa))
     families = _group_families(_chain_columns(grid, columns))
     if len(families) < mode_index:
         return []

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from nanorod import charcurve
 from nanorod.bvp import linear_shooting_determinant
 from nanorod.charcurve import (
     SCAN_PANELS,
     _brentq,
+    _brentq_batch,
     _kappa_partial,
     _residual,
+    _scan_columns,
     _scan_roots,
     char_f,
     char_partials,
@@ -324,6 +327,36 @@ class TestTraceCurve:
         folds = [b.fold for b in branches if b.fold is not None]
         assert folds and folds[0].lambda1 == pytest.approx(8.29796, abs=1e-3)
 
+    @pytest.mark.parametrize("kappa", [0.25, 0.45])
+    def test_residual_work_gate(self, kappa, monkeypatch):
+        # the roots of every column are refined in array calls: one per scan
+        # column plus one per batched Brent iteration, and no point-by-point
+        # refinement (3,986 real scalar calls at 0.25 with scalar Brent)
+        calls = {"array": 0, "real": 0, "complex": 0}
+        residual = charcurve._residual
+
+        def counted(l1, l2, k):
+            probe = l1 + l2 + k
+            kind = ("array" if isinstance(probe, np.ndarray)
+                    else "complex" if isinstance(probe, complex) else "real")
+            calls[kind] += 1
+            return residual(l1, l2, k)
+
+        monkeypatch.setattr(charcurve, "_residual", counted)
+        grid_l1 = list(np.arange(0.5, 8.5 + 1e-9, 0.25))
+        assert trace_curve(kappa, grid_l1)
+        assert calls["real"] <= 50
+        assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 40
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP open item 3: at kappa 0 the first root moves ~0.093 in lambda2 per "
+        "0.5 step, beyond _chain_columns' 0.06 second-point window, so every column "
+        "starts a new chain and only the lambda1 = 3 point is returned"))
+    def test_small_kappa_keeps_every_column(self):
+        branches = trace_curve(0.0, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        assert [b.branch_tag for b in branches] == ["single"]
+        assert len(branches[0].points) == 6
+
     def test_higher_mode_branches_at_025(self):
         # some family above the first folds back even though the first-mode
         # curve at kappa = 0.25 is monotone
@@ -428,6 +461,67 @@ class TestArrayScanAndBrent:
         with_touch = _scan_roots(f, lo, hi, touch_gate=lambda x: 0.0)
         assert with_touch == sorted(with_touch)
         assert [r for r in with_touch if r in ref] == ref
+
+    def test_batched_brent_matches_scipy_on_residual_brackets(self):
+        from scipy.optimize import brentq
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for kappa in [0.0] + list(rng.uniform(0.0, 0.6, 7)):
+            xs = np.linspace(-1.0, lambda2_max(kappa), 301)
+            l1s, a, b, fa, fb = [], [], [], [], []
+            for l1 in rng.uniform(0.0, 40.0, 5):
+                vals = _residual(l1, xs, kappa)
+                i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+                for ends, new in zip((l1s, a, b, fa, fb),
+                                     ([l1] * i.size, xs[i], xs[i + 1], vals[i], vals[i + 1])):
+                    ends.extend(new)
+            l1s = np.array(l1s)
+            roots = _brentq_batch(lambda k, x: _residual(l1s[k], x, kappa),
+                                  *(np.array(v) for v in (a, b, fa, fb)))
+            for r, l1, lo, hi in zip(roots, l1s, a, b):
+                ref = brentq(lambda x: _residual(l1, x, kappa), lo, hi, xtol=1e-14, rtol=8.9e-16)
+                assert abs(r - ref) <= 1e-14 + 8.9e-16 * abs(ref)
+                checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.375, 0.45, 0.55])
+    def test_scan_columns_match_scan_roots(self, kappa):
+        grid_l1 = [0.0, 0.05] + list(np.arange(0.5, 40.0, 1.5))
+        fun = lambda l1, x: _residual(l1, x, kappa)
+        hi = lambda2_max(kappa)
+        columns = _scan_columns(fun, grid_l1, 1e-9, hi)
+        assert len(columns) == len(grid_l1) and sum(map(len, columns)) > len(grid_l1)
+        for l1, roots in zip(grid_l1, columns):
+            ref = _scan_roots(lambda x: fun(l1, x), 1e-9, hi)
+            assert len(roots) == len(ref) and roots == sorted(roots)
+            for r, x in zip(roots, ref):
+                assert abs(r - x) <= 1e-14 + 8.9e-16 * abs(x)
+        # trace_curve's points are these column roots
+        for mode in (1, 2):
+            for branch in trace_curve(kappa, grid_l1, mode_index=mode):
+                for p, _ in branch.points:
+                    assert p.lambda2 in columns[grid_l1.index(p.lambda1)]
+
+    def test_scan_columns_bracket_rule(self):
+        # x - p on [0, 2]: a root on a grid point, on the last point, inside
+        # a panel, and none at all, each exactly where the scalar scan has it
+        xs = np.linspace(0.0, 2.0, SCAN_PANELS + 1)
+        line = lambda p, x: x - p
+        params = [float(xs[700]), 2.0, 0.3337, 5.0]
+        columns = _scan_columns(line, params, 0.0, 2.0)
+        assert columns == [_scan_roots(lambda x: line(p, x), 0.0, 2.0) for p in params]
+        assert columns[:2] == [[xs[700]], [2.0]] and columns[3] == []
+        assert abs(columns[2][0] - 0.3337) <= 1e-14
+        assert _scan_columns(line, [], 0.0, 2.0) == []
+
+    def test_batched_brent_iteration_cap(self):
+        # a step function gives Brent nothing to interpolate: bisecting a
+        # 5e36-wide first panel down to 1e-14 takes ~170 halvings > 100
+        step = lambda p, x: np.where(x > p, 1.0, -1.0)
+        with pytest.raises(RootNotFoundError, match="did not converge"):
+            _scan_columns(step, [1.0 / 3.0], 0.0, 1e40)
+        with pytest.raises(RootNotFoundError, match="did not converge"):
+            _brentq(lambda x: step(1.0 / 3.0, x), 0.0, 5e36, xtol=1e-14, rtol=8.9e-16)
 
     def test_lambda1_scan_matches_reference_scan(self):
         f = lambda x: _residual(x, 0.0, 0.25)

@@ -170,7 +170,14 @@ def test_domain_error_exit_code():
     (["curve", "--kappa", "-1", "--l1", "1:2:0.5"], "kappa must be nonnegative"),
     (["mode", "--kappa", "0.25", "--l1", "0"], "lambda1 > 0"),  # DegenerateShapeError
     (["curve", "--kappa", "-1", "--l1", "2:1:0.5"], "kappa must be nonnegative"),  # empty range
+    # huge finite loads: a wavenumber overflows in the scalar, complex or array residual
+    (["fold", "--kappa", "0.45", "--seed-l1", "1e200", "--seed-l2", "1"], "overflows"),
+    (["minimum", "--kappa", "0.45", "--seed-l1", "1e200", "--seed-l2", "1"], "overflows"),
+    (["kcr", "--seed-l1", "1e200"], "overflows"),
+    (["mode", "--kappa", "0.45", "--l1", "1e200"], "overflows"),
+    (["curve", "--kappa", "0.45", "--l1", "1e300:1e300:1"], "overflows"),
 ])
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second stderr line
 def test_domain_error_exits_2_in_one_line(args, named, capsys):
     code, out = run_cli(args)
     err = capsys.readouterr().err
