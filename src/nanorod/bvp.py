@@ -207,7 +207,7 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
 def _mode_seed(yL, amplitude: float, grid: Grid):
     """Initial (v0, m0) predicted from the linear mode at amplitude a."""
     p0 = yL.p0
-    v0 = amplitude * p0.lambda1 * grid.inner(np.ones_like(grid.t), yL(grid.t))
+    v0 = amplitude * p0.lambda1 * grid.inner(np.ones_like(grid.t), yL.sample(grid))
     m0 = amplitude * (1.0 - yL.kappa * p0.lambda2) * float(yL(0.0, 2))
     return v0, m0
 
@@ -330,7 +330,7 @@ def node_count(sol: BvpSolution) -> int:
 
 def mode_node_count(yL, grid: Grid) -> int:
     """Same morphology metric applied to a closed-form mode shape."""
-    return _sign_changes(yL(grid.t, 1)[1:-1])
+    return _sign_changes(yL.sample(grid, 1)[1:-1])
 
 
 def _sign_changes(samples: np.ndarray) -> int:

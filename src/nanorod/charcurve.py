@@ -505,7 +505,7 @@ def _stationary_point(kappa: float, guess: LoadPoint, wrt: int, what: str) -> tu
     scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
 
     def system(x):
-        l1, l2 = x
+        l1, l2 = x.tolist()
         partial = char_partials(LoadPoint(l1, l2), kappa)[wrt - 1]
         return (_residual(l1, l2, kappa) / scale, partial / scale)
 
@@ -537,7 +537,7 @@ def find_kappa_cr(guess_kappa: float = 0.37, guess_lambda1: float = 29.0) -> tup
     scale = _local_scale(guess_lambda1, 0.0, guess_kappa)
 
     def system(x):
-        kap, l1 = x
+        kap, l1 = x.tolist()
         if kap <= 0.0 or l1 <= 0.0:
             raise DomainError("left the admissible (kappa, lambda1) quadrant")
         df1, _ = char_partials(LoadPoint(l1, 0.0), kap)

@@ -231,7 +231,7 @@ def cmd_mode(args):
     grid = Grid(args.n)
     p0 = _critical_point(args)
     yL = mode_shape(p0, args.kappa, grid)
-    rows = [[float(t), float(y)] for t, y in zip(grid.t, yL(grid.t))]
+    rows = [[float(t), float(y)] for t, y in zip(grid.t, yL.sample(grid))]
     _emit(rows, ["t", "y"], args,
           {"command": "mode", "kappa": args.kappa,
            "lambda1": p0.lambda1, "lambda2": p0.lambda2})

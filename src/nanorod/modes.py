@@ -37,7 +37,8 @@ class ClosedFormShape:
 
         a cos(r1 t) + b cosh(r2 t) + c sin(r1 t) + d sinh(r2 t),
 
-    with r1, r2 the wavenumbers at p0.  Calling it gives the k-th derivative.
+    with r1, r2 the wavenumbers at p0.  Calling it gives the k-th derivative;
+    sample(grid, k) gives the same on grid.t.
     """
 
     p0: LoadPoint
@@ -52,23 +53,39 @@ class ClosedFormShape:
 
     def __call__(self, t, k: int = 0):
         t = np.asarray(t, dtype=float)
-        r1, r2 = self.r1, self.r2
-        s1 = r1**k
-        s2 = r2**k
-        cos_part = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)[k % 4]
-        sin_part = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))[k % 4]
-        cosh_part = (np.cosh, np.sinh)[k % 2]
-        sinh_part = (np.sinh, np.cosh)[k % 2]
-        return (
-            self.a * s1 * cos_part(r1 * t)
-            + self.b * s2 * cosh_part(r2 * t)
-            + self.c * s1 * sin_part(r1 * t)
-            + self.d * s2 * sinh_part(r2 * t)
-        )
+        return self._combine(k, *_basis(self.r1, self.r2, t))
+
+    def sample(self, grid: Grid, k: int = 0) -> np.ndarray:
+        """self(grid.t, k), bitwise, from the grid's memoized basis at (r1, r2).
+
+        The mode and both kernels at one critical point share (r1, r2), so
+        the grid evaluates the four functions once for all of them.
+        """
+        basis = grid.memo("basis", (self.r1, self.r2),
+                          lambda: _basis(self.r1, self.r2, grid.t))
+        return self._combine(k, *basis)
+
+    def _combine(self, k: int, cos1, sin1, cosh2, sinh2):
+        """k-th derivative from cos(r1 t), sin(r1 t), cosh(r2 t), sinh(r2 t)."""
+        s1 = self.r1**k
+        s2 = self.r2**k
+        a, c = self.a * s1, self.c * s1
+        # cos -> -sin -> -cos -> sin; negating the scalar gives the bits of negating the array
+        (ca, fa), (cc, fc) = (((a, cos1), (c, sin1)),
+                              ((-a, sin1), (c, cos1)),
+                              ((-a, cos1), (-c, sin1)),
+                              ((a, sin1), (-c, cos1)))[k % 4]
+        fb, fd = ((cosh2, sinh2), (sinh2, cosh2))[k % 2]
+        return ca * fa + self.b * s2 * fb + cc * fc + self.d * s2 * fd
 
     def scaled(self, factor: float) -> "ClosedFormShape":
         return replace(self, a=factor * self.a, b=factor * self.b,
                        c=factor * self.c, d=factor * self.d)
+
+
+def _basis(r1: float, r2: float, t):
+    x1, x2 = r1 * t, r2 * t
+    return np.cos(x1), np.sin(x1), np.cosh(x2), np.sinh(x2)
 
 
 def _critical_wavenumbers(p0: LoadPoint, kappa: float) -> tuple[float, float]:
@@ -93,7 +110,7 @@ def _ratio(num: float, den: float, what: str, p0: LoadPoint) -> float:
 
 def _normalized(raw: ClosedFormShape, grid: Grid, probe_t: float, probe_k: int) -> ClosedFormShape:
     """raw scaled to unit L2 norm, with its k-th derivative positive at the probe."""
-    c_const = 1.0 / grid.norm(raw(grid.t))
+    c_const = 1.0 / grid.norm(raw.sample(grid))
     if raw(probe_t, probe_k) * c_const < 0.0:
         c_const = -c_const
     return raw.scaled(c_const)
@@ -133,8 +150,7 @@ def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
     """
     denom = 1.0 - kappa * p.lambda2
     co2, co0 = (kappa * p.lambda1 + p.lambda2) / denom, p.lambda1 / denom
-    t = grid.t
-    interior = y(t, 4) + co2 * y(t, 2) - co0 * y(t)
+    interior = y.sample(grid, 4) + co2 * y.sample(grid, 2) - co0 * y.sample(grid)
     b = [
         float(y(0.0)),
         float(y(0.0, 1)),
@@ -147,11 +163,10 @@ def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
 def linear_residual_L2(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid) -> float:
     """Sup-residual of the second-order integro-differential linearization."""
     denom = 1.0 - kappa * p.lambda2
-    t = grid.t
-    vals = y(t)
-    res = (y(t, 2)
+    vals = y.sample(grid)
+    res = (y.sample(grid, 2)
            - p.lambda1 / denom * (grid.i2(vals) - kappa * vals)
-           - p.lambda2 / denom * grid.i1(y(t, 1)))
+           - p.lambda2 / denom * grid.i1(y.sample(grid, 1)))
     return float(np.max(np.abs(res)))
 
 
@@ -172,7 +187,7 @@ def adjoint_boundary_residuals(kernel: ClosedFormShape, grid: Grid) -> list[floa
             float(kernel(1.0, 2)),
             float(kernel(1.0, 3) + p.lambda2 / denom * kernel(1.0, 1)),
         ]
-    qv = kernel(grid.t)
+    qv = kernel.sample(grid)
     one = np.ones_like(grid.t)
     q_1 = grid.inner(one, qv)
     qt = grid.inner(grid.t, qv)
@@ -183,3 +198,17 @@ def adjoint_boundary_residuals(kernel: ClosedFormShape, grid: Grid) -> list[floa
         float(kernel(1.0, 3) + (kappa * p.lambda1 + p.lambda2) / denom * kernel(1.0, 1)
               - p.lambda1 / denom * q_1),
     ]
+
+
+def _mode_profile(yL: ClosedFormShape, grid: Grid):
+    """The mode's samples and the integrals of them that the reduction and
+    unfolding coefficients are assembled from, built once per mode and grid:
+    y, y', I1 y, I2 y = I1(I1 y), I1 y', I3 = I1(y'^2 I1 y), I1 y'^2.
+    """
+
+    def build():
+        y, yd = yL.sample(grid), yL.sample(grid, 1)
+        i1y, yd2 = grid.i1(y), yd**2
+        return y, yd, i1y, grid.i1(i1y), grid.i1(yd), grid.i1(yd2 * i1y), grid.i1(yd2)
+
+    return grid.memo("mode profile", yL, build)

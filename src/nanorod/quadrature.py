@@ -28,9 +28,23 @@ class Grid:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         self.weights = w * (self.h / 3.0)
+        self._memo = {}
 
     def __repr__(self):
         return f"Grid(n={self.n})"
+
+    def memo(self, slot: str, key, build):
+        """The arrays build() returns, made read-only and kept under slot until
+        a call with another key replaces them: one entry per slot, so the grid
+        holds the arrays of one critical point at a time.
+        """
+        held = self._memo.get(slot)
+        if held is None or held[0] != key:
+            arrays = build()
+            for a in arrays:
+                a.setflags(write=False)
+            held = self._memo[slot] = (key, arrays)
+        return held[1]
 
     def _check(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)

@@ -48,7 +48,7 @@ from enum import Enum
 from .charcurve import eta_prime
 from .errors import AmplitudeSeedError, DegeneratePointError, FoldPointError
 from .model import LoadPoint
-from .modes import ClosedFormShape, adjoint_kernel, mode_shape
+from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, mode_shape
 from .quadrature import Grid
 
 DEGENERATE_TOL = 1e-10
@@ -88,24 +88,18 @@ def reduction_coefficients(
     l1, l2 = p0.lambda1, p0.lambda2
     x = 1.0 - kappa * l2
 
-    t = grid.t
-    yv = yL(t)
-    yd = yL(t, 1)
-    qv = q(t)
+    yv, yd, i1y, i2y, i1yd, i3y, _ = _mode_profile(yL, grid)
+    qv = q.sample(grid)
 
-    a_term = grid.i2(yv) - kappa * yv
-    b_term = grid.i1(yd)
-    mixed = grid.inner(l1 * a_term + l2 * b_term, qv)
+    a_term = i2y - kappa * yv
+    mixed = grid.inner(l1 * a_term + l2 * i1yd, qv)
 
     c11 = -grid.inner(a_term, qv) / x
-    c12 = -grid.inner(b_term, qv) / x - kappa / x**2 * mixed
+    c12 = -grid.inner(i1yd, qv) / x - kappa / x**2 * mixed
     c13 = kappa**2 / x**3 * mixed
 
-    i1y = grid.i1(yv)
-    i1yd = b_term
-    i3y = grid.i3(yv, yd)
     cubic = 0.5 * (
-        (l1 * (i3y + yd**2 * (grid.i2(yv) - 2.0 * kappa * yv)) + l2 * yd**2 * i1yd) / x
+        (l1 * (i3y + yd**2 * (i2y - 2.0 * kappa * yv)) + l2 * yd**2 * i1yd) / x
         + kappa / x**2 * (
             2.0 * l1**2 * yd * i1y * a_term
             + l1 * l2 * yd * (yd * a_term + 2.0 * i1y * i1yd)

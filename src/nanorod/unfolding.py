@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SingularCurvatureError
 from .model import LoadPoint
-from .modes import ClosedFormShape
+from .modes import ClosedFormShape, _mode_profile
 from .quadrature import Grid
 from .reduction import DEGENERATE_TOL, ReductionCoefficients, Verdict
 
@@ -83,14 +83,9 @@ def unfolding_coefficients(
     if not np.all(np.isfinite(curv)):
         raise SingularCurvatureError("curvature profile is not finite on [0, 1]")
 
-    yv = yL(t)
-    yd = yL(t, 1)
-    qv = q(t)
+    yv, yd, i1y, i2y, i1yd, _, i1yd2 = _mode_profile(yL, grid)
+    qv = q.sample(grid)
     one_minus_t = 1.0 - t
-    i1y = grid.i1(yv)
-    i2y = grid.i2(yv)
-    i1yd = grid.i1(yd)
-    i1yd2 = grid.i1(yd**2)
     a_term = i2y - kappa * yv
 
     d01 = -grid.inner(curv, qv) / x

@@ -5,13 +5,17 @@ from nanorod.charcurve import find_fold, solve_lambda2
 from nanorod.errors import DegenerateShapeError, DomainError
 from nanorod.model import LoadPoint
 from nanorod.modes import (
+    _mode_profile,
     adjoint_boundary_residuals,
     adjoint_kernel,
     linear_residual_L2,
     linear_residual_L4,
     mode_shape,
 )
-from conftest import critical_point
+from nanorod.quadrature import Grid
+from nanorod.reduction import reduction_coefficients
+from nanorod.unfolding import unfolding_coefficients
+from conftest import critical_point, fixture_curvature
 
 
 @pytest.fixture(scope="module")
@@ -150,3 +154,77 @@ class TestLinearResiduals:
             rhs = d4 + co2 * d2 - p25.lambda1 / denom * y
             inner = slice(8, -8)
             assert np.max(np.abs((lhs - rhs)[inner])) < 1e-5 * max(1.0, np.max(np.abs(rhs)))
+
+
+# (lambda1, kappa, near) of a lower-branch and an upper-branch critical point
+SAMPLED_POINTS = ((10.0, 0.25, 0.682732), (5.0, 0.45, 1.61161))
+
+
+def _shapes(p0, kappa, grid):
+    return (mode_shape(p0, kappa, grid), adjoint_kernel(2, p0, kappa, grid),
+            adjoint_kernel(4, p0, kappa, grid))
+
+
+def _coefficients(p0, kappa, grid, yL=None):
+    """(rc with q2, rc with q4, unfolding with q2), all read from grid's memo."""
+    y0, q2, q4 = _shapes(p0, kappa, grid)
+    yL = y0 if yL is None else yL
+    return (reduction_coefficients(p0, kappa, yL, q2, grid),
+            reduction_coefficients(p0, kappa, yL, q4, grid),
+            unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid))
+
+
+def _reference_derivative(shape, t, k):
+    """k-th derivative of a shape with every term evaluated on its own and the
+    derivative's sign applied to the array: the reference that the
+    shared-basis evaluation must match bit for bit."""
+    cos_part = (np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x), np.sin)[k % 4]
+    sin_part = (np.sin, np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))[k % 4]
+    cosh_part = (np.cosh, np.sinh)[k % 2]
+    sinh_part = (np.sinh, np.cosh)[k % 2]
+    s1, s2 = shape.r1**k, shape.r2**k
+    return (shape.a * s1 * cos_part(shape.r1 * t) + shape.b * s2 * cosh_part(shape.r2 * t)
+            + shape.c * s1 * sin_part(shape.r1 * t) + shape.d * s2 * sinh_part(shape.r2 * t))
+
+
+class TestSampledPath:
+    @pytest.mark.parametrize("l1, kappa, near", SAMPLED_POINTS)
+    def test_grid_samples_bitwise_equal_to_call(self, grid, l1, kappa, near):
+        p0 = critical_point(l1, kappa, near=near)
+        for shape in _shapes(p0, kappa, grid):
+            for k in range(5):
+                ref = _reference_derivative(shape, grid.t, k)
+                assert np.array_equal(shape(grid.t, k), ref), (shape.order, k)
+                assert np.array_equal(shape.sample(grid, k), ref), (shape.order, k)
+
+    def test_memo_follows_its_key(self):
+        (la, ka, na), (lb, kb, nb) = SAMPLED_POINTS
+        a = critical_point(la, ka, near=na)
+        b = critical_point(lb, kb, near=nb)
+        warm = Grid()
+        cold_a = _coefficients(a, ka, Grid())
+        first = _coefficients(a, ka, warm)
+        _coefficients(b, kb, warm)
+        assert first == cold_a
+        assert _coefficients(a, ka, warm) == cold_a
+
+        # a mirrored mode has the same point and wavenumbers but its own profile
+        flipped = mode_shape(a, ka, warm).scaled(-1.0)
+        warm_flipped = _coefficients(a, ka, warm, flipped)
+        assert warm_flipped == _coefficients(a, ka, Grid(), flipped)
+        assert warm_flipped[0].c11 == -cold_a[0].c11
+
+    def test_mode_profile_is_the_grid_operators_read_only(self, grid):
+        (l1, kappa, near), _ = SAMPLED_POINTS
+        p0 = critical_point(l1, kappa, near=near)
+        yL = mode_shape(p0, kappa, grid)
+        held = _mode_profile(yL, grid)
+        y, yd = yL(grid.t), yL(grid.t, 1)
+        expected = (y, yd, grid.i1(y), grid.i2(y), grid.i1(yd), grid.i3(y, yd), grid.i1(yd**2))
+        assert len(held) == len(expected)
+        for arr, ref in zip(held, expected):
+            assert np.array_equal(arr, ref)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        for _, arrays in grid._memo.values():
+            assert not any(arr.flags.writeable for arr in arrays)

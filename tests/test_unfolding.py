@@ -1,5 +1,6 @@
 import pytest
 
+from nanorod import modes
 from nanorod.quadrature import Grid
 from nanorod.reduction import critical_chain, reduction_coefficients
 from nanorod.unfolding import (
@@ -156,3 +157,33 @@ class TestPsi:
         plus = surface(0.1, 0.02, 0.0, 0.01, 0.01)
         minus = surface(-0.1, 0.02, 0.0, 0.01, 0.01)
         assert plus != pytest.approx(-minus, rel=1e-6)
+
+
+def test_chain_work_gate(monkeypatch):
+    # one critical point's mode -> q2 -> q4 -> rc2 -> rc4 -> unfold chain integrates
+    # the five distinct mode integrals once (21 cumulative integrals when each
+    # coefficient set built its own) and evaluates cos/sin/cosh/sinh on the grid
+    # once (12 full-grid shape evaluations when each sample built its own)
+    kappa = 0.25
+    p0 = critical_point(10.0, kappa, near=0.682732)
+    grid = Grid()
+    counts = {"cumint": 0, "basis": 0}
+    cumint, basis = Grid.cumint_right, modes._basis
+
+    def counted_cumint(self, z):
+        counts["cumint"] += 1
+        return cumint(self, z)
+
+    def counted_basis(r1, r2, t):
+        counts["basis"] += t.shape == grid.t.shape  # scalar probes are not samples
+        return basis(r1, r2, t)
+
+    monkeypatch.setattr(Grid, "cumint_right", counted_cumint)
+    monkeypatch.setattr(modes, "_basis", counted_basis)
+    yL = modes.mode_shape(p0, kappa, grid)
+    q2 = modes.adjoint_kernel(2, p0, kappa, grid)
+    q4 = modes.adjoint_kernel(4, p0, kappa, grid)
+    reduction_coefficients(p0, kappa, yL, q2, grid)
+    reduction_coefficients(p0, kappa, yL, q4, grid)
+    unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
+    assert counts == {"cumint": 5, "basis": 1}
