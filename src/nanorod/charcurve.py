@@ -287,8 +287,11 @@ def _scan_roots(fun, lo, hi, touch_gate=None):
 
 def _scan_columns(fun, params, lo, hi):
     """Sign-change roots in x of fun(p, x) on [lo, hi] for every p in params,
-    one sorted list per p, as _scan_roots finds them without a touch gate.
+    as _scan_roots finds them without a touch gate: one list per p of
+    (root, sign of fun just above the root) pairs, sorted by root.
 
+    The sign is read from the scan: the value at the next grid point, or
+    minus the value before the last point for an exact zero there.
     Each column is scanned in one array call; the brackets of all columns
     are then refined together by _brentq_batch, so fun must also evaluate
     elementwise on arrays of p and x alike.
@@ -298,14 +301,15 @@ def _scan_columns(fun, params, lo, hi):
     for c, p in enumerate(params):
         vals = _bulk(lambda x: fun(p, x), xs)
         exact, brackets = _sign_brackets(vals)
-        columns.append(xs[exact].tolist())
+        above = np.sign(np.append(vals[1:], -vals[-2])[exact])
+        columns.append(list(zip(xs[exact].tolist(), above.tolist())))
         ends.append((np.full(brackets.size, c), brackets, vals[brackets], vals[brackets + 1]))
     if ends:
         col, i, fa, fb = (np.concatenate(e) for e in zip(*ends))
         ps = np.asarray(params, dtype=float)
         roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), xs[i], xs[i + 1], fa, fb)
-        for c, r in zip(col.tolist(), roots.tolist()):
-            columns[c].append(r)
+        for c, r, s in zip(col.tolist(), roots.tolist(), np.sign(fb).tolist()):
+            columns[c].append((r, s))
     for roots in columns:
         roots.sort()
     return columns
@@ -571,12 +575,16 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
 
     All residual roots in lambda2 are found per grid column (each column
     scanned in one array call, the brackets of all columns refined
-    together), chained into continuous branches, and grouped into
-    families: two branches that terminate together at a fold form one
-    family (tags lower/upper), a branch that exits alone stays single.
-    Families are numbered by the lambda2-order of their lowest branch at
-    its first column.  The fold of the returned family is refined from the
-    midpoint of its branch ends.
+    together) with the sign of F just above each.  Roots of neighbouring
+    columns chain into one branch when they are neighbours in lambda2 order
+    and share that sign: away from a fold the curves keep both, so no
+    distance window enters.  Two branches that end at the same
+    column form one family (tags lower/upper) when their end gap is under
+    max(0.6, half their summed lambda2 spans), because branches that leave
+    the grid before their fold cannot be told from unrelated ends column by
+    column; a branch that ends alone stays single.  Families are numbered by
+    the lambda2-order of their lowest branch at its first column.  The fold
+    of the returned family is refined from the midpoint of its branch ends.
     """
     grid = [float(l1) for l1 in lambda1_grid]
     columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), grid, 1e-9, lambda2_max(kappa))
@@ -601,89 +609,69 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
 
 
 def _chain_columns(grid, columns):
-    """Chain per-column roots into continuous curves.
+    """Chain per-column (root, sign above) pairs into curves, each a
+    (first column, [(lambda1, lambda2), ...]) pair with one point per column.
 
-    Each open chain predicts its next lambda2 by linear extrapolation; chains
-    and roots are matched globally, nearest prediction first, inside a window
-    that scales with the predicted step.  Unmatched chains close, unmatched
-    roots start new chains.
+    Away from a fold the zero set of F is a set of disjoint curves, so from
+    one column to the next they keep their lambda2 order and the sign of F
+    just above them.  Merged in lambda2 order, a root of the previous column
+    and a root of this one that are neighbours and share that sign lie on
+    one curve while no curve moves past a neighbour's previous lambda2 (a
+    coarse step can break chains in the dense roots just under 1/kappa);
+    signs alternate along a column, so a root has at most one such
+    neighbour.  Every other root ends or starts a chain.
     """
-    chains = []
-    active = []
+    chains, tails = [], []  # tails: (lambda2, sign above, chain) in the previous column
     for ci, (l1, roots) in enumerate(zip(grid, columns)):
-        candidates = []
-        for chain in active:
-            pts = chain["pts"]
-            gap = l1 - pts[-1][0]
-            if len(pts) >= 2:
-                slope = (pts[-1][1] - pts[-2][1]) / (pts[-1][0] - pts[-2][0])
-                pred = pts[-1][1] + slope * gap
-                window = max(0.05, 4.0 * abs(pred - pts[-1][1]))
-            else:
-                pred = pts[-1][1]
-                window = max(0.05, 0.12 * abs(gap))
-            for ri, r in enumerate(roots):
-                dist = abs(r - pred)
-                if dist < window:
-                    candidates.append((dist, id(chain), chain, ri))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        used_roots = set()
-        matched = set()
-        for dist, key, chain, ri in candidates:
-            if key in matched or ri in used_roots:
-                continue
-            matched.add(key)
-            used_roots.add(ri)
-            chain["pts"].append((l1, roots[ri]))
-        next_active = []
-        for chain in active:
-            if id(chain) in matched:
-                next_active.append(chain)
-            else:
-                chain["closed_at"] = ci
-        for ri, r in enumerate(roots):
-            if ri not in used_roots:
-                chain = {"pts": [(l1, r)], "start_col": ci, "start_rank": ri,
-                         "closed_at": None}
+        merged = sorted(tails + [(x, s, None) for x, s in roots], key=lambda r: r[0])
+        continued = {}  # lambda2 of a root here -> the chain it continues
+        for a, b in zip(merged, merged[1:]):
+            if a[1] == b[1] and (a[2] is None) != (b[2] is None):
+                old, new = (a, b) if b[2] is None else (b, a)
+                continued[new[0]] = old[2]
+        tails = []
+        for x, s in roots:
+            chain = continued.get(x)
+            if chain is None:
+                chain = (ci, [])
                 chains.append(chain)
-                next_active.append(chain)
-        active = next_active
-    for chain in active:
-        chain["closed_at"] = len(grid)
+            chain[1].append((l1, x))
+            tails.append((x, s, chain))
     return chains
 
 
 def _group_families(chains):
     """Pair branches that die at the same column with nearby endpoints (folds).
 
+    Two chains that end together stay one family when their end gap is under
+    max(0.6, half their summed lambda2 spans): branches that both leave the
+    grid before their fold look, column by column, like two unrelated ends.
     Returns the families in lambda2 order, each a list of (tag, points):
     [("single", pts)] or [("lower", pts), ("upper", pts)].
     """
-    chains = sorted(chains, key=lambda c: (c["start_col"], c["pts"][0][1]))
+    chains = sorted(chains, key=lambda c: (c[0], c[1][0][1]))
+    ends = [start + len(pts) for start, pts in chains]
     families = []
     paired = set()
-    for i, ca in enumerate(chains):
+    for i, (_, pa) in enumerate(chains):
         if i in paired:
             continue
         partner = None
         for j in range(i + 1, len(chains)):
-            if j in paired:
+            if j in paired or ends[i] != ends[j]:
                 continue
-            cb = chains[j]
-            if ca["closed_at"] != cb["closed_at"] or ca["closed_at"] is None:
-                continue
-            gap = abs(ca["pts"][-1][1] - cb["pts"][-1][1])
-            span = abs(ca["pts"][-1][1] - ca["pts"][0][1]) + abs(cb["pts"][-1][1] - cb["pts"][0][1])
+            pb = chains[j][1]
+            gap = abs(pa[-1][1] - pb[-1][1])
+            span = abs(pa[-1][1] - pa[0][1]) + abs(pb[-1][1] - pb[0][1])
             if gap < max(0.6, 0.5 * span):
                 partner = j
                 break
         if partner is None:
-            families.append((ca["pts"][0][1], [("single", ca["pts"])]))
+            families.append((pa[0][1], [("single", pa)]))
             continue
-        cb = chains[partner]
+        pb = chains[partner][1]
         paired.add(partner)
-        lower, upper = (ca, cb) if ca["pts"][-1][1] <= cb["pts"][-1][1] else (cb, ca)
-        families.append((min(ca["pts"][0][1], cb["pts"][0][1]),
-                         [("lower", lower["pts"]), ("upper", upper["pts"])]))
+        lower, upper = (pa, pb) if pa[-1][1] <= pb[-1][1] else (pb, pa)
+        families.append((min(pa[0][1], pb[0][1]), [("lower", lower), ("upper", upper)]))
     families.sort(key=lambda f: f[0])
     return [branches for _, branches in families]

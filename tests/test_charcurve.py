@@ -348,14 +348,36 @@ class TestTraceCurve:
         assert calls["real"] <= 50
         assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 40
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP open item 3: at kappa 0 the first root moves ~0.093 in lambda2 per "
-        "0.5 step, beyond _chain_columns' 0.06 second-point window, so every column "
-        "starts a new chain and only the lambda1 = 3 point is returned"))
     def test_small_kappa_keeps_every_column(self):
         branches = trace_curve(0.0, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
         assert [b.branch_tag for b in branches] == ["single"]
         assert len(branches[0].points) == 6
+
+    def test_coarse_step_keeps_the_fold(self):
+        # a 1.5 step moves the upper branch by up to 0.22 in lambda2 per column:
+        # order and crossing sign still chain both branches to their fold
+        coarse = trace_curve(0.48, np.arange(0.5, 16.0, 1.5))
+        assert [(b.branch_tag, len(b.points)) for b in coarse] == [("lower", 5), ("upper", 5)]
+        fine = trace_curve(0.48, np.arange(0.5, 16.0, 0.05))
+        assert [b.branch_tag for b in fine] == ["lower", "upper"]
+        fold, ref = coarse[0].fold, fine[0].fold
+        assert fold.lambda1 == pytest.approx(ref.lambda1, abs=1e-8)
+        assert fold.lambda2 == pytest.approx(ref.lambda2, abs=1e-8)
+
+    @pytest.mark.parametrize("mode", range(1, 7))
+    @pytest.mark.parametrize("kappa", [0.45, 0.5])
+    def test_coarse_grid_agrees_with_fine_grid(self, kappa, mode):
+        # the README grid (step 0.25) against step 0.025 read at the same columns
+        fine_l1 = [(20 + i) / 40 for i in range(321)]
+        coarse_l1 = fine_l1[::10]
+        coarse = trace_curve(kappa, coarse_l1, mode_index=mode)
+        fine = trace_curve(kappa, fine_l1, mode_index=mode)
+        assert [b.branch_tag for b in coarse] == [b.branch_tag for b in fine]
+        for c, f in zip(coarse, fine):
+            kept = [p for p, _ in f.points if p.lambda1 in coarse_l1]
+            assert [p.lambda1 for p, _ in c.points] == [p.lambda1 for p in kept]
+            for (p, _), q in zip(c.points, kept):
+                assert p.lambda2 == pytest.approx(q.lambda2, rel=1e-12, abs=0.0)
 
     def test_higher_mode_branches_at_025(self):
         # some family above the first folds back even though the first-mode
@@ -491,16 +513,20 @@ class TestArrayScanAndBrent:
         hi = lambda2_max(kappa)
         columns = _scan_columns(fun, grid_l1, 1e-9, hi)
         assert len(columns) == len(grid_l1) and sum(map(len, columns)) > len(grid_l1)
-        for l1, roots in zip(grid_l1, columns):
+        for l1, column in zip(grid_l1, columns):
+            roots, signs = [r for r, _ in column], [s for _, s in column]
             ref = _scan_roots(lambda x: fun(l1, x), 1e-9, hi)
             assert len(roots) == len(ref) and roots == sorted(roots)
             for r, x in zip(roots, ref):
                 assert abs(r - x) <= 1e-14 + 8.9e-16 * abs(x)
+            # the sign of F above a root is the sign below the next one
+            assert set(signs) <= {-1.0, 1.0}
+            assert all(a == -b for a, b in zip(signs, signs[1:]))
         # trace_curve's points are these column roots
         for mode in (1, 2):
             for branch in trace_curve(kappa, grid_l1, mode_index=mode):
                 for p, _ in branch.points:
-                    assert p.lambda2 in columns[grid_l1.index(p.lambda1)]
+                    assert p.lambda2 in [r for r, _ in columns[grid_l1.index(p.lambda1)]]
 
     def test_scan_columns_bracket_rule(self):
         # x - p on [0, 2]: a root on a grid point, on the last point, inside
@@ -509,9 +535,15 @@ class TestArrayScanAndBrent:
         line = lambda p, x: x - p
         params = [float(xs[700]), 2.0, 0.3337, 5.0]
         columns = _scan_columns(line, params, 0.0, 2.0)
-        assert columns == [_scan_roots(lambda x: line(p, x), 0.0, 2.0) for p in params]
-        assert columns[:2] == [[xs[700]], [2.0]] and columns[3] == []
-        assert abs(columns[2][0] - 0.3337) <= 1e-14
+        roots = [[r for r, _ in column] for column in columns]
+        assert roots == [_scan_roots(lambda x: line(p, x), 0.0, 2.0) for p in params]
+        assert roots[:2] == [[xs[700]], [2.0]] and roots[3] == []
+        assert abs(roots[2][0] - 0.3337) <= 1e-14
+        # x - p is positive above its root: read at the next grid point, or
+        # as minus the value below an exact zero on the last point
+        assert [[s for _, s in column] for column in columns] == [[1.0], [1.0], [1.0], []]
+        falling = _scan_columns(lambda p, x: p - x, params, 0.0, 2.0)
+        assert [[s for _, s in column] for column in falling] == [[-1.0], [-1.0], [-1.0], []]
         assert _scan_columns(line, [], 0.0, 2.0) == []
 
     def test_batched_brent_iteration_cap(self):
