@@ -7,7 +7,6 @@ and post-buckling equilibrium shapes by shooting.
 from .charcurve import (
     BranchCurve,
     Wavenumbers,
-    char_f,
     char_partials,
     char_residual,
     eta_prime,
@@ -30,13 +29,12 @@ from .bvp import (
     tip_deflection,
 )
 from .model import LoadPoint, PhysicalRod, RodSetup, nondimensionalize
-from .modes import adjoint_kernel, linear_residual_L2, linear_residual_L4, mode_shape
+from .modes import adjoint_kernel, linear_residual_L4, mode_shape
 from .quadrature import DEFAULT_N, Grid
 from .reduction import ReductionCoefficients, Verdict, critical_chain, reduction_coefficients
 from .unfolding import (
     UnfoldingCoefficients,
     is_universal_unfolding,
-    psi,
     unfolding_coefficients,
     unfolding_determinant,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "Verdict",
     "Wavenumbers",
     "adjoint_kernel",
-    "char_f",
     "char_partials",
     "char_residual",
     "critical_chain",
@@ -66,13 +63,11 @@ __all__ = [
     "find_kappa_cr",
     "integrate",
     "is_universal_unfolding",
-    "linear_residual_L2",
     "linear_residual_L4",
     "linear_shooting_determinant",
     "mode_shape",
     "node_count",
     "nondimensionalize",
-    "psi",
     "reduction_coefficients",
     "residual_M2",
     "shoot",

@@ -304,21 +304,6 @@ def residual_M2(sol: BvpSolution) -> float:
     return float(np.max(np.abs(res[1:-1])))
 
 
-def closed_form_moment(sol: BvpSolution) -> np.ndarray:
-    """Bending moment recomputed from the constitutive closure, independently
-    of the integrated m: the deflection's second derivative is taken by
-    central differences of the sampled slope (endpoints copied inward).
-    """
-    setup, p = sol.setup, sol.load
-    th = sol.trajectory.theta
-    c, s = np.cos(th), np.sin(th)
-    ydd = _central_second_derivative(s, sol.trajectory.t[1] - sol.trajectory.t[0])
-    den = 1.0 + setup.kappa * (sol.trajectory.v * s - p.lambda2 * c)
-    curv = (setup.alpha1 * np.asarray(setup.rho0(sol.trajectory.t), dtype=float)
-            if setup.alpha1 else np.zeros_like(th))
-    return (ydd / c) * den + setup.kappa * p.lambda1 * sol.trajectory.y * c - curv
-
-
 def tip_deflection(sol: BvpSolution) -> float:
     return float(sol.trajectory.y[-1])
 
@@ -326,11 +311,6 @@ def tip_deflection(sol: BvpSolution) -> float:
 def node_count(sol: BvpSolution) -> int:
     """Interior sign changes of y' on (0, 1); 0 is first-mode-like."""
     return _sign_changes(np.sin(sol.trajectory.theta[1:-1]))
-
-
-def mode_node_count(yL, grid: Grid) -> int:
-    """Same morphology metric applied to a closed-form mode shape."""
-    return _sign_changes(yL.sample(grid, 1)[1:-1])
 
 
 def _sign_changes(samples: np.ndarray) -> int:

@@ -119,13 +119,6 @@ def char_residual(p: LoadPoint, kappa: float) -> float:
     return _residual(p.lambda1, p.lambda2, kappa)
 
 
-def char_f(p: LoadPoint, kappa: float) -> float:
-    """Full determinant f, including the sqrt(lambda1/(1-kappa*lambda2)) prefactor."""
-    l1, l2 = p.lambda1, p.lambda2
-    denom = _check_admissible(l1, l2, kappa)
-    return math.sqrt(l1 / denom) * _residual(l1, l2, kappa)
-
-
 def _residual(l1, l2, kappa: float):
     """F at one load point, or elementwise when lambda1 or lambda2 is an array;
     a complex scalar (a complex step) is admitted when its real part is.
@@ -408,6 +401,8 @@ def _touch_roots(fun, xs, vals, known, touch_gate):
 
 def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, which: int) -> float:
     """The which-th root in lambda_axis of the residual, the other load held at fixed."""
+    if which < 1:
+        raise InvalidInputError(f"root index must be at least 1, got {which}")
     if axis == 2:
         fun = lambda x: _residual(fixed, x, kappa)
     else:
@@ -586,6 +581,8 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     the lambda2-order of their lowest branch at its first column.  The fold
     of the returned family is refined from the midpoint of its branch ends.
     """
+    if mode_index < 1:
+        raise InvalidInputError(f"mode index must be at least 1, got {mode_index}")
     grid = [float(l1) for l1 in lambda1_grid]
     columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), grid, 1e-9, lambda2_max(kappa))
     families = _group_families(_chain_columns(grid, columns))

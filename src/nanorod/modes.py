@@ -1,4 +1,4 @@
-"""Closed-form buckling modes, adjoint kernels, and linearized-operator residuals.
+"""Closed-form buckling modes, adjoint kernels, and the linearized-operator residual.
 
 At a critical point (lambda01, lambda02) the linearized fourth-order operator
 
@@ -158,46 +158,6 @@ def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
         float(y(1.0, 3) * denom + (kappa * p.lambda1 + p.lambda2) * y(1.0, 1)),
     ]
     return float(np.max(np.abs(interior))), b
-
-
-def linear_residual_L2(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid) -> float:
-    """Sup-residual of the second-order integro-differential linearization."""
-    denom = 1.0 - kappa * p.lambda2
-    vals = y.sample(grid)
-    res = (y.sample(grid, 2)
-           - p.lambda1 / denom * (grid.i2(vals) - kappa * vals)
-           - p.lambda2 / denom * grid.i1(y.sample(grid, 1)))
-    return float(np.max(np.abs(res)))
-
-
-def adjoint_boundary_residuals(kernel: ClosedFormShape, grid: Grid) -> list[float]:
-    """Boundary-set residuals of an adjoint kernel.
-
-    Order 4: q(0), q'(0), q''(1), q'''(1) + l2/(1-k l2) q'(1).
-    Order 2: q(1), q'(1) + l2/(1-k l2) <1, q>,
-             q''(1) + l1/(1-k l2) (<t, q> - <1, q>),
-             q'''(1) + (k l1 + l2)/(1-k l2) q'(1) - l1/(1-k l2) <1, q>.
-    """
-    p, kappa = kernel.p0, kernel.kappa
-    denom = 1.0 - kappa * p.lambda2
-    if kernel.order == 4:
-        return [
-            float(kernel(0.0)),
-            float(kernel(0.0, 1)),
-            float(kernel(1.0, 2)),
-            float(kernel(1.0, 3) + p.lambda2 / denom * kernel(1.0, 1)),
-        ]
-    qv = kernel.sample(grid)
-    one = np.ones_like(grid.t)
-    q_1 = grid.inner(one, qv)
-    qt = grid.inner(grid.t, qv)
-    return [
-        float(kernel(1.0)),
-        float(kernel(1.0, 1) + p.lambda2 / denom * q_1),
-        float(kernel(1.0, 2) + p.lambda1 / denom * (qt - q_1)),
-        float(kernel(1.0, 3) + (kappa * p.lambda1 + p.lambda2) / denom * kernel(1.0, 1)
-              - p.lambda1 / denom * q_1),
-    ]
 
 
 def _mode_profile(yL: ClosedFormShape, grid: Grid):

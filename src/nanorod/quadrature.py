@@ -86,11 +86,6 @@ class Grid:
     def i2(self, z) -> np.ndarray:
         return self.cumint_right(self.cumint_right(z))
 
-    def i3(self, z, zdot) -> np.ndarray:
-        # polynomial kernel: no admissibility constraint on zdot here
-        zdot = self._check(zdot)
-        return self.cumint_right(zdot**2 * self.cumint_right(z))
-
     def j1(self, zdot) -> np.ndarray:
         zdot = self._slope(zdot)
         return self.cumint_right(np.sqrt(1.0 - zdot**2))

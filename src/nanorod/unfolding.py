@@ -3,7 +3,7 @@
 Shape (alpha1) and tip-load (alpha2) imperfections perturb the bifurcation
 equation into a two-parameter family
 
-    Psi(a, dl, alpha) = alpha1 d01 + alpha2 d02 + ...            (see psi())
+    Psi(a, dl, alpha) = alpha1 d01 + alpha2 d02 + ...
 
 whose universality hinges on det [[d01, d21], [d02, d22]] != 0 together with
 the nondegeneracy of the perfect-rod coefficients.  The d-constants are inner
@@ -48,15 +48,6 @@ class UnfoldingCoefficients:
     d38: float
     d39: float
     d310: float
-
-    # the (dl2)^3 row appears under two labels in the unfolding polynomial
-    @property
-    def d51(self) -> float:
-        return self.d39
-
-    @property
-    def d52(self) -> float:
-        return self.d310
 
 
 def unfolding_coefficients(
@@ -148,27 +139,3 @@ def is_universal_unfolding(rc: ReductionCoefficients, uc: UnfoldingCoefficients)
     if abs(det) <= DEGENERATE_TOL:
         reasons.append("determinant")
     return UnfoldingReport(universal=not reasons, determinant=det, reasons=tuple(reasons))
-
-
-def psi(uc: UnfoldingCoefficients, rc: ReductionCoefficients):
-    """Polynomial evaluator Psi(a, dl1, dl2, alpha1, alpha2) of the truncated
-    two-parameter unfolding; the higher-order remainder is dropped.
-    """
-
-    def evaluate(a, dl1, dl2, alpha1, alpha2):
-        return (
-            alpha1 * uc.d01 + alpha2 * uc.d02
-            + a * (alpha1 * alpha2 * uc.d11 + alpha2**2 * uc.d12)
-            + dl2 * (alpha1 * uc.d13 + alpha2 * uc.d14)
-            + a**2 * (alpha1 * uc.d21 + alpha2 * uc.d22)
-            + a * dl1 * rc.c11
-            + a * dl2 * (rc.c12 + alpha1 * alpha2 * uc.d23 + alpha2**2 * uc.d24)
-            + dl2**2 * (alpha1 * uc.d25 + alpha2 * uc.d26)
-            + a**3 * (rc.c3 + alpha1 * alpha2 * uc.d31 + alpha2**2 * uc.d32)
-            + a**2 * dl1 * (alpha1 * uc.d33 + alpha2 * uc.d34)
-            + a**2 * dl2 * (alpha1 * uc.d35 + alpha2 * uc.d36)
-            + a * dl2**2 * (rc.c13 + alpha1 * alpha2 * uc.d37 + alpha2**2 * uc.d38)
-            + dl2**3 * (alpha1 * uc.d39 + alpha2 * uc.d310)
-        )
-
-    return evaluate

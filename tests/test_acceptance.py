@@ -28,17 +28,13 @@ from nanorod.charcurve import (
     solve_lambda2,
 )
 from nanorod.model import LoadPoint
-from nanorod.modes import (
-    adjoint_boundary_residuals,
-    adjoint_kernel,
-    linear_residual_L4,
-    mode_shape,
-)
+from nanorod.modes import adjoint_kernel, linear_residual_L4, mode_shape
 from nanorod.quadrature import Grid
 from nanorod.reduction import Verdict, reduction_coefficients
 from nanorod.unfolding import is_universal_unfolding, unfolding_coefficients
 
 from conftest import fixture_curvature
+from oracles import adjoint_boundary_residuals
 
 GRID = Grid()
 

@@ -8,7 +8,6 @@ from nanorod.bvp import (
     SHOOT_TOL,
     BvpSolution,
     _make_rhs,
-    closed_form_moment,
     integrate,
     linear_shooting_determinant,
     node_count,
@@ -23,6 +22,7 @@ from nanorod.model import LoadPoint, RodSetup
 from nanorod.quadrature import Grid
 
 from conftest import critical_point, fixture_curvature
+from oracles import closed_form_moment
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,6 @@ from nanorod.charcurve import (
     _residual,
     _scan_columns,
     _scan_roots,
-    char_f,
     char_partials,
     char_residual,
     eta_prime,
@@ -84,8 +83,10 @@ class TestResidual:
         assert abs(res) < 5e-3 * max(scale, 1.0)
 
     def test_full_f_vanishes_at_zero_lambda1(self):
+        # the full determinant f = sqrt(lambda1/(1 - kappa lambda2)) F
         for l2, kappa in ((0.3, 0.25), (1.0, 0.45), (2.0, 0.0)):
-            assert char_f(LoadPoint(0.0, l2), kappa) == 0.0
+            f = math.sqrt(0.0 / (1.0 - kappa * l2)) * char_residual(LoadPoint(0.0, l2), kappa)
+            assert f == 0.0
 
     def test_euler_cantilever_limit(self):
         root = solve_lambda2(1e-8, 0.0, bracket=(1.0, 4.0))
@@ -235,6 +236,22 @@ class TestRootSolvers:
     def test_negative_kappa_rejected(self, call):
         with pytest.raises(InvalidInputError, match=r"kappa must be nonnegative, got -"):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_lambda2(10.0, 0.25, which=0),
+        lambda: solve_lambda2(10.0, 0.25, which=-1),
+        lambda: solve_lambda1(0.0, 0.25, which=0),
+        lambda: solve_lambda2(5.0, 0.45, bracket=(0.1, 0.5), which=0),
+    ], ids=["solve_lambda2_0", "solve_lambda2_-1", "solve_lambda1_0", "no_roots_0"])
+    def test_root_index_below_one_rejected(self, call):
+        # a Python index would wrap to the last roots instead
+        with pytest.raises(InvalidInputError, match=r"root index must be at least 1, got "):
+            call()
+
+    @pytest.mark.parametrize("mode_index", [0, -1])
+    def test_mode_index_below_one_rejected(self, mode_index):
+        with pytest.raises(InvalidInputError, match=r"mode index must be at least 1, got "):
+            trace_curve(0.45, [1.0, 1.5, 2.0], mode_index=mode_index)
 
 
 class TestFoldAndCritical:

@@ -4,18 +4,12 @@ import pytest
 from nanorod.charcurve import find_fold, solve_lambda2
 from nanorod.errors import DegenerateShapeError, DomainError
 from nanorod.model import LoadPoint
-from nanorod.modes import (
-    _mode_profile,
-    adjoint_boundary_residuals,
-    adjoint_kernel,
-    linear_residual_L2,
-    linear_residual_L4,
-    mode_shape,
-)
+from nanorod.modes import _mode_profile, adjoint_kernel, linear_residual_L4, mode_shape
 from nanorod.quadrature import Grid
 from nanorod.reduction import reduction_coefficients
 from nanorod.unfolding import unfolding_coefficients
 from conftest import critical_point, fixture_curvature
+from oracles import adjoint_boundary_residuals, i3, linear_residual_L2, mode_node_count
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +53,6 @@ class TestModeShape:
                 build()
 
     def test_branch_point_shape_second_mode_like(self, grid):
-        from nanorod.bvp import mode_node_count
         fold = find_fold(0.45, LoadPoint(8.3, 1.16))
         yL = mode_shape(fold, 0.45, grid)
         assert mode_node_count(yL, grid) == 1
@@ -220,7 +213,7 @@ class TestSampledPath:
         yL = mode_shape(p0, kappa, grid)
         held = _mode_profile(yL, grid)
         y, yd = yL(grid.t), yL(grid.t, 1)
-        expected = (y, yd, grid.i1(y), grid.i2(y), grid.i1(yd), grid.i3(y, yd), grid.i1(yd**2))
+        expected = (y, yd, grid.i1(y), grid.i2(y), grid.i1(yd), i3(grid, y, yd), grid.i1(yd**2))
         assert len(held) == len(expected)
         for arr, ref in zip(held, expected):
             assert np.array_equal(arr, ref)

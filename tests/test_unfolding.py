@@ -5,7 +5,6 @@ from nanorod.quadrature import Grid
 from nanorod.reduction import critical_chain, reduction_coefficients
 from nanorod.unfolding import (
     is_universal_unfolding,
-    psi,
     unfolding_coefficients,
     unfolding_determinant,
 )
@@ -41,7 +40,6 @@ class TestCoefficients:
         assert uc.d26 == 0.25**2 / x**2 * uc.d02
         assert uc.d39 == 0.25**3 / x**3 * uc.d01
         assert uc.d310 == 0.25**3 / x**3 * uc.d02
-        assert uc.d51 == uc.d39 and uc.d52 == uc.d310
 
     def test_grid_refinement_stability(self):
         vals = {}
@@ -140,23 +138,6 @@ class TestUniversality:
         uc_s = unfolding_coefficients(p0, 0.25, scaled, q, fixture_curvature, grid)
         assert is_universal_unfolding(rc_s, uc_s).universal == \
             is_universal_unfolding(rc, uc).universal
-
-
-class TestPsi:
-    def test_reduces_to_perfect_rod_polynomial(self, grid):
-        _, _, _, rc, uc = build_all(10.0, 0.25, 0.682732, grid)
-        surface = psi(uc, rc)
-        a, dl1 = 0.13, 0.05
-        dl2 = rc.eta_prime * dl1
-        expected = rc.c3 * a**3 + a * (rc.c11 * dl1 + rc.c12 * dl2 + rc.c13 * dl2**2)
-        assert surface(a, dl1, dl2, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_imperfection_breaks_symmetry(self, grid):
-        _, _, _, rc, uc = build_all(10.0, 0.25, 0.682732, grid)
-        surface = psi(uc, rc)
-        plus = surface(0.1, 0.02, 0.0, 0.01, 0.01)
-        minus = surface(-0.1, 0.02, 0.0, 0.01, 0.01)
-        assert plus != pytest.approx(-minus, rel=1e-6)
 
 
 def test_chain_work_gate(monkeypatch):
