@@ -50,6 +50,7 @@ DEFAULT_L2_CAP = 40.0  # scan ceiling for kappa = 0, where 1/kappa is no bound
 _TOUCH_REL = 1e-5      # |F| at a tangency, relative to the scan scale
 _CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
 _SCAN_XTOL, _SCAN_RTOL = 1e-14, 8.9e-16  # Brent stop for the roots of a scan
+_NO_INDEX = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -249,15 +250,17 @@ def _sign_brackets(vals):
     return np.flatnonzero(vals == 0.0), np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
 
 
-def _scan_roots(fun, lo, hi, touch_gate=None):
+def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     """All roots of fun on [lo, hi], sorted: sign-change roots, plus tangency
-    (double) roots when a touch gate is given.
+    (double) roots when a touch gate is given.  With a count, the first count
+    entries are those of the full list, bit for bit, and roots past them may
+    be missing.
 
     fun must evaluate elementwise on an array: the scan grid is evaluated
     in one call, and only the refinements evaluate point by point.  (One
-    column's dozen or so brackets take 0.5-0.7 ms in scalar _brentq and
-    1.9-3.2 ms in _brentq_batch, whose ~15 array calls each carry ~60 us
-    of fixed numpy cost; batching pays only across many columns, see
+    bracket takes ~8 scalar calls, ~20 us, in _brentq, against ~180 us for
+    the scan; _brentq_batch's ~15 array calls carry ~60 us of fixed numpy
+    cost each, so batching pays only across many columns, see
     _scan_columns.)  With a touch gate, fun must also accept a complex
     scalar: its derivative is taken by complex step.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
@@ -266,14 +269,29 @@ def _scan_roots(fun, lo, hi, touch_gate=None):
     against the caller-supplied gate ``touch_gate(x)`` (used to admit
     residuals explained by the finite printing precision of the transverse
     load parameter).
+    A count refines only what the first count roots depend on.  Exact zeros
+    and brackets are ordered by grid position (2j for an exact zero at
+    xs[j], 2i + 1 for the bracket [xs[i], xs[i + 1]]), and the count-th of
+    them is the cut: no root past it can come first.  A touch candidate at
+    xs[i] is refined when its root, in [xs[i - 1], xs[i + 1]], can lie at
+    or below the cut, together with every sign root within 16 steps of it,
+    the ones its de-duplication is checked against.  With fewer than count
+    sign roots, everything is refined.
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
     vals = _bulk(fun, xs)
     exact, brackets = _sign_brackets(vals)
+    touch = _touch_candidates(vals) if touch_gate is not None else _NO_INDEX
+    if count is not None and exact.size + brackets.size >= count:
+        cut = np.sort(np.concatenate((2 * exact, 2 * brackets + 1)))[count - 1]
+        touch = touch[touch - 1 <= (cut + 1) // 2]  # the cut root is at or below xs[(cut + 1) // 2]
+        if touch.size:
+            cut = max(cut, 2 * (touch[-1] + 16) + 1)
+        exact, brackets = exact[2 * exact <= cut], brackets[2 * brackets + 1 <= cut]
     roots = [xs[i] for i in exact]
     roots += [_brentq(fun, xs[i], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL) for i in brackets]
-    if touch_gate is not None:
-        roots.extend(_touch_roots(fun, xs, vals, roots, touch_gate))
+    if touch.size:
+        roots.extend(_touch_roots(fun, xs, vals, roots, touch_gate, touch))
     roots.sort()
     return roots
 
@@ -371,22 +389,29 @@ def _lanes(count: int) -> int:
     return 1 << (count - 1).bit_length()
 
 
-def _touch_roots(fun, xs, vals, known, touch_gate):
-    """Local |fun| minima that are numerically double roots."""
+def _touch_candidates(vals):
+    """Grid indices of the local |vals| minima that may be double roots:
+    small against the scan scale, with no sign change on either side (a
+    genuine sign change is already refined)."""
     absv = np.abs(vals)
-    scale = float(np.max(absv))
+    scale = absv.max()
     if scale == 0.0:
-        return []
-    touches = []
+        return _NO_INDEX
     mid = absv[1:-1]
     candidates = (
         (mid <= absv[:-2]) & (mid <= absv[2:]) & (mid <= 1e-3 * scale)
-        # a genuine sign change on either side is already refined
         & ~(vals[:-2] * vals[1:-1] < 0.0) & ~(vals[1:-1] * vals[2:] < 0.0)
     )
+    return np.flatnonzero(candidates) + 1
+
+
+def _touch_roots(fun, xs, vals, known, touch_gate, candidates):
+    """The candidates (see _touch_candidates) that are numerically double roots."""
+    scale = float(np.max(np.abs(vals)))
+    touches = []
     step = xs[1] - xs[0]
     slope = lambda x: _derivative(fun, x)
-    for i in np.flatnonzero(candidates) + 1:
+    for i in candidates:
         try:
             x = _brentq(slope, xs[i - 1], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL)
         except RootNotFoundError:  # fun' keeps its sign: no stationary point here
@@ -415,7 +440,7 @@ def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, whi
         dk = _kappa_partial(l1, l2, kappa)
         return 1e-5 * (abs(d_fixed) * max(1.0, abs(fixed)) + abs(dk) * max(1.0, kappa))
 
-    roots = _scan_roots(fun, lo, hi, touch_gate=gate)
+    roots = _scan_roots(fun, lo, hi, touch_gate=gate, count=which)
     if len(roots) < which:
         raise RootNotFoundError(
             f"only {len(roots)} lambda{axis} root(s) on [{lo}, {hi}] at "

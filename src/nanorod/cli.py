@@ -89,25 +89,28 @@ def _load_config(path):
     return cfg
 
 
-def _apply_config(args):
-    """Fill n, format and out from the config file where the command line left
-    them at their defaults; values are checked as on the command line."""
-    cfg = _load_config(args.config)
+def _resolve_common(args):
+    """Fill n, format and out where the command line left them unset: from
+    the config file when one is given, else from the defaults.  Config values
+    are checked as on the command line, whether or not they are used."""
+    cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - {"n", "format", "out"})
     if unknown:
         raise _UsageError(f"config file {args.config}: unknown key(s) {', '.join(unknown)}")
-    if "n" in cfg and args.n == DEFAULT_N:
-        try:
-            args.n = _grid_size(cfg["n"])
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"config file {args.config}: {exc}") from None
-    if "format" in cfg and args.format == "csv":
-        if cfg["format"] not in FORMATS:
-            raise _UsageError(f"config file {args.config}: format must be one of "
-                              f"{', '.join(FORMATS)}, got {cfg['format']!r}")
-        args.format = cfg["format"]
-    if "out" in cfg and not args.out:
-        args.out = cfg["out"]
+    try:
+        n = _grid_size(cfg["n"]) if "n" in cfg else DEFAULT_N
+    except argparse.ArgumentTypeError as exc:
+        raise _UsageError(f"config file {args.config}: {exc}") from None
+    form = cfg.get("format", "csv")
+    if form not in FORMATS:
+        raise _UsageError(f"config file {args.config}: format must be one of "
+                          f"{', '.join(FORMATS)}, got {form!r}")
+    if args.n is None:
+        args.n = n
+    if args.format is None:
+        args.format = form
+    if args.out is None:
+        args.out = cfg.get("out")
 
 
 def _positive_int(text):
@@ -377,8 +380,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--n", type=_grid_size, default=DEFAULT_N, help="grid size (even)")
-        p.add_argument("--format", choices=FORMATS, default="csv")
+        # no defaults: an option given on the command line beats the config
+        # file even at its default value, so unset must be told apart
+        p.add_argument("--n", type=_grid_size, help="grid size (even)")
+        p.add_argument("--format", choices=FORMATS)
         p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("curve", help="interaction-curve sweep")
@@ -459,8 +464,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        if args.config:
-            _apply_config(args)
+        _resolve_common(args)
         _check_finite(args)
         return args.func(args)
     except _UsageError as exc:

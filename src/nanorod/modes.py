@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charcurve import char_residual, wavenumbers
+from .charcurve import char_residual, lambda2_max, wavenumbers
 from .errors import DegenerateShapeError, DomainError
 from .model import LoadPoint
 from .quadrature import Grid
@@ -91,7 +91,10 @@ def _basis(r1: float, r2: float, t):
 def _critical_wavenumbers(p0: LoadPoint, kappa: float) -> tuple[float, float]:
     """Wavenumbers at p0, once p0 is verified to lie on the interaction curve."""
     res = char_residual(p0, kappa)
-    scale = max(abs(char_residual(LoadPoint(p0.lambda1, p0.lambda2 + 0.05), kappa)), 1.0)
+    probe, top = p0.lambda2 + 0.05, lambda2_max(kappa)
+    if probe >= top:  # p0 within 0.05 of 1/kappa: probe inside the admissible range
+        probe = 0.5 * (p0.lambda2 + top)
+    scale = max(abs(char_residual(LoadPoint(p0.lambda1, probe), kappa)), 1.0)
     if abs(res) > CRITICAL_TOL * scale:
         raise DomainError(
             f"({p0.lambda1}, {p0.lambda2}) is not a critical point: residual {res:.3e}"

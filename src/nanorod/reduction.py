@@ -91,21 +91,25 @@ def reduction_coefficients(
     yv, yd, i1y, i2y, i1yd, i3y, _ = _mode_profile(yL, grid)
     qv = q.sample(grid)
 
-    a_term = i2y - kappa * yv
-    mixed = grid.inner(l1 * a_term + l2 * i1yd, qv)
+    def build():
+        a_term = i2y - kappa * yv
+        cubic = 0.5 * (
+            (l1 * (i3y + yd**2 * (i2y - 2.0 * kappa * yv)) + l2 * yd**2 * i1yd) / x
+            + kappa / x**2 * (
+                2.0 * l1**2 * yd * i1y * a_term
+                + l1 * l2 * yd * (yd * a_term + 2.0 * i1y * i1yd)
+                + l2**2 * yd**2 * i1yd
+            )
+        )
+        return a_term, l1 * a_term + l2 * i1yd, cubic
+
+    # independent of q: the q2 and q4 reductions at one point share them
+    a_term, mixed_term, cubic = grid.memo("reduction integrands", (yL, l1, l2, kappa), build)
+    mixed = grid.inner(mixed_term, qv)
 
     c11 = -grid.inner(a_term, qv) / x
     c12 = -grid.inner(i1yd, qv) / x - kappa / x**2 * mixed
     c13 = kappa**2 / x**3 * mixed
-
-    cubic = 0.5 * (
-        (l1 * (i3y + yd**2 * (i2y - 2.0 * kappa * yv)) + l2 * yd**2 * i1yd) / x
-        + kappa / x**2 * (
-            2.0 * l1**2 * yd * i1y * a_term
-            + l1 * l2 * yd * (yd * a_term + 2.0 * i1y * i1yd)
-            + l2**2 * yd**2 * i1yd
-        )
-    )
     c3 = grid.inner(cubic, qv)
 
     try:

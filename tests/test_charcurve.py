@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nanorod import charcurve
 from nanorod.bvp import linear_shooting_determinant
@@ -29,6 +31,7 @@ from nanorod.errors import (
     DegeneratePointError,
     DomainError,
     InvalidInputError,
+    NanorodError,
     NoFoldError,
     RootNotFoundError,
     SingularDenominatorError,
@@ -576,3 +579,46 @@ class TestArrayScanAndBrent:
         f = lambda x: _residual(x, 0.0, 0.25)
         ref = _reference_scan(f, 1e-6, 60.0)
         assert ref and _scan_roots(f, 1e-6, 60.0) == ref
+
+
+def _outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except NanorodError as exc:
+        return type(exc), str(exc)
+
+
+def _full_scan(fun, lo, hi, touch_gate=None, count=None):
+    return _scan_roots(fun, lo, hi, touch_gate=touch_gate)
+
+
+# kappa = 0, the whole range, and around kappa_cr (0.375325), where tangencies
+# live; below 0.01 the scan reaches past lambda2 = 100, where F oscillates
+# faster than the grid and a full scan refines hundreds of noise brackets
+_KAPPAS = st.one_of(st.just(0.0), st.floats(0.01, 0.6), st.floats(0.37, 0.38))
+_WHICH = st.integers(1, 12)
+
+
+class TestLazyPointQuery:
+    """A point query refines only what its root depends on; its answer is the
+    which-th root of the full scan, bit for bit, or the same error."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(kappa=_KAPPAS, l1=st.floats(0.0, 40.0), which=_WHICH)
+    @example(kappa=0.375325, l1=29.145, which=1)
+    @example(kappa=0.45, l1=5.0, which=5)
+    @example(kappa=0.45, l1=8.29796, which=1)  # an accepted tangency (the fold) below the cut
+    @example(kappa=0.5, l1=5.87007, which=2)
+    def test_lambda2_query_is_the_full_scan_root(self, kappa, l1, which):
+        got = _outcome(solve_lambda2, l1, kappa, which=which)
+        with mock.patch.object(charcurve, "_scan_roots", _full_scan):
+            assert got == _outcome(solve_lambda2, l1, kappa, which=which)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(kappa=_KAPPAS, l2=st.floats(0.0, 1.5), which=st.integers(1, 4))
+    @example(kappa=0.375325, l2=0.0, which=1)  # an accepted tangency
+    @example(kappa=0.375325, l2=0.0, which=2)
+    def test_lambda1_query_is_the_full_scan_root(self, kappa, l2, which):
+        got = _outcome(solve_lambda1, l2, kappa, which=which)
+        with mock.patch.object(charcurve, "_scan_roots", _full_scan):
+            assert got == _outcome(solve_lambda1, l2, kappa, which=which)

@@ -137,6 +137,27 @@ def test_config_file(tmp_path):
     assert json.loads(out_file.read_text())["meta"]["command"] == "mode"
 
 
+@pytest.mark.parametrize("cfg_text, option, first_line, rows", [
+    ("n = 1024\n", [], "t,y", 1025),                       # unset: the file's value
+    ("n = 1024\n", ["--n", "4096"], "t,y", 4097),          # given at the default value
+    ("format = json\n", ["--format", "csv"], "t,y", 4097),
+], ids=["unset-n-from-file", "n-at-default", "format-at-default"])
+def test_explicit_option_beats_config(tmp_path, cfg_text, option, first_line, rows):
+    cfg = _write(tmp_path / "run.cfg", cfg_text)
+    code, out = run_cli(["--config", cfg, "mode", "--kappa", "0.25", "--l1", "10"] + option)
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[0] == first_line and len(lines) == rows + 1
+
+
+def test_mode_at_root_next_to_the_singularity(capsys):
+    # lambda2 = 2.177271 lies within 0.05 of 1/kappa = 2.2222: the critical-point
+    # scale is probed inside the admissible range
+    code, out = run_cli(["mode", "--kappa", "0.45", "--l1", "5", "--which", "5", "--n", "256"])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(out.splitlines()) == 258
+
+
 def test_postbuckle_trivial_regime_straight_table(tmp_path):
     out_file = tmp_path / "trivial.json"
     code, _ = run_cli(["postbuckle", "--kappa", "0.25", "--l1", "10", "--dl1", "-0.3",

@@ -40,6 +40,19 @@ class TestModeShape:
         assert interior < 1e-6
         assert max(abs(b) for b in boundary) < 1e-8
 
+    def test_root_within_probe_step_of_singularity(self, grid):
+        # the 5th root at kappa 0.45, lambda1 5 lies 0.045 under 1/kappa, so the
+        # scale probe at lambda2 + 0.05 would be inadmissible
+        kappa = 0.45
+        p0 = LoadPoint(5.0, solve_lambda2(5.0, kappa, which=5))
+        assert 1.0 / kappa - 0.05 < p0.lambda2 < 1.0 / kappa
+        yL = mode_shape(p0, kappa, grid)
+        interior, boundary = linear_residual_L4(yL, p0, kappa, grid)
+        assert interior < 1e-9
+        assert max(abs(b) for b in boundary) < 1e-11
+        for order in (2, 4):
+            adjoint_kernel(order, p0, kappa, grid)
+
     def test_rejects_noncritical_point(self, grid):
         with pytest.raises(DomainError):
             mode_shape(LoadPoint(10.0, 0.5), 0.25, grid)

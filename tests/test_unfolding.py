@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from nanorod import modes
+from nanorod import charcurve, modes
 from nanorod.quadrature import Grid
 from nanorod.reduction import critical_chain, reduction_coefficients
 from nanorod.unfolding import (
@@ -168,3 +169,48 @@ def test_chain_work_gate(monkeypatch):
     reduction_coefficients(p0, kappa, yL, q4, grid)
     unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
     assert counts == {"cumint": 5, "basis": 1}
+
+
+def test_chain_builds_each_memo_slot_once(monkeypatch):
+    # the q2 and q4 reductions share the q-independent integrands: one build
+    # of each slot for the whole mode -> q2 -> q4 -> rc2 -> rc4 -> unfold chain
+    kappa = 0.25
+    p0 = critical_point(10.0, kappa, near=0.682732)
+    grid = Grid()
+    builds = {}
+    memo = Grid.memo
+
+    def counted_memo(self, slot, key, build):
+        def counted_build():
+            builds[slot] = builds.get(slot, 0) + 1
+            return build()
+        return memo(self, slot, key, counted_build)
+
+    monkeypatch.setattr(Grid, "memo", counted_memo)
+    yL = modes.mode_shape(p0, kappa, grid)
+    q2 = modes.adjoint_kernel(2, p0, kappa, grid)
+    q4 = modes.adjoint_kernel(4, p0, kappa, grid)
+    reduction_coefficients(p0, kappa, yL, q2, grid)
+    reduction_coefficients(p0, kappa, yL, q4, grid)
+    unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
+    assert builds == {"basis": 1, "mode profile": 1, "reduction integrands": 1}
+
+
+@pytest.mark.parametrize("kappa, l1, which", [
+    (0.25, 10.0, 1), (0.45, 5.0, 1), (0.45, 5.0, 2), (0.25, 16.713078901585753, 1),
+])
+def test_point_query_work_gate(kappa, l1, which, monkeypatch):
+    # a chain's critical point refines only the brackets and tangency candidates
+    # its root depends on: 6-12 scalar residual calls after the one array scan
+    # (117-158 when every bracket of the scan was refined)
+    calls = {"array": 0, "scalar": 0}
+    residual = charcurve._residual
+
+    def counted(l1, l2, k):
+        calls["array" if isinstance(l1 + l2 + k, np.ndarray) else "scalar"] += 1
+        return residual(l1, l2, k)
+
+    monkeypatch.setattr(charcurve, "_residual", counted)
+    charcurve.solve_lambda2(l1, kappa, which=which)
+    assert calls["array"] == 1
+    assert calls["scalar"] <= 16
