@@ -73,9 +73,11 @@ def lambda2_max(kappa: float) -> float:
 # for a complex step.  The real paths clamp s - half at 0 against roundoff
 # (-5e-171 at lambda1 = 0, lambda2 = 1e-170); a clamp would cut a complex step.
 _SCALAR_OPS = SimpleNamespace(sqrt=math.sqrt, cos=math.cos, cosh=math.cosh,
-                              sin=math.sin, sinh=math.sinh, maximum=max)
+                              sin=math.sin, sinh=math.sinh, maximum=max,
+                              atan=math.atan, tanh=math.tanh, hypot=math.hypot)
 _ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, cos=np.cos, cosh=np.cosh,
-                             sin=np.sin, sinh=np.sinh, maximum=np.maximum)
+                             sin=np.sin, sinh=np.sinh, maximum=np.maximum,
+                             atan=np.arctan, tanh=np.tanh, hypot=np.hypot)
 _COMPLEX_OPS = SimpleNamespace(sqrt=cmath.sqrt, cos=cmath.cos, cosh=cmath.cosh,
                                sin=cmath.sin, sinh=cmath.sinh, maximum=lambda z, _: z)
 
@@ -120,11 +122,9 @@ def char_residual(p: LoadPoint, kappa: float) -> float:
     return _residual(p.lambda1, p.lambda2, kappa)
 
 
-def _residual(l1, l2, kappa: float):
-    """F at one load point, or elementwise when lambda1 or lambda2 is an array;
-    a complex scalar (a complex step) is admitted when its real part is.
-    At one point, a load so large that a wavenumber overflows raises
-    DomainError; an array holds inf or nan there (see _bulk)."""
+def _coefficients(l1, l2, kappa):
+    """(ops, A, B, C, r1, r2) with F = A + B cos(r1) cosh(r2) - C sin(r1) sinh(r2),
+    where ops holds the elementwise functions that suit the arguments."""
     # one type test of the sum: a test per argument adds ~10% to a real call
     probe = l1 + l2 + kappa
     if isinstance(probe, np.ndarray):
@@ -136,19 +136,35 @@ def _residual(l1, l2, kappa: float):
         ops, denom = _SCALAR_OPS, _check_admissible(l1, l2, kappa)
     r1, r2 = _wavenumbers(l1, l2, kappa, denom, ops)
     pref = ops.sqrt(l1 / denom)
+    return (ops,
+            2.0 * l1 + kappa * l1 * (kappa * l1 - l2),
+            2.0 * l1 + l2 * l2 - kappa * l1 * l2,
+            pref * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2)),
+            r1, r2)
+
+
+def _residual(l1, l2, kappa: float):
+    """F at one load point, or elementwise when lambda1 or lambda2 is an array;
+    a complex scalar (a complex step) is admitted when its real part is.
+    At one point, a load so large that a wavenumber overflows raises
+    DomainError; an array holds inf or nan there (see _bulk)."""
+    ops, a, b, c, r1, r2 = _coefficients(l1, l2, kappa)
     try:
-        return (
-            2.0 * l1
-            + kappa * l1 * (kappa * l1 - l2)
-            + (2.0 * l1 + l2 * l2 - kappa * l1 * l2) * ops.cos(r1) * ops.cosh(r2)
-            - pref
-            * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
-            * ops.sin(r1)
-            * ops.sinh(r2)
-        )
+        return a + b * ops.cos(r1) * ops.cosh(r2) - c * ops.sin(r1) * ops.sinh(r2)
     except (ValueError, OverflowError):  # math or cmath met an infinite wavenumber
         raise DomainError(f"the residual overflows at lambda1 = {l1.real}, "
                           f"lambda2 = {l2.real}: load too large") from None
+
+
+def _phase(l1, l2, kappa: float):
+    """(phi, A, rho) at real load points, with F = A + rho cos(phi):
+    phi = r1 + atan(C tanh(r2) / B) and rho = hypot(B cosh(r2), C sinh(r2)), a
+    Pruefer-type phase (Pruefer 1926; Greenberg & Marletta 1995).  Admissible
+    points with lambda1 > 0 have A > 0 and B > 0, so phi is single-valued and
+    a root (cos phi = -A/rho < 0) has phi within pi/2 of (2K - 1) pi, where
+    K = round(phi / 2 pi + 1/2) is its family."""
+    ops, a, b, c, r1, r2 = _coefficients(l1, l2, kappa)
+    return r1 + ops.atan(c * ops.tanh(r2) / b), a, ops.hypot(b * ops.cosh(r2), c * ops.sinh(r2))
 
 
 def _derivative(f, x):
@@ -595,25 +611,41 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
 
     All residual roots in lambda2 are found per grid column (each column
     scanned in one array call, the brackets of all columns refined
-    together) with the sign of F just above each.  Roots of neighbouring
-    columns chain into one branch when they are neighbours in lambda2 order
-    and share that sign: away from a fold the curves keep both, so no
-    distance window enters.  Two branches that end at the same
-    column form one family (tags lower/upper) when their end gap is under
-    max(0.6, half their summed lambda2 spans), because branches that leave
-    the grid before their fold cannot be told from unrelated ends column by
-    column; a branch that ends alone stays single.  Families are numbered by
-    the lambda2-order of their lowest branch at its first column.  The fold
-    of the returned family is refined from the midpoint of its branch ends.
+    together) with the sign of F just above each.  Every root is labelled
+    on its own, with no reference to another column: its family
+    K = round(phi / 2 pi + 1/2) from the phase (see _phase), and its side,
+    lower where F is negative just above it and upper where F is positive.
+    A branch is the roots of one label, in column order.  The two sides of
+    a family form one folded family (tags lower/upper) iff its lower side
+    never reaches the lambda2 = 0 axis, that is iff F(lambda1, 0) has no
+    root of that family (for K = 1, iff kappa > kappa_cr); otherwise each
+    side is a family of its own (tag single).  Families are numbered in
+    (K, side) order among those with a root on the grid, a folded family
+    counting once.  The fold of the returned family is refined from the
+    midpoint of its branch ends; when that refinement fails, fold is None.
     """
     if mode_index < 1:
         raise InvalidInputError(f"mode index must be at least 1, got {mode_index}")
     grid = [float(l1) for l1 in lambda1_grid]
     columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), grid, 1e-9, lambda2_max(kappa))
-    families = _group_families(_chain_columns(grid, columns))
-    if len(families) < mode_index:
+    roots = [(l1, x, above) for l1, column in zip(grid, columns) for x, above in column]
+    l1s, l2s = np.array([r[0] for r in roots]), np.array([r[1] for r in roots])
+    families = np.rint(_phase(l1s, l2s, kappa)[0] / (2.0 * math.pi) + 0.5).astype(int)
+    sides = {}  # (K, sign of F above) -> [(lambda1, lambda2)] in column order
+    for (l1, x, above), k in zip(roots, families.tolist()):
+        sides.setdefault((k, above), []).append((l1, x))
+    units = []
+    for k in sorted({k for k, _ in sides}):
+        lower, upper = sides.get((k, -1.0)), sides.get((k, 1.0))
+        if lower and upper and not _axis_has_root(kappa, k):
+            units.append([("lower", lower), ("upper", upper)])
+        else:
+            units += [[("single", pts)] for pts in (lower, upper) if pts]
+        if len(units) >= mode_index:
+            break
+    if len(units) < mode_index:
         return []
-    branches = families[mode_index - 1]
+    branches = units[mode_index - 1]
     fold = None
     if len(branches) == 2:
         (_, lower), (_, upper) = branches
@@ -630,70 +662,31 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     ]
 
 
-def _chain_columns(grid, columns):
-    """Chain per-column (root, sign above) pairs into curves, each a
-    (first column, [(lambda1, lambda2), ...]) pair with one point per column.
-
-    Away from a fold the zero set of F is a set of disjoint curves, so from
-    one column to the next they keep their lambda2 order and the sign of F
-    just above them.  Merged in lambda2 order, a root of the previous column
-    and a root of this one that are neighbours and share that sign lie on
-    one curve while no curve moves past a neighbour's previous lambda2 (a
-    coarse step can break chains in the dense roots just under 1/kappa);
-    signs alternate along a column, so a root has at most one such
-    neighbour.  Every other root ends or starts a chain.
-    """
-    chains, tails = [], []  # tails: (lambda2, sign above, chain) in the previous column
-    for ci, (l1, roots) in enumerate(zip(grid, columns)):
-        merged = sorted(tails + [(x, s, None) for x, s in roots], key=lambda r: r[0])
-        continued = {}  # lambda2 of a root here -> the chain it continues
-        for a, b in zip(merged, merged[1:]):
-            if a[1] == b[1] and (a[2] is None) != (b[2] is None):
-                old, new = (a, b) if b[2] is None else (b, a)
-                continued[new[0]] = old[2]
-        tails = []
-        for x, s in roots:
-            chain = continued.get(x)
-            if chain is None:
-                chain = (ci, [])
-                chains.append(chain)
-            chain[1].append((l1, x))
-            tails.append((x, s, chain))
-    return chains
-
-
-def _group_families(chains):
-    """Pair branches that die at the same column with nearby endpoints (folds).
-
-    Two chains that end together stay one family when their end gap is under
-    max(0.6, half their summed lambda2 spans): branches that both leave the
-    grid before their fold look, column by column, like two unrelated ends.
-    Returns the families in lambda2 order, each a list of (tag, points):
-    [("single", pts)] or [("lower", pts), ("upper", pts)].
-    """
-    chains = sorted(chains, key=lambda c: (c[0], c[1][0][1]))
-    ends = [start + len(pts) for start, pts in chains]
-    families = []
-    paired = set()
-    for i, (_, pa) in enumerate(chains):
-        if i in paired:
-            continue
-        partner = None
-        for j in range(i + 1, len(chains)):
-            if j in paired or ends[i] != ends[j]:
-                continue
-            pb = chains[j][1]
-            gap = abs(pa[-1][1] - pb[-1][1])
-            span = abs(pa[-1][1] - pa[0][1]) + abs(pb[-1][1] - pb[0][1])
-            if gap < max(0.6, 0.5 * span):
-                partner = j
-                break
-        if partner is None:
-            families.append((pa[0][1], [("single", pa)]))
-            continue
-        pb = chains[partner][1]
-        paired.add(partner)
-        lower, upper = (pa, pb) if pa[-1][1] <= pb[-1][1] else (pb, pa)
-        families.append((min(pa[0][1], pb[0][1]), [("lower", lower), ("upper", upper)]))
-    families.sort(key=lambda f: f[0])
-    return [branches for _, branches in families]
+def _axis_has_root(kappa: float, family: int) -> bool:
+    """Whether F(lambda1, 0) has a root of the family K: phi grows with lambda1
+    along the axis, so F is sampled where phi is within pi/2 of (2K - 1) pi.
+    Unless a sample is at or below zero, the stationary point of F next to
+    the lowest sample (Brent on the exact dF/dlambda1) decides, so a double
+    root (at kappa_cr for K = 1) is resolved to roundoff, not to the spacing.
+    Where cosh(r2) overflows (kappa < 2e-6, far families), A/rho is ~0 and
+    the family has axis roots."""
+    phi = lambda x: _phase(x, 0.0, kappa)[0]
+    axis = lambda x: _residual(x, 0.0, kappa)
+    try:
+        ends = []
+        for level in ((2 * family - 1.5) * math.pi, (2 * family - 0.5) * math.pi):
+            lo, hi = 1e-9, 1.0
+            while phi(hi) < level:
+                lo, hi = hi, 2.0 * hi
+            ends.append(_brentq(lambda x: phi(x) - level, lo, hi))
+        xs = np.linspace(ends[0], ends[1], 65)
+        vals = _bulk(axis, xs)
+    except (OverflowError, DomainError):
+        return True
+    i = int(np.argmin(vals))
+    if vals[i] > 0.0 and 0 < i < xs.size - 1:
+        try:
+            return axis(_brentq(lambda x: _derivative(axis, x), xs[i - 1], xs[i + 1])) <= 0.0
+        except RootNotFoundError:  # dF/dlambda1 keeps its sign: the lowest sample is the minimum
+            pass
+    return bool(vals[i] <= 0.0)

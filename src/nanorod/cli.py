@@ -38,6 +38,7 @@ EXIT_CONVERGENCE = 3
 FORMATS = ("csv", "json")
 KERNEL_ORDERS = {"q2": 2, "q4": 4}
 MAX_RANGE_POINTS = 10_000  # the README grid has 33
+MAX_GRID_N = 16 * DEFAULT_N  # 65,536 intervals; a grid holds arrays of n + 1 floats
 
 _CONVERGENCE_ERRORS = (NoFoldError, NoConvergenceError, AmplitudeSeedError)
 
@@ -127,6 +128,8 @@ def _grid_size(text):
     n = _positive_int(text)
     if n % 2:
         raise argparse.ArgumentTypeError(f"grid size must be even, got {n}")
+    if n > MAX_GRID_N:
+        raise argparse.ArgumentTypeError(f"grid size must be at most {MAX_GRID_N}, got {n}")
     return n
 
 

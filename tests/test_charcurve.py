@@ -11,7 +11,9 @@ from nanorod.charcurve import (
     SCAN_PANELS,
     _brentq,
     _brentq_batch,
+    _coefficients,
     _kappa_partial,
+    _phase,
     _residual,
     _scan_columns,
     _scan_roots,
@@ -107,6 +109,56 @@ def _mp_residual(l1, l2, kappa):
             + (2 * l1 + l2 * l2 - kappa * l1 * l2) * mp.cos(r1) * mp.cosh(r2)
             - mp.sqrt(l1 / d) * (l2 - kappa * (l1 - kappa * l1 * l2 + l2 * l2))
             * mp.sin(r1) * mp.sinh(r2))
+
+
+class TestPhase:
+    """F = A + rho cos(phi), and the family index K = round(phi / 2 pi + 1/2)."""
+
+    KAPPAS = [0.0] + np.random.default_rng(2026).uniform(0.0, 1.0, 6).tolist()
+
+    @pytest.mark.parametrize("kappa", KAPPAS)
+    def test_amplitude_phase_form(self, kappa):
+        rng = np.random.default_rng(int(kappa * 1e6))
+        l1 = rng.uniform(1e-6, 60.0, 500)
+        l2 = rng.uniform(0.0, lambda2_max(kappa), 500)
+        phi, a, rho = _phase(l1, l2, kappa)
+        tol = 8.0 * np.finfo(float).eps * (a + rho) * (1.0 + np.abs(phi))
+        assert (np.abs(_residual(l1, l2, kappa) - (a + rho * np.cos(phi))) <= tol).all()
+        # A > 0 and B > 0 keep phi single-valued: no unwrapping
+        assert (a > 0.0).all() and (_coefficients(l1, l2, kappa)[2] > 0.0).all()
+
+    @pytest.mark.parametrize("l1,l2,kappa", [
+        (10.0, 0.682732, 0.25), (8.29796, 1.15665, 0.45), (29.145, 0.0, 0.375325),
+        (3.0, 21.7, 0.0), (5.0, 2.2175, 0.45),
+    ])
+    def test_matches_mpmath(self, l1, l2, kappa):
+        import mpmath as mp
+        with mp.workdps(40):
+            l1m, l2m, km = mp.mpf(l1), mp.mpf(l2), mp.mpf(kappa)
+            d = 1 - km * l2m
+            half = (km * l1m + l2m) / (2 * d)
+            s = mp.sqrt(l1m / d + half * half)
+            r1, r2 = mp.sqrt(s + half), mp.sqrt(s - half)
+            a = 2 * l1m + km * l1m * (km * l1m - l2m)
+            b = 2 * l1m + l2m * l2m - km * l1m * l2m
+            c = mp.sqrt(l1m / d) * (l2m - km * (l1m - km * l1m * l2m + l2m * l2m))
+            ref = (r1 + mp.atan(c * mp.tanh(r2) / b), a, mp.hypot(b * mp.cosh(r2), c * mp.sinh(r2)))
+        for got, want in zip(_phase(l1, l2, kappa), ref):
+            assert got == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("kappa,l1", [(0.0, 3.0), (0.25, 10.0), (0.375325, 29.145),
+                                          (0.45, 5.0), (0.6, 1.0)])
+    def test_family_margin_at_scan_roots(self, kappa, l1):
+        # every root lies within a quarter turn of its family's centre, and
+        # no two roots of a column share a label (K, sign of F above)
+        (column,) = _scan_columns(lambda p, x: _residual(p, x, kappa), [l1], 1e-9,
+                                  lambda2_max(kappa))
+        roots = np.array([x for x, _ in column])
+        turns = _phase(l1, roots, kappa)[0] / (2.0 * math.pi) + 0.5
+        families = np.rint(turns)
+        assert roots.size >= 2 and (np.abs(turns - families) <= 0.25).all()
+        labels = [(k, above) for k, (_, above) in zip(families.tolist(), column)]
+        assert len(set(labels)) == len(labels)
 
 
 class TestPartials:
@@ -374,15 +426,22 @@ class TestTraceCurve:
         assert len(branches[0].points) == 6
 
     def test_coarse_step_keeps_the_fold(self):
-        # a 1.5 step moves the upper branch by up to 0.22 in lambda2 per column:
-        # order and crossing sign still chain both branches to their fold
-        coarse = trace_curve(0.48, np.arange(0.5, 16.0, 1.5))
-        assert [(b.branch_tag, len(b.points)) for b in coarse] == [("lower", 5), ("upper", 5)]
-        fine = trace_curve(0.48, np.arange(0.5, 16.0, 0.05))
-        assert [b.branch_tag for b in fine] == ["lower", "upper"]
-        fold, ref = coarse[0].fold, fine[0].fold
-        assert fold.lambda1 == pytest.approx(ref.lambda1, abs=1e-8)
-        assert fold.lambda2 == pytest.approx(ref.lambda2, abs=1e-8)
+        # a 1.5 step moves the upper branch by up to 0.22 in lambda2 per column,
+        # and mode 3 at 0.45 lies in the dense roots under 1/kappa: each root's
+        # own label still gives both branches every column up to their fold
+        for kappa, mode, count in ((0.48, 1, 5), (0.45, 3, 6)):
+            coarse = trace_curve(kappa, np.arange(0.5, 16.0, 1.5), mode_index=mode)
+            assert [(b.branch_tag, len(b.points)) for b in coarse] == [("lower", count), ("upper", count)]
+            fine = trace_curve(kappa, np.arange(0.5, 16.0, 0.05), mode_index=mode)
+            assert [b.branch_tag for b in fine] == ["lower", "upper"]
+            for c, f in zip(coarse, fine):
+                ref = {round(p.lambda1, 9): p.lambda2 for p, _ in f.points}
+                for p, _ in c.points:
+                    assert p.lambda2 == pytest.approx(ref[round(p.lambda1, 9)], abs=1e-9)
+            fold, ref = coarse[0].fold, fine[0].fold
+            assert fold.lambda1 == pytest.approx(ref.lambda1, abs=1e-8)
+            assert fold.lambda2 == pytest.approx(ref.lambda2, abs=1e-8)
+        assert fold.lambda1 == pytest.approx(8.82712, abs=1e-5)
 
     @pytest.mark.parametrize("mode", range(1, 7))
     @pytest.mark.parametrize("kappa", [0.45, 0.5])
@@ -398,6 +457,25 @@ class TestTraceCurve:
             assert [p.lambda1 for p, _ in c.points] == [p.lambda1 for p in kept]
             for (p, _), q in zip(c.points, kept):
                 assert p.lambda2 == pytest.approx(q.lambda2, rel=1e-12, abs=0.0)
+        if (kappa, mode) == (0.45, 4):  # whole branches to a fold past the grid, not 2-point pieces
+            assert [len(b.points) for b in coarse] == [33, 33] and coarse[0].fold.lambda1 > 8.5
+
+    def test_first_mode_folds_exactly_above_kappa_cr(self):
+        # the pairing rule is kappa > kappa_cr itself, not a gap between branch ends
+        kappa_cr, _ = find_kappa_cr()
+        grid_l1 = [0.5 + 0.25 * i for i in range(33)]
+        below = trace_curve(kappa_cr - 1e-5, grid_l1)
+        above = trace_curve(kappa_cr + 1e-5, grid_l1)
+        assert [(b.branch_tag, len(b.points)) for b in below] == [("single", 33)]
+        assert [(b.branch_tag, len(b.points)) for b in above] == [("lower", 33), ("upper", 33)]
+        assert above[0].fold.lambda1 > 29.0  # the fold sits next to the axis touch (29.145, 0)
+
+    def test_far_family_past_the_float_range_of_cosh(self):
+        # at kappa 1e-6 the axis window of the ~200th family has cosh(r2) past
+        # 1e308: the pairing test reads that as axis roots (A/rho ~ 0)
+        branches = trace_curve(1e-6, [1.0, 2.0], mode_index=400)
+        assert [(b.branch_tag, len(b.points)) for b in branches] == [("single", 2)]
+        assert branches[0].points[0][0].lambda2 == pytest.approx(632398.044332, rel=1e-9)
 
     def test_higher_mode_branches_at_025(self):
         # some family above the first folds back even though the first-mode

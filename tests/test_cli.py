@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nanorod.cli import main
+from nanorod.cli import MAX_GRID_N, main
 
 
 def run_cli(args):
@@ -71,7 +71,7 @@ def test_curve_grid_through_zero_lambda1():
     # eta' at lambda1 = 0 is the 40-digit value -0.028833069917474
     code, out = run_cli(["curve", "--kappa", "0.45", "--l1", "0:1:0.5"])
     assert code == 0
-    assert out.splitlines()[1] == "0.45,1,single,0,1.16920127249,-0.0288330699175"
+    assert out.splitlines()[1] == "0.45,1,lower,0,1.16920127249,-0.0288330699175"
 
 
 def test_reduce_prints_verdict():
@@ -263,7 +263,7 @@ def _write(path, text):
 
 
 @pytest.mark.parametrize("case", [
-    "config-format-xml", "config-n-not-int", "config-missing", "config-unknown-key",
+    "config-format-xml", "config-n-not-int", "config-missing", "config-unknown-key", "config-n-too-large",
     "profile-missing", "profile-non-numeric", "profile-t-decreasing", "out-dir-missing",
 ])
 def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
@@ -274,6 +274,7 @@ def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
         "config-n-not-int": lambda: ["--config", _write(tmp_path / "a.cfg", "n = abc\n")] + mode,
         "config-missing": lambda: ["--config", str(tmp_path / "absent.cfg")] + mode,
         "config-unknown-key": lambda: ["--config", _write(tmp_path / "a.cfg", "fromat = json\n")] + mode,
+        "config-n-too-large": lambda: ["--config", _write(tmp_path / "a.cfg", f"n = {MAX_GRID_N + 2}\n")] + mode,
         "profile-missing": lambda: unfold + [str(tmp_path / "absent.csv")],
         "profile-non-numeric": lambda: unfold + [_write(tmp_path / "p.csv", "0.0,abc\n1.0,2.0\n")],
         "profile-t-decreasing": lambda: unfold + [_write(tmp_path / "p.csv", "1.0,2.0\n0.0,1.0\n")],
@@ -296,6 +297,7 @@ def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
     ["mode", "--kappa", "0.25", "--l1", "10", "--which", "0"],
     ["reduce", "--kappa", "0.45", "--l1", "5", "--which", "2", "--branch", "lower"],
     ["reduce", "--kappa", "0.45", "--l1", "5", "--which", "1", "--branch", "upper"],
+    ["mode", "--kappa", "0.25", "--l1", "10", "--n", str(MAX_GRID_N + 2)],  # rejected before any Grid
 ])
 def test_malformed_option_value_is_usage_error(args, capsys):
     code, out = run_cli(args)
@@ -306,3 +308,8 @@ def test_malformed_option_value_is_usage_error(args, capsys):
 def test_range_point_cap_is_inclusive():
     from nanorod.cli import MAX_RANGE_POINTS, _parse_range
     assert len(_parse_range(f"0:{MAX_RANGE_POINTS - 1}:1")) == MAX_RANGE_POINTS
+
+
+def test_grid_size_cap_is_inclusive():
+    from nanorod.cli import _grid_size
+    assert _grid_size(str(MAX_GRID_N)) == MAX_GRID_N == 65_536
