@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     AmplitudeSeedError,
     ConstitutiveSingularityError,
+    DomainError,
     NoConvergenceError,
     RegimeError,
 )
@@ -52,7 +53,7 @@ def _make_rhs(p: LoadPoint, setup: RodSetup):
         s = sin(thth)
         den = 1.0 + kappa * (vv * s - l2 * c)
         if abs(den) < SING_TOL:
-            raise ConstitutiveSingularityError(tt)
+            raise ConstitutiveSingularityError(f"constitutive denominator vanished at t = {tt:.6f}")
         curv = alpha1 * float(rho0(tt)) if alpha1 != 0.0 else 0.0
         return c, s, (mm - kappa * l1 * yy * c + curv) / den, -l1 * yy, -vv * c - l2 * s
 
@@ -160,7 +161,7 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
 
     try:
         r, traj = residual(u)
-    except (ConstitutiveSingularityError, RegimeError) as exc:
+    except RegimeError as exc:
         raise NoConvergenceError(f"initial guess not integrable: {exc}",
                                  last_iterate=tuple(u)) from exc
     for _ in range(SHOOT_MAX_ITER):
@@ -174,7 +175,7 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
             up[j] += hp
             try:
                 rp, _ = residual(up)
-            except (ConstitutiveSingularityError, RegimeError) as exc:
+            except RegimeError as exc:
                 raise NoConvergenceError(f"Jacobian probe failed: {exc}",
                                          last_iterate=tuple(u)) from exc
             jac[:, j] = (rp - r) / hp
@@ -187,7 +188,7 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
         while lam > 1e-3:
             try:
                 r_new, traj_new = residual(u + lam * du)
-            except (ConstitutiveSingularityError, RegimeError):
+            except RegimeError:
                 lam *= 0.5
                 continue
             if np.max(np.abs(r_new)) < base or lam <= 0.125:
@@ -233,7 +234,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         raise ValueError("sign must be +1 or -1")
     yL, _, rc = critical_chain(p0, kappa, grid)
     if rc.verdict is Verdict.DEGENERATE:
-        raise AmplitudeSeedError("degenerate critical point; no seeding amplitude")
+        raise DomainError("degenerate critical point; no seeding amplitude")
 
     setup = RodSetup(kappa=kappa)
     tip_mode = float(yL(1.0))
@@ -241,10 +242,10 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     def attempt(d, guess=None):
         dl1, dl2 = crossing_offsets(rc, d, direction)
         amp = amplitude_for_offsets(rc, dl1, dl2)
+        p = p0.offset(dl1, dl2)
         if amp is None:
             raise AmplitudeSeedError(
-                f"offset {d} lies on the trivial side; no nontrivial branch to seed")
-        p = p0.offset(dl1, dl2)
+                f"offset {d} lies on the trivial side; no nontrivial branch to seed", load=p)
         v0, m0 = guess if guess is not None else _mode_seed(yL, sign * amp, grid)
         sol = shoot(p, setup, v0, m0, grid=grid)
         # the tip must carry the requested sign and a share of the predicted size
@@ -255,7 +256,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
 
     try:
         return attempt(delta)
-    except (NoConvergenceError, ConstitutiveSingularityError, RegimeError):
+    except NoConvergenceError:
         pass
     sol = attempt(delta * (1 / 5.0) ** 2)
     for k in range(2, 6):

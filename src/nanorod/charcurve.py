@@ -38,6 +38,7 @@ from .errors import (
     DegeneratePointError,
     DomainError,
     InvalidInputError,
+    NanorodError,
     NoFoldError,
     RootNotFoundError,
     SingularDenominatorError,
@@ -504,7 +505,7 @@ def _damped_newton2(fun, x0, max_iter=50, tol=1e-10):
             xp[j] += hp
             try:
                 jac[:, j] = (np.array(fun(xp)) - r) / hp
-            except (SingularDenominatorError, DomainError, InvalidInputError) as exc:
+            except DomainError as exc:
                 raise NoFoldError(f"Jacobian probe left the admissible region at {x}") from exc
         try:
             dx = np.linalg.solve(jac, -r)
@@ -515,7 +516,7 @@ def _damped_newton2(fun, x0, max_iter=50, tol=1e-10):
         for _ in range(12):
             try:
                 r_new = np.array(fun(x + lam * dx), dtype=float)
-            except (SingularDenominatorError, DomainError, InvalidInputError):
+            except DomainError:
                 lam *= 0.5
                 continue
             if np.max(np.abs(r_new)) < base or lam < 1e-3:
@@ -652,7 +653,7 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
         seed = LoadPoint(0.5 * (lower[-1][0] + upper[-1][0]), 0.5 * (lower[-1][1] + upper[-1][1]))
         try:
             fold = find_fold(kappa, seed)
-        except (NoFoldError, DomainError, SingularDenominatorError, InvalidInputError):
+        except NanorodError:
             pass
     return [
         BranchCurve(kappa=kappa, mode_index=mode_index, branch_tag=tag, fold=fold,

@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import bvp, charcurve, reduction, unfolding
-from .errors import AmplitudeSeedError, NanorodError, NoConvergenceError, NoFoldError
+from .errors import AmplitudeSeedError, ConvergenceError, DomainError
 from .model import LoadPoint, RodSetup
 from .modes import linear_residual_L4, mode_shape
 from .quadrature import DEFAULT_N, Grid
@@ -39,8 +39,6 @@ FORMATS = ("csv", "json")
 KERNEL_ORDERS = {"q2": 2, "q4": 4}
 MAX_RANGE_POINTS = 10_000  # the README grid has 33
 MAX_GRID_N = 16 * DEFAULT_N  # 65,536 intervals; a grid holds arrays of n + 1 floats
-
-_CONVERGENCE_ERRORS = (NoFoldError, NoConvergenceError, AmplitudeSeedError)
 
 
 def fmt(value) -> str:
@@ -63,7 +61,6 @@ def section_fixture_curvature(t):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
@@ -302,12 +299,9 @@ def cmd_postbuckle(args):
     try:
         sol = bvp.solve_postbuckling(p0, args.kappa, delta, direction,
                                      sign=args.sign, grid=grid)
-    except AmplitudeSeedError:
+    except AmplitudeSeedError as exc:
         # offset lies on the trivial side: the equilibrium there is straight
-        _, _, rc = reduction.critical_chain(p0, args.kappa, grid)
-        dl1, dl2 = reduction.crossing_offsets(rc, delta, direction)
-        sol = bvp.shoot(p0.offset(dl1, dl2), RodSetup(kappa=args.kappa), 0.0, 0.0,
-                        grid=grid)
+        sol = bvp.shoot(exc.load, RodSetup(kappa=args.kappa), 0.0, 0.0, grid=grid)
     traj = sol.trajectory
     rows = [[float(x), float(y)] for x, y in zip(traj.x, traj.y)]
     _emit(rows, ["x", "y"], args,
@@ -473,10 +467,10 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"nanorod: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _CONVERGENCE_ERRORS as exc:
+    except ConvergenceError as exc:
         print(f"nanorod: convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except NanorodError as exc:
+    except DomainError as exc:
         print(f"nanorod: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -1,15 +1,23 @@
-"""Exception hierarchy shared by all nanorod modules."""
+"""Package errors, each under one of two bases: DomainError (exit 2) or ConvergenceError (exit 3)."""
 
 
 class NanorodError(Exception):
     """Base class for all package errors."""
 
 
-class InvalidInputError(NanorodError):
+class DomainError(NanorodError):
+    """An input, evaluation or stencil left the admissible region (exit 2)."""
+
+
+class ConvergenceError(NanorodError):
+    """An iteration failed on admissible input (exit 3)."""
+
+
+class InvalidInputError(DomainError):
     """A physical or dimensionless parameter violates its invariant."""
 
 
-class ConfigurationError(NanorodError):
+class ConfigurationError(DomainError):
     """A run-time configuration value is unusable (odd grid size, bad tolerance)."""
 
 
@@ -17,51 +25,47 @@ class SingularCurvatureError(InvalidInputError):
     """The initial-curvature radius vanishes somewhere on the rod."""
 
 
-class SingularDenominatorError(NanorodError):
+class SingularDenominatorError(DomainError):
     """A load point lies on or beyond the constitutive singularity 1 - kappa*lambda2 = 0."""
 
 
-class DomainError(NanorodError):
-    """An evaluation or stencil left the admissible load region."""
-
-
-class RootNotFoundError(NanorodError):
+class RootNotFoundError(DomainError):
     """No sign change (or requested root index) inside the scanned bracket."""
 
 
-class DegeneratePointError(NanorodError):
+class DegeneratePointError(DomainError):
     """The implicit slope is undefined: d(residual)/d(lambda2) vanishes (fold)."""
 
 
-class NoFoldError(NanorodError):
-    """Newton iteration for a fold / stationary point did not converge."""
-
-
-class DegenerateShapeError(NanorodError):
+class DegenerateShapeError(DomainError):
     """A closed-form mode or kernel denominator is numerically zero."""
 
 
-class GridMismatchError(NanorodError):
+class GridMismatchError(DomainError):
     """Two sampled functions live on different grids."""
 
 
-class InadmissibleSlopeError(NanorodError):
+class InadmissibleSlopeError(DomainError):
     """A sampled deflection has |dy/dt| >= 1 somewhere."""
 
 
-class FoldPointError(NanorodError):
+class FoldPointError(DomainError):
     """Reduction coefficients requested at a fold of the interaction curve."""
 
 
-class ConstitutiveSingularityError(NanorodError):
+class RegimeError(DomainError):
+    """|theta| reached pi/2 in an integration; the base of every integration breakdown."""
+
+
+class ConstitutiveSingularityError(RegimeError):
     """The moment-curvature closure denominator vanished during integration."""
 
-    def __init__(self, t, message=None):
-        self.t = t
-        super().__init__(message or f"constitutive denominator vanished at t = {t:.6f}")
+
+class NoFoldError(ConvergenceError):
+    """Newton iteration for a fold / stationary point did not converge."""
 
 
-class NoConvergenceError(NanorodError):
+class NoConvergenceError(ConvergenceError):
     """Shooting Newton iteration failed; carries the last iterate."""
 
     def __init__(self, message, last_iterate=None, residual=None):
@@ -70,9 +74,9 @@ class NoConvergenceError(NanorodError):
         self.residual = residual
 
 
-class RegimeError(NanorodError):
-    """The tangent angle left (-pi/2, pi/2); the single-valued deflection regime ended."""
+class AmplitudeSeedError(ConvergenceError):
+    """The offset lies on the trivial side; carries the offset load (straight rod there)."""
 
-
-class AmplitudeSeedError(NanorodError):
-    """No bifurcation amplitude is available to seed the nonlinear solve."""
+    def __init__(self, message, load):
+        super().__init__(message)
+        self.load = load

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .charcurve import eta_prime
-from .errors import AmplitudeSeedError, DegeneratePointError, FoldPointError
+from .errors import DegeneratePointError, DomainError, FoldPointError
 from .model import LoadPoint
 from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, mode_shape
 from .quadrature import Grid
@@ -162,7 +162,7 @@ def crossing_offsets(rc: ReductionCoefficients, delta: float, direction: str) ->
 def amplitude_for_offsets(rc: ReductionCoefficients, dl1: float, dl2: float):
     """Amplitude from the full linear coefficient c11 dl1 + c12 dl2."""
     if rc.verdict is Verdict.DEGENERATE:
-        raise AmplitudeSeedError("degenerate reduction; no amplitude law available")
+        raise DomainError("degenerate reduction; no amplitude law available")
     radicand = -(rc.c11 * dl1 + rc.c12 * dl2) / rc.c3
     if radicand <= 0.0:
         return None

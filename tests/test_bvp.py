@@ -16,8 +16,13 @@ from nanorod.bvp import (
     solve_postbuckling,
     tip_deflection,
 )
-from nanorod.charcurve import solve_lambda2
-from nanorod.errors import ConstitutiveSingularityError, NoConvergenceError, RegimeError
+from nanorod.charcurve import eta_prime, solve_lambda2
+from nanorod.errors import (
+    AmplitudeSeedError,
+    ConstitutiveSingularityError,
+    NoConvergenceError,
+    RegimeError,
+)
 from nanorod.model import LoadPoint, RodSetup
 from nanorod.quadrature import Grid
 
@@ -121,6 +126,30 @@ class TestShoot:
         assert err.value.last_iterate is not None
 
 
+# an initial state the integration cannot leave: (load, v0, m0, error, message)
+BREAKDOWNS = [
+    (LoadPoint(1.0, (1.0 - 1e-9) / 0.25), 0.0, 0.0, ConstitutiveSingularityError,
+     "constitutive denominator vanished at t = 0.000000"),
+    (LoadPoint(1.0, 0.5), 0.0, 50.0, RegimeError, r"\|theta\| reached pi/2 at t = 0.0312"),
+]
+
+
+class TestBreakdown:
+    @pytest.mark.parametrize("p,v0,m0,error,message", BREAKDOWNS, ids=["closure", "theta"])
+    def test_integrate_raises_regime_error(self, p, v0, m0, error, message):
+        with pytest.raises(RegimeError, match=f"^{message}$") as err:
+            integrate(p, RodSetup(0.25), v0, m0, Grid(64))
+        assert type(err.value) is error
+
+    @pytest.mark.parametrize("p,v0,m0,error,message", BREAKDOWNS, ids=["closure", "theta"])
+    def test_shoot_reports_no_convergence(self, p, v0, m0, error, message):
+        with pytest.raises(NoConvergenceError,
+                           match=f"^initial guess not integrable: {message}$") as err:
+            shoot(p, RodSetup(0.25), v0, m0, grid=Grid(64))
+        assert type(err.value.__cause__) is error
+        assert err.value.last_iterate == (v0, m0)
+
+
 def _linear_imperfect_response(p, setup, grid):
     """Tip deflection of the linearized imperfect rod by shooting superposition.
 
@@ -205,6 +234,13 @@ class TestPostbuckling:
         # unscaled step-4 solution, one shoot call more
         _check_continuation_pair(critical_point(1.0, 0.0), 7, bgrid, monkeypatch)
 
+    def test_trivial_side_carries_offset_load(self, bgrid):
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        with pytest.raises(AmplitudeSeedError, match="lies on the trivial side") as err:
+            solve_postbuckling(p0, 0.25, -0.3, grid=bgrid)
+        # along-lambda1 offsets are (delta, -eta' delta)
+        assert err.value.load == p0.offset(-0.3, 0.3 * eta_prime(p0, 0.25))
+
     def test_supercritical_amplitude_scaling(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
         ratios = []
@@ -258,7 +294,7 @@ def _single_grid_shoot(p, setup, guess_v0, guess_m0, grid=None):
 
     try:
         r, traj = residual(u)
-    except (ConstitutiveSingularityError, RegimeError) as exc:
+    except RegimeError as exc:
         raise NoConvergenceError(f"initial guess not integrable: {exc}",
                                  last_iterate=tuple(u)) from exc
     for _ in range(bvp.SHOOT_MAX_ITER):
@@ -274,7 +310,7 @@ def _single_grid_shoot(p, setup, guess_v0, guess_m0, grid=None):
             up[j] += hp
             try:
                 rp, _ = residual(up)
-            except (ConstitutiveSingularityError, RegimeError) as exc:
+            except RegimeError as exc:
                 raise NoConvergenceError(f"Jacobian probe failed: {exc}",
                                          last_iterate=tuple(u)) from exc
             jac[:, j] = (rp - r) / hp
@@ -287,7 +323,7 @@ def _single_grid_shoot(p, setup, guess_v0, guess_m0, grid=None):
         while lam > 1e-3:
             try:
                 r_new, traj_new = residual(u + lam * du)
-            except (ConstitutiveSingularityError, RegimeError):
+            except RegimeError:
                 lam *= 0.5
                 continue
             if np.max(np.abs(r_new)) < base or lam <= 0.125:

@@ -1,17 +1,22 @@
+import contextlib
+import dataclasses
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from nanorod import bvp, charcurve, errors
 from nanorod.cli import MAX_GRID_N, main
+from nanorod.errors import ConvergenceError, NanorodError
+from nanorod.model import LoadPoint
+from nanorod.reduction import Verdict
 
 
 def run_cli(args):
     """Invoke the entry point in-process, capturing stdout."""
-    import contextlib
-    import io
-
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(args)
@@ -212,6 +217,43 @@ def test_convergence_error_exit_code():
     assert code == 3
 
 
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, NanorodError) and cls is not NanorodError
+], ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_base(cls, monkeypatch, capsys):
+    extra = {"load": LoadPoint(1.0, 0.0)} if cls is errors.AmplitudeSeedError else {}
+
+    def fail(*args):
+        raise cls("boom", **extra)
+
+    monkeypatch.setattr(charcurve, "find_kappa_cr", fail)
+    code, out = run_cli(["kcr"])
+    err = capsys.readouterr().err
+    if issubclass(cls, ConvergenceError):
+        assert code == 3 and err == "nanorod: convergence error: boom\n"
+    else:
+        assert code == 2 and err == "nanorod: domain error: boom\n"
+    assert out == ""
+
+
+def test_postbuckle_at_degenerate_point_is_domain_error(monkeypatch, capsys):
+    # no amplitude law exists between the super- and subcritical cases, so
+    # no branch can be seeded; the straight rod would be a wrong answer
+    chain = bvp.critical_chain
+
+    def degenerate(*args):
+        yL, q, rc = chain(*args)
+        return yL, q, dataclasses.replace(rc, verdict=Verdict.DEGENERATE)
+
+    monkeypatch.setattr(bvp, "critical_chain", degenerate)
+    code, out = run_cli(["postbuckle", "--kappa", "0.25", "--l1", "10", "--dl1", "0.3",
+                         "--n", "256"])
+    err = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert err == "nanorod: domain error: degenerate critical point; no seeding amplitude\n"
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "nanorod.cli", "kcr", "--format", "json"],
@@ -301,8 +343,9 @@ def test_bad_file_input_exits_1_in_one_line(case, tmp_path, capsys):
 ])
 def test_malformed_option_value_is_usage_error(args, capsys):
     code, out = run_cli(args)
+    err = capsys.readouterr().err
     assert code == 1 and out == ""
-    assert "error" in capsys.readouterr().err
+    assert "error" in err and err.count("\n") == 1
 
 
 def test_range_point_cap_is_inclusive():
@@ -313,3 +356,59 @@ def test_range_point_cap_is_inclusive():
 def test_grid_size_cap_is_inclusive():
     from nanorod.cli import _grid_size
     assert _grid_size(str(MAX_GRID_N)) == MAX_GRID_N == 65_536
+
+
+FUZZ_NUMBERS = ("0", "-1", "1e-9", "0.25", "0.45", "1", "5", "10", "29", "1e200", "nan", "x")
+FUZZ_CHOICES = {"--branch": ("lower", "upper", "x"), "--kernel": ("q2", "q4", "x")}
+_CRITICAL = ("--kappa", "--l1")
+FUZZ_OPTIONS = {  # command: (required options, optional options)
+    "curve": (("--kappa", "--l1"), ("--mode",)),
+    "kcr": ((), ("--seed-kappa", "--seed-l1")),
+    "fold": (("--kappa",), ("--seed-l1", "--seed-l2")),
+    "minimum": (("--kappa",), ("--seed-l1", "--seed-l2")),
+    "mode": (_CRITICAL, ("--which", "--branch")),
+    "reduce": (_CRITICAL, ("--which", "--branch", "--kernel")),
+    "unfold": (_CRITICAL, ("--which", "--branch", "--kernel")),
+    "postbuckle": (_CRITICAL + ("--dl1",), ("--which", "--branch", "--dl2", "--sign")),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """argv from a finite grammar: a subcommand other than verify (or none),
+    its required options (each left out one time in eight) and a subset of
+    its optional ones, in any order, each with a drawn number (a
+    start:stop:step triple for a curve's --l1, a choice or "x" for a choice
+    option), and --n 64."""
+    command = draw(st.sampled_from((None,) + tuple(FUZZ_OPTIONS)))
+    if command is None:
+        return []
+    required, optional = FUZZ_OPTIONS[command]
+    options = [option for option in required if draw(st.integers(0, 7))]
+    options += draw(st.lists(st.sampled_from(optional), unique=True))
+    number = st.sampled_from(FUZZ_NUMBERS)
+    argv = [command]
+    for option in draw(st.permutations(options)):
+        if option in FUZZ_CHOICES:
+            value = draw(st.sampled_from(FUZZ_CHOICES[option]))
+        elif command == "curve" and option == "--l1":
+            value = ":".join(draw(st.lists(number, min_size=1, max_size=3)))
+        else:
+            value = draw(number)
+        argv += [option, value]
+    return argv + ["--n", "64"]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(argv=fuzz_argv())
+@example(argv=[])
+def test_fuzzed_argv_ends_in_one_line(argv):
+    # no exception escapes main, and a numpy warning would raise (warnings are errors)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""

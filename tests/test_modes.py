@@ -54,7 +54,7 @@ class TestModeShape:
             adjoint_kernel(order, p0, kappa, grid)
 
     def test_rejects_noncritical_point(self, grid):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not a critical point"):
             mode_shape(LoadPoint(10.0, 0.5), 0.25, grid)
 
     def test_zero_lambda1_is_degenerate(self, grid):

@@ -33,6 +33,7 @@ REMOVED = (
     ("unfolding", "psi"),
     ("unfolding", "UnfoldingCoefficients.d51"),
     ("unfolding", "UnfoldingCoefficients.d52"),
+    ("cli", "_CONVERGENCE_ERRORS"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs
