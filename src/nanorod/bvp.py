@@ -39,12 +39,23 @@ SHOOT_MAX_ITER = 50
 COARSE_N = 256  # steps of the grid shoot converges on before the requested one
 
 
-def _make_rhs(p: LoadPoint, setup: RodSetup):
-    """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives."""
+def _make_rhs(p: LoadPoint, setup: RodSetup, n: Optional[int] = None):
+    """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives.
+    With integrate's step count n, rhs takes only the t values of that loop's
+    stages, where alpha1 / rho0 is sampled once, in one rho0 call."""
     l1, l2, kappa = p.lambda1, p.lambda2, setup.kappa
     alpha1 = setup.alpha1
     rho0 = setup.rho0
     cos, sin = math.cos, math.sin
+    if alpha1 != 0.0 and n is not None:
+        h, t, times = 1.0 / n, 0.0, []
+        for _ in range(n):  # t as integrate accumulates it: stage 4's t + h is the next t
+            times += (t, t + 0.5 * h)
+            t += h
+        samples = alpha1 * np.asarray(rho0(np.array(times + [t])), dtype=float)
+        curvature = dict(zip(times + [t], samples.tolist())).__getitem__
+    else:
+        curvature = lambda tt: alpha1 * float(rho0(tt))
 
     def rhs(tt, xx, yy, thth, vv, mm):
         if abs(thth) >= THETA_LIMIT:
@@ -54,7 +65,7 @@ def _make_rhs(p: LoadPoint, setup: RodSetup):
         den = 1.0 + kappa * (vv * s - l2 * c)
         if abs(den) < SING_TOL:
             raise ConstitutiveSingularityError(f"constitutive denominator vanished at t = {tt:.6f}")
-        curv = alpha1 * float(rho0(tt)) if alpha1 != 0.0 else 0.0
+        curv = curvature(tt) if alpha1 != 0.0 else 0.0
         return c, s, (mm - kappa * l1 * yy * c + curv) / den, -l1 * yy, -vv * c - l2 * s
 
     return rhs
@@ -80,7 +91,7 @@ def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
         grid = Grid()
     n = grid.n
     h = 1.0 / n
-    rhs = _make_rhs(p, setup)
+    rhs = _make_rhs(p, setup, n)
 
     xs = np.empty(n + 1)
     ys = np.empty(n + 1)

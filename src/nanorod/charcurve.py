@@ -278,7 +278,7 @@ def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     bracket takes ~8 scalar calls, ~20 us, in _brentq, against ~180 us for
     the scan; _brentq_batch's ~15 array calls carry ~60 us of fixed numpy
     cost each, so batching pays only across many columns, see
-    _scan_columns.)  With a touch gate, fun must also accept a complex
+    _scan_brackets.)  With a touch gate, fun must also accept a complex
     scalar: its derivative is taken by complex step.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
     by Brent on fun' between the neighbouring grid points, to a stationary
@@ -313,33 +313,43 @@ def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     return roots
 
 
-def _scan_columns(fun, params, lo, hi):
-    """Sign-change roots in x of fun(p, x) on [lo, hi] for every p in params,
-    as _scan_roots finds them without a touch gate: one list per p of
-    (root, sign of fun just above the root) pairs, sorted by root.
+def _scan_brackets(fun, params, lo, hi):
+    """The scan of _scan_roots, without a touch gate, of fun(p, x) in x on
+    [lo, hi] for every p in params: (columns, brackets).  columns[c] lists
+    the exact zeros of fun(params[c], x) as (root, sign of fun just above
+    it) pairs; brackets is the arrays (c, a, b, fun at a, fun at b) of the
+    panels [a, b] of every column whose ends differ strictly in sign.
 
     The sign is read from the scan: the value at the next grid point, or
-    minus the value before the last point for an exact zero there.
-    Each column is scanned in one array call; the brackets of all columns
-    are then refined together by _brentq_batch, so fun must also evaluate
-    elementwise on arrays of p and x alike.
+    minus the value before the last point for an exact zero there.  Each
+    column is scanned in one array call; _refine_into refines the brackets
+    of all columns together, so fun must also evaluate elementwise on arrays
+    of p and x alike.
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
-    columns, ends = [], []
+    columns, ends = [], [(_NO_INDEX, _NO_INDEX, np.empty(0), np.empty(0))]
     for c, p in enumerate(params):
         vals = _bulk(lambda x: fun(p, x), xs)
-        exact, brackets = _sign_brackets(vals)
+        exact, i = _sign_brackets(vals)
         above = np.sign(np.append(vals[1:], -vals[-2])[exact])
         columns.append(list(zip(xs[exact].tolist(), above.tolist())))
-        ends.append((np.full(brackets.size, c), brackets, vals[brackets], vals[brackets + 1]))
-    if ends:
-        col, i, fa, fb = (np.concatenate(e) for e in zip(*ends))
-        ps = np.asarray(params, dtype=float)
-        roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), xs[i], xs[i + 1], fa, fb)
-        for c, r, s in zip(col.tolist(), roots.tolist(), np.sign(fb).tolist()):
-            columns[c].append((r, s))
-    for roots in columns:
-        roots.sort()
+        ends.append((np.full(i.size, c), i, vals[i], vals[i + 1]))
+    col, i, fa, fb = (np.concatenate(e) for e in zip(*ends))
+    return columns, (col, xs[i], xs[i + 1], fa, fb)
+
+
+def _refine_into(columns, fun, params, brackets):
+    """Refine brackets (as _scan_brackets gives them) in one _brentq_batch
+    and add each root, with the sign of fun above it, to its column; every
+    column is left sorted.  A root does not depend on the other brackets of
+    the batch, so the brackets may be refined in any split."""
+    col, a, b, fa, fb = brackets
+    ps = np.asarray(params, dtype=float)
+    roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), a, b, fa, fb)
+    for c, r, s in zip(col.tolist(), roots.tolist(), np.sign(fb).tolist()):
+        columns[c].append((r, s))
+    for column in columns:
+        column.sort()
     return columns
 
 
@@ -610,9 +620,9 @@ def _eta_prime_or_nan(p: LoadPoint, kappa: float) -> float:
 def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     """Trace the mode_index-th interaction-curve family over a lambda1 grid.
 
-    All residual roots in lambda2 are found per grid column (each column
-    scanned in one array call, the brackets of all columns refined
-    together) with the sign of F just above each.  Every root is labelled
+    Roots in lambda2 are refined per grid column (each column scanned in
+    one array call, the brackets of all columns refined together, but see
+    below) with the sign of F just above each.  Every root is labelled
     on its own, with no reference to another column: its family
     K = round(phi / 2 pi + 1/2) from the phase (see _phase), and its side,
     lower where F is negative just above it and upper where F is positive.
@@ -624,26 +634,22 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     (K, side) order among those with a root on the grid, a folded family
     counting once.  The fold of the returned family is refined from the
     midpoint of its branch ends; when that refinement fails, fold is None.
+
+    Only brackets that can hold a root of a family K <= mode_index are
+    refined (see _past_families), the rest only when those families give
+    fewer than mode_index units; each root is bitwise the full refinement's.
     """
     if mode_index < 1:
         raise InvalidInputError(f"mode index must be at least 1, got {mode_index}")
     grid = [float(l1) for l1 in lambda1_grid]
-    columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), grid, 1e-9, lambda2_max(kappa))
-    roots = [(l1, x, above) for l1, column in zip(grid, columns) for x, above in column]
-    l1s, l2s = np.array([r[0] for r in roots]), np.array([r[1] for r in roots])
-    families = np.rint(_phase(l1s, l2s, kappa)[0] / (2.0 * math.pi) + 0.5).astype(int)
-    sides = {}  # (K, sign of F above) -> [(lambda1, lambda2)] in column order
-    for (l1, x, above), k in zip(roots, families.tolist()):
-        sides.setdefault((k, above), []).append((l1, x))
-    units = []
-    for k in sorted({k for k, _ in sides}):
-        lower, upper = sides.get((k, -1.0)), sides.get((k, 1.0))
-        if lower and upper and not _axis_has_root(kappa, k):
-            units.append([("lower", lower), ("upper", upper)])
-        else:
-            units += [[("single", pts)] for pts in (lower, upper) if pts]
-        if len(units) >= mode_index:
-            break
+    fun = lambda l1, x: _residual(l1, x, kappa)
+    columns, brackets = _scan_brackets(fun, grid, 1e-9, lambda2_max(kappa))
+    far = _past_families(np.asarray(grid)[brackets[0]], brackets[1], kappa, mode_index)
+    _refine_into(columns, fun, grid, [v[~far] for v in brackets])
+    units = _units(kappa, grid, columns, mode_index, last=mode_index)
+    if len(units) < mode_index:  # the mode lies past family mode_index, if anywhere
+        _refine_into(columns, fun, grid, [v[far] for v in brackets])
+        units = _units(kappa, grid, columns, mode_index)
     if len(units) < mode_index:
         return []
     branches = units[mode_index - 1]
@@ -661,6 +667,38 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
                             for l1, l2 in chain])
         for tag, chain in branches
     ]
+
+
+def _past_families(l1, l2, kappa: float, family: int):
+    """Mask of the load points (arrays) at and above which in lambda2 every
+    root has a family past the given one: r1 >= (2 family + 1/2) pi there.
+    A root of family K has phi < (2K - 1/2) pi (see _phase), so r1 < 2K pi
+    as |phi - r1| < pi/2, and r1 grows with lambda2 (half and s in
+    _wavenumbers both do); the last pi/2 is slack against rounding."""
+    r1 = _wavenumbers(l1, l2, kappa, 1.0 - kappa * l2, _ARRAY_OPS)[0]
+    return r1 >= (2 * family + 0.5) * math.pi
+
+
+def _units(kappa: float, grid, columns, mode_index: int, last=math.inf):
+    """The first mode_index units, in (K, side) order, of the labelled column
+    roots of the families K <= last; a unit is [(tag, [(lambda1, lambda2)])],
+    one single side or a lower/upper pair."""
+    roots = [(l1, x, above) for l1, column in zip(grid, columns) for x, above in column]
+    l1s, l2s = np.array([r[0] for r in roots]), np.array([r[1] for r in roots])
+    families = np.rint(_phase(l1s, l2s, kappa)[0] / (2.0 * math.pi) + 0.5).astype(int)
+    sides = {}  # (K, sign of F above) -> [(lambda1, lambda2)] in column order
+    for (l1, x, above), k in zip(roots, families.tolist()):
+        sides.setdefault((k, above), []).append((l1, x))
+    units = []
+    for k in sorted({k for k, _ in sides if k <= last}):
+        lower, upper = sides.get((k, -1.0)), sides.get((k, 1.0))
+        if lower and upper and not _axis_has_root(kappa, k):
+            units.append([("lower", lower), ("upper", upper)])
+        else:
+            units += [[("single", pts)] for pts in (lower, upper) if pts]
+        if len(units) >= mode_index:
+            break
+    return units
 
 
 def _axis_has_root(kappa: float, family: int) -> bool:

@@ -118,6 +118,22 @@ class TestShoot:
         assert abs(tip_deflection(sol)) > 1e-4
         assert tip_deflection(sol) == pytest.approx(y_lin, rel=0.10)
 
+    @pytest.mark.parametrize("rho0", [fixture_curvature, lambda t: 1.5 + np.sin(3.0 * t) * np.exp(-t)])
+    def test_sampled_curvature_is_the_per_stage_one(self, rho0, monkeypatch):
+        # rho0 is sampled once per integration at the loop's stage times; the
+        # shot is bitwise the one that calls rho0 at every RK4 stage (a
+        # 1000-step grid, where t accumulates rounding, and the 256-step one)
+        setup = RodSetup(kappa=0.25, alpha1=1e-5, rho0=rho0)
+        p = LoadPoint(10.0, 0.6)  # below the critical 0.682732
+        grid = Grid(1000)
+        sampled = shoot(p, setup, 0.0, 0.0, grid=grid)
+        per_stage = bvp._make_rhs
+        monkeypatch.setattr(bvp, "_make_rhs", lambda p, setup, n: per_stage(p, setup))
+        ref = shoot(p, setup, 0.0, 0.0, grid=grid)
+        assert tip_deflection(ref) != 0.0 and (sampled.v0, sampled.m0) == (ref.v0, ref.m0)
+        for name in ("x", "y", "theta", "v", "m"):
+            assert np.array_equal(getattr(sampled.trajectory, name), getattr(ref.trajectory, name))
+
     def test_nonconvergence_reports_last_iterate(self, bgrid):
         # the failure happens in the coarse stage, and the message says so
         setup = RodSetup(kappa=0.45)

@@ -14,8 +14,9 @@ from nanorod.charcurve import (
     _coefficients,
     _kappa_partial,
     _phase,
+    _refine_into,
     _residual,
-    _scan_columns,
+    _scan_brackets,
     _scan_roots,
     char_partials,
     char_residual,
@@ -43,6 +44,25 @@ from nanorod.modes import mode_shape
 from nanorod.quadrature import Grid
 
 from conftest import critical_point
+
+README_L1 = [0.5 + 0.25 * i for i in range(33)]  # nanorod curve --l1 0.5:8.5:0.25
+
+
+def _scan_columns(fun, params, lo, hi):
+    """Every column's (root, sign above) pairs with every bracket refined:
+    what trace_curve refines when no bracket is skipped."""
+    columns, brackets = _scan_brackets(fun, params, lo, hi)
+    return _refine_into(columns, fun, params, brackets)
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The number of brackets of every _brentq_batch call, in call order."""
+    sizes = []
+    batch = charcurve._brentq_batch
+    monkeypatch.setattr(charcurve, "_brentq_batch",
+                        lambda fun, a, *rest: sizes.append(a.size) or batch(fun, a, *rest))
+    return sizes
 
 
 class TestWavenumbers:
@@ -159,6 +179,26 @@ class TestPhase:
         assert roots.size >= 2 and (np.abs(turns - families) <= 0.25).all()
         labels = [(k, above) for k, (_, above) in zip(families.tolist(), column)]
         assert len(set(labels)) == len(labels)
+
+    @pytest.mark.parametrize("kappa", [0.0] + np.random.default_rng(19).uniform(0.0, 1.2, 7).tolist())
+    def test_bracket_skip_premises(self, kappa):
+        # what trace_curve's bracket skip (_past_families) rests on: r1 does
+        # not fall as lambda2 rises, and the bracket of every scanned root of
+        # family K has r1 below (2K + 1/2) pi at its left end
+        rng = np.random.default_rng(int(kappa * 1e6))
+        l1s = np.concatenate((rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 40.0, 3)))
+        hi = lambda2_max(kappa)
+        xs = np.linspace(1e-9, hi, SCAN_PANELS + 1)
+        for l1 in l1s:
+            r1 = charcurve._wavenumbers(l1, xs, kappa, 1.0 - kappa * xs, charcurve._ARRAY_OPS)[0]
+            assert (np.diff(r1) >= 0.0).all()
+        fun = lambda l1, x: _residual(l1, x, kappa)
+        _, (col, a, b, fa, fb) = _scan_brackets(fun, l1s, 1e-9, hi)
+        roots = _brentq_batch(lambda k, x: fun(l1s[col[k]], x), a, b, fa, fb)
+        families = np.rint(_phase(l1s[col], roots, kappa)[0] / (2.0 * math.pi) + 0.5)
+        r1 = charcurve._wavenumbers(l1s[col], a, kappa, 1.0 - kappa * a, charcurve._ARRAY_OPS)[0]
+        assert col.size and (r1 < (2.0 * families + 0.5) * math.pi).all()
+        assert not charcurve._past_families(l1s[col], a, kappa, families).any()
 
 
 class TestPartials:
@@ -421,6 +461,24 @@ class TestTraceCurve:
         assert trace_curve(kappa, grid_l1)
         assert calls["real"] <= 50
         assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 40
+
+    @pytest.mark.parametrize("kappa,mode,ceiling", [(0.25, 1, 70), (0.45, 1, 70), (0.45, 3, 210)])
+    def test_bracket_work_gate(self, kappa, mode, ceiling, batch_sizes):
+        # only the brackets that can hold a family up to the mode are refined,
+        # in one batch (518, 452 and 452 brackets when every one is refined)
+        assert trace_curve(kappa, README_L1, mode_index=mode)
+        assert len(batch_sizes) == 1 and 0 < batch_sizes[0] <= ceiling
+
+    @pytest.mark.parametrize("kappa,grid_l1,mode,sizes", [
+        (0.6, [4.0, 4.5, 5.0], 1, [0, 8]),  # family 1 has folded away: mode 1 is family 2
+        (0.46249999999999997, [0.01, 0.02], 6, [22, 0]),  # family 6 falls between scan points
+    ])
+    def test_skipped_brackets_refined_when_the_mode_lies_past_them(self, kappa, grid_l1, mode,
+                                                                   sizes, batch_sizes):
+        lazy = trace_curve(kappa, grid_l1, mode_index=mode)
+        assert batch_sizes == sizes and [b.branch_tag for b in lazy] in (["single"], ["lower", "upper"])
+        with mock.patch.object(charcurve, "_past_families", _skip_none):
+            assert repr(lazy) == repr(trace_curve(kappa, grid_l1, mode_index=mode))
 
     def test_small_kappa_keeps_every_column(self):
         branches = trace_curve(0.0, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -702,3 +760,34 @@ class TestLazyPointQuery:
         got = _outcome(solve_lambda1, l2, kappa, which=which)
         with mock.patch.object(charcurve, "_scan_roots", _full_scan):
             assert got == _outcome(solve_lambda1, l2, kappa, which=which)
+
+
+def _skip_none(l1, l2, kappa, family):
+    return np.zeros(np.shape(l2), dtype=bool)
+
+
+def _trace_outcome(kappa, grid_l1, mode):
+    try:
+        return repr(trace_curve(kappa, grid_l1, mode_index=mode))
+    except NanorodError as exc:
+        return type(exc), str(exc)
+
+
+class TestLazyTrace:
+    """trace_curve refines only the brackets that can hold a root of a family
+    up to the mode; its result is the one with every bracket refined, repr
+    for repr, or the same error."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(kappa=st.one_of(st.just(0.0), st.floats(0.01, 1.2)), start=st.floats(0.0, 40.0),
+           step=st.floats(0.05, 4.0), count=st.integers(0, 12), mode=st.integers(1, 4))
+    @example(kappa=0.25, start=30.0, step=4.0, count=20, mode=1)
+    @example(kappa=0.6, start=4.0, step=0.5, count=3, mode=1)  # the skipped brackets are needed
+    @example(kappa=0.3753146736259471, start=0.5, step=0.25, count=33, mode=1)  # kappa_cr - 1e-5
+    @example(kappa=0.37533467362594714, start=0.5, step=0.25, count=33, mode=1)  # kappa_cr + 1e-5
+    @example(kappa=0.45, start=0.5, step=0.25, count=33, mode=3)
+    def test_trace_is_the_full_refinement(self, kappa, start, step, count, mode):
+        grid_l1 = [start + step * i for i in range(count)]
+        got = _trace_outcome(kappa, grid_l1, mode)
+        with mock.patch.object(charcurve, "_past_families", _skip_none):
+            assert got == _trace_outcome(kappa, grid_l1, mode)
