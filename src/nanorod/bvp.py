@@ -15,6 +15,7 @@ unknowns.  Integration is classical fixed-step 4th order with one step per
 grid interval, so trajectories land exactly on the shared quadrature grid.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,21 +40,28 @@ SHOOT_MAX_ITER = 50
 COARSE_N = 256  # steps of the grid shoot converges on before the requested one
 
 
+@functools.lru_cache(maxsize=8)
+def _stage_times(n: int) -> memoryview:
+    """The RK4 stage times t_0, t_0 + h/2, t_1, ..., t_n of n steps on
+    [0, 1], t accumulated as t += h, so that stage 4's t_i + h is t_{i+1}."""
+    h, t, times = 1.0 / n, 0.0, np.empty(2 * n + 1)
+    for i in range(n):
+        times[2 * i], times[2 * i + 1] = t, t + 0.5 * h
+        t += h
+    times[-1] = t
+    return memoryview(times).toreadonly()
+
+
 def _make_rhs(p: LoadPoint, setup: RodSetup, n: Optional[int] = None):
     """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives.
-    With integrate's step count n, rhs takes only the t values of that loop's
-    stages, where alpha1 / rho0 is sampled once, in one rho0 call."""
+    With n, rhs takes only the _stage_times(n), where one rho0 call samples alpha1 / rho0."""
     l1, l2, kappa = p.lambda1, p.lambda2, setup.kappa
-    alpha1 = setup.alpha1
-    rho0 = setup.rho0
+    alpha1, rho0 = setup.alpha1, setup.rho0
     cos, sin = math.cos, math.sin
     if alpha1 != 0.0 and n is not None:
-        h, t, times = 1.0 / n, 0.0, []
-        for _ in range(n):  # t as integrate accumulates it: stage 4's t + h is the next t
-            times += (t, t + 0.5 * h)
-            t += h
-        samples = alpha1 * np.asarray(rho0(np.array(times + [t])), dtype=float)
-        curvature = dict(zip(times + [t], samples.tolist())).__getitem__
+        times = _stage_times(n).tolist()
+        samples = np.broadcast_to(np.asarray(rho0(np.array(times)), dtype=float), len(times))
+        curvature = dict(zip(times, (alpha1 * samples).tolist())).__getitem__
     else:
         curvature = lambda tt: alpha1 * float(rho0(tt))
 
@@ -93,33 +101,26 @@ def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
     h = 1.0 / n
     rhs = _make_rhs(p, setup, n)
 
-    xs = np.empty(n + 1)
-    ys = np.empty(n + 1)
-    ths = np.empty(n + 1)
-    vs = np.empty(n + 1)
-    ms = np.empty(n + 1)
-    x = y = th = 0.0
-    v, m = v0, m0
-    xs[0] = ys[0] = ths[0] = 0.0
-    vs[0], ms[0] = v, m
-    t = 0.0
-
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for i in range(1, n + 1):
+    xs, ys, ths, vs, ms = (np.empty(n + 1) for _ in range(5))
+    x = y = th = xs[0] = ys[0] = ths[0] = 0.0
+    v, m = vs[0], ms[0] = v0, m0
+    h2, h6 = 0.5 * h, h / 6.0
+    stages = iter(_stage_times(n))
+    t = next(stages)
+    for i, tm, t1 in zip(range(1, n + 1), stages, stages):  # tm = t + h/2, t1 = t + h
         a1 = rhs(t, x, y, th, v, m)
-        a2 = rhs(t + h2, x + h2 * a1[0], y + h2 * a1[1], th + h2 * a1[2],
+        a2 = rhs(tm, x + h2 * a1[0], y + h2 * a1[1], th + h2 * a1[2],
                  v + h2 * a1[3], m + h2 * a1[4])
-        a3 = rhs(t + h2, x + h2 * a2[0], y + h2 * a2[1], th + h2 * a2[2],
+        a3 = rhs(tm, x + h2 * a2[0], y + h2 * a2[1], th + h2 * a2[2],
                  v + h2 * a2[3], m + h2 * a2[4])
-        a4 = rhs(t + h, x + h * a3[0], y + h * a3[1], th + h * a3[2],
+        a4 = rhs(t1, x + h * a3[0], y + h * a3[1], th + h * a3[2],
                  v + h * a3[3], m + h * a3[4])
         x += h6 * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0])
         y += h6 * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1])
         th += h6 * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2])
         v += h6 * (a1[3] + 2.0 * (a2[3] + a3[3]) + a4[3])
         m += h6 * (a1[4] + 2.0 * (a2[4] + a3[4]) + a4[4])
-        t += h
+        t = t1
         xs[i], ys[i], ths[i], vs[i], ms[i] = x, y, th, v, m
 
     return Trajectory(t=np.linspace(0.0, 1.0, n + 1), x=xs, y=ys, theta=ths, v=vs, m=ms)

@@ -339,10 +339,9 @@ def _scan_brackets(fun, params, lo, hi):
 
 
 def _refine_into(columns, fun, params, brackets):
-    """Refine brackets (as _scan_brackets gives them) in one _brentq_batch
-    and add each root, with the sign of fun above it, to its column; every
-    column is left sorted.  A root does not depend on the other brackets of
-    the batch, so the brackets may be refined in any split."""
+    """Refine brackets (as _scan_brackets gives them) in one _brentq_batch,
+    add each root with the sign of fun above it to its column, sort every
+    column.  A root does not depend on the batch, so any split is bitwise."""
     col, a, b, fa, fb = brackets
     ps = np.asarray(params, dtype=float)
     roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), a, b, fa, fb)
@@ -680,9 +679,8 @@ def _past_families(l1, l2, kappa: float, family: int):
 
 
 def _units(kappa: float, grid, columns, mode_index: int, last=math.inf):
-    """The first mode_index units, in (K, side) order, of the labelled column
-    roots of the families K <= last; a unit is [(tag, [(lambda1, lambda2)])],
-    one single side or a lower/upper pair."""
+    """The first mode_index units in (K, side) order of the column roots of families
+    K <= last: each [(tag, [(lambda1, lambda2)])], one single side or a lower/upper pair."""
     roots = [(l1, x, above) for l1, column in zip(grid, columns) for x, above in column]
     l1s, l2s = np.array([r[0] for r in roots]), np.array([r[1] for r in roots])
     families = np.rint(_phase(l1s, l2s, kappa)[0] / (2.0 * math.pi) + 0.5).astype(int)

@@ -12,11 +12,12 @@ V0 (transverse):
 
 The stored curvature profile ``rho0`` is a callable returning the
 dimensionless curvature 1/rho0(t) directly (not the radius), because every
-downstream formula consumes alpha1/rho0.
+downstream formula consumes alpha1/rho0.  It is called with an array of t
+and returns an array of that shape, or a scalar for a constant profile.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class RodSetup:
     kappa: float
     alpha1: float = 0.0
     alpha2: float = 0.0
-    rho0: Callable[[float], float] = field(default=_zero_curvature)
+    rho0: Callable[[np.ndarray], Union[np.ndarray, float]] = field(default=_zero_curvature)
 
     def __post_init__(self):
         if self.kappa < 0.0:
@@ -62,8 +63,8 @@ class RodSetup:
 class PhysicalRod:
     """SI description of the rotating compressed cantilever.
 
-    ``R0_profile`` maps arclength S in [0, L] to the initial-curvature
-    radius R0(S) in meters; ``None`` means an initially straight rod.
+    ``R0_profile`` maps arclength S in [0, L], a float or an array, to the
+    initial-curvature radius R0(S) in meters; ``None`` means a straight rod.
     """
 
     E: float

@@ -118,11 +118,26 @@ class TestShoot:
         assert abs(tip_deflection(sol)) > 1e-4
         assert tip_deflection(sol) == pytest.approx(y_lin, rel=0.10)
 
-    @pytest.mark.parametrize("rho0", [fixture_curvature, lambda t: 1.5 + np.sin(3.0 * t) * np.exp(-t)])
+    def test_stage_times_accumulate(self):
+        # t_i, t_i + h/2 and t_n as a loop doing t += h reaches them, so that
+        # stage 4's t_i + h is t_{i+1} bit for bit
+        n, t, ref = 1000, 0.0, []
+        h = 1.0 / n
+        for _ in range(n):
+            ref += (t, t + 0.5 * h)
+            t += h
+        assert bvp._stage_times(n).tolist() == ref + [t] and t != 1.0
+
+    @pytest.mark.parametrize("rho0", [
+        fixture_curvature,
+        pytest.param(lambda t: 1.5 + np.sin(3.0 * t) * np.exp(-t), id="sin_exp"),
+        pytest.param(lambda t: 1.0, id="constant"),
+    ])
     def test_sampled_curvature_is_the_per_stage_one(self, rho0, monkeypatch):
-        # rho0 is sampled once per integration at the loop's stage times; the
-        # shot is bitwise the one that calls rho0 at every RK4 stage (a
-        # 1000-step grid, where t accumulates rounding, and the 256-step one)
+        # rho0 is sampled once per integration at the loop's stage times, and
+        # a scalar (constant-profile) value is broadcast; the shot is bitwise
+        # the one that calls rho0 at every RK4 stage (a 1000-step grid, where
+        # t accumulates rounding, and the 256-step one)
         setup = RodSetup(kappa=0.25, alpha1=1e-5, rho0=rho0)
         p = LoadPoint(10.0, 0.6)  # below the critical 0.682732
         grid = Grid(1000)
