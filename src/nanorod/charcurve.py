@@ -51,6 +51,7 @@ DEFAULT_L2_CAP = 40.0  # scan ceiling for kappa = 0, where 1/kappa is no bound
 _TOUCH_REL = 1e-5      # |F| at a tangency, relative to the scan scale
 _CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
 _SCAN_XTOL, _SCAN_RTOL = 1e-14, 8.9e-16  # Brent stop for the roots of a scan
+_SCALE_STEP = 0.05     # load offset of the probes that set a Newton system's scale
 _NO_INDEX = np.empty(0, dtype=np.intp)
 
 
@@ -245,17 +246,17 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps):
     raise RootNotFoundError(f"Brent iteration did not converge on [{a}, {b}]")
 
 
-def _bulk(fun, *arrays):
-    """fun(*arrays), evaluated elementwise with numpy's floating-point
-    warnings off.  At a non-finite value fun is called again on that point
-    alone, so the scalar path raises its error (DomainError for an
-    overflowed wavenumber)."""
+def _bulk(fun, xs):
+    """fun(xs), evaluated elementwise on the array xs with numpy's
+    floating-point warnings off.  At a non-finite value fun is called again
+    on that point alone, so the scalar path raises its error (DomainError
+    for an overflowed wavenumber)."""
     with np.errstate(all="ignore"):
-        vals = fun(*arrays)
+        vals = fun(xs)
         finite = np.isfinite(vals)
         if not finite.all():
             i = int(np.argmin(finite))
-            fun(*[a[i] for a in arrays])
+            fun(xs[i])
             raise DomainError(f"the residual evaluates to {vals[i]}")
     return vals
 
@@ -270,16 +271,14 @@ def _sign_brackets(vals):
 def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     """All roots of fun on [lo, hi], sorted: sign-change roots, plus tangency
     (double) roots when a touch gate is given.  With a count, the first count
-    entries are those of the full list, bit for bit, and roots past them may
-    be missing.
+    entries are those of the full list, bit for bit, and the entries past
+    them may differ.
 
     fun must evaluate elementwise on an array: the scan grid is evaluated
     in one call, and only the refinements evaluate point by point.  (One
     bracket takes ~8 scalar calls, ~20 us, in _brentq, against ~180 us for
-    the scan; _brentq_batch's ~15 array calls carry ~60 us of fixed numpy
-    cost each, so batching pays only across many columns, see
-    _scan_brackets.)  With a touch gate, fun must also accept a complex
-    scalar: its derivative is taken by complex step.
+    the scan.)  With a touch gate, fun must also accept a complex scalar:
+    its derivative is taken by complex step.
     A tangency is accepted when a local minimum of |fun| on the scan refines,
     by Brent on fun' between the neighbouring grid points, to a stationary
     point where |fun| is negligible: either against the scan scale, or
@@ -291,9 +290,8 @@ def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     xs[j], 2i + 1 for the bracket [xs[i], xs[i + 1]]), and the count-th of
     them is the cut: no root past it can come first.  A touch candidate at
     xs[i] is refined when its root, in [xs[i - 1], xs[i + 1]], can lie at
-    or below the cut, together with every sign root within 16 steps of it,
-    the ones its de-duplication is checked against.  With fewer than count
-    sign roots, everything is refined.
+    or below the cut.  With fewer than count sign roots, everything is
+    refined.
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
     vals = _bulk(fun, xs)
@@ -302,8 +300,7 @@ def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
     if count is not None and exact.size + brackets.size >= count:
         cut = np.sort(np.concatenate((2 * exact, 2 * brackets + 1)))[count - 1]
         touch = touch[touch - 1 <= (cut + 1) // 2]  # the cut root is at or below xs[(cut + 1) // 2]
-        if touch.size:
-            cut = max(cut, 2 * (touch[-1] + 16) + 1)
+        # a touch root below the cut root within 10 steps of a sign root past the cut is as near the cut root
         exact, brackets = exact[2 * exact <= cut], brackets[2 * brackets + 1 <= cut]
     roots = [xs[i] for i in exact]
     roots += [_brentq(fun, xs[i], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL) for i in brackets]
@@ -317,102 +314,38 @@ def _scan_brackets(fun, params, lo, hi):
     """The scan of _scan_roots, without a touch gate, of fun(p, x) in x on
     [lo, hi] for every p in params: (columns, brackets).  columns[c] lists
     the exact zeros of fun(params[c], x) as (root, sign of fun just above
-    it) pairs; brackets is the arrays (c, a, b, fun at a, fun at b) of the
+    it) pairs; brackets is the arrays (c, a, b, sign of fun at b) of the
     panels [a, b] of every column whose ends differ strictly in sign.
 
     The sign is read from the scan: the value at the next grid point, or
     minus the value before the last point for an exact zero there.  Each
-    column is scanned in one array call; _refine_into refines the brackets
-    of all columns together, so fun must also evaluate elementwise on arrays
-    of p and x alike.
+    column is scanned in one array call, so fun must evaluate elementwise
+    on an array of x.
     """
     xs = np.linspace(lo, hi, SCAN_PANELS + 1)
-    columns, ends = [], [(_NO_INDEX, _NO_INDEX, np.empty(0), np.empty(0))]
+    columns, ends = [], [(_NO_INDEX, _NO_INDEX, np.empty(0))]
     for c, p in enumerate(params):
         vals = _bulk(lambda x: fun(p, x), xs)
         exact, i = _sign_brackets(vals)
         above = np.sign(np.append(vals[1:], -vals[-2])[exact])
         columns.append(list(zip(xs[exact].tolist(), above.tolist())))
-        ends.append((np.full(i.size, c), i, vals[i], vals[i + 1]))
-    col, i, fa, fb = (np.concatenate(e) for e in zip(*ends))
-    return columns, (col, xs[i], xs[i + 1], fa, fb)
+        ends.append((np.full(i.size, c), i, np.sign(vals[i + 1])))
+    col, i, above = (np.concatenate(e) for e in zip(*ends))
+    return columns, (col, xs[i], xs[i + 1], above)
 
 
 def _refine_into(columns, fun, params, brackets):
-    """Refine brackets (as _scan_brackets gives them) in one _brentq_batch,
-    add each root with the sign of fun above it to its column, sort every
-    column.  A root does not depend on the batch, so any split is bitwise."""
-    col, a, b, fa, fb = brackets
-    ps = np.asarray(params, dtype=float)
-    roots = _brentq_batch(lambda k, x: fun(ps[col[k]], x), a, b, fa, fb)
-    for c, r, s in zip(col.tolist(), roots.tolist(), np.sign(fb).tolist()):
-        columns[c].append((r, s))
+    """Refine brackets (as _scan_brackets gives them) by _brentq with the
+    stop of _scan_roots, add each root with the sign of fun above it to its
+    column, sort every column.  Each root is bitwise the one _scan_roots
+    gives for its column."""
+    for c, a, b, above in zip(*(v.tolist() for v in brackets)):
+        p = params[c]
+        root = _brentq(lambda x: fun(p, x), a, b, xtol=_SCAN_XTOL, rtol=_SCAN_RTOL)
+        columns[c].append((root, above))
     for column in columns:
         column.sort()
     return columns
-
-
-def _brentq_batch(fun, a, b, fa, fb):
-    """Elementwise _brentq on the brackets [a[k], b[k]], whose end values
-    fa[k], fb[k] are known and differ strictly in sign.
-
-    fun(k, x) evaluates the functions of the brackets k (an index array) at
-    the points x.  Every bracket takes _brentq's steps with the scan's stop
-    (_SCAN_XTOL, _SCAN_RTOL) and the same 100-evaluation cap; one array call
-    per iteration evaluates the open brackets (and the spare lanes below).
-    """
-    # The lanes of the iteration come in power-of-two counts: numpy keeps
-    # freed blocks under 1 KiB for reuse, per byte size, so open-bracket
-    # subsets of every size would pile up there (+1 MB of peak RSS on a
-    # curve sweep).  Spare lanes repeat a bracket or hold a converged one,
-    # frozen at points fun has already seen.
-    roots = np.empty(a.size)
-    if not a.size:
-        return roots
-    k = np.resize(np.arange(a.size), _lanes(a.size))
-    xpre, xcur, fpre, fcur = a[k], b[k], fa[k], fb[k]
-    xblk = fblk = spre = scur = np.zeros(k.size)
-    open_ = np.ones(k.size, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # interpolants a lane does not take
-        for _ in range(100):
-            new = np.sign(fpre) * np.sign(fcur) < 0.0  # both nonzero, signs differ
-            step = xcur - xpre
-            xblk, fblk = np.where(new, xpre, xblk), np.where(new, fpre, fblk)
-            spre, scur = np.where(new, step, spre), np.where(new, step, scur)
-            swap = np.abs(fblk) < np.abs(fcur)
-            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
-            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
-            delta = (_SCAN_XTOL + _SCAN_RTOL * np.abs(xcur)) / 2.0
-            sbis = (xblk - xcur) / 2.0
-            done = open_ & ((fcur == 0.0) | (np.abs(sbis) < delta))
-            roots[k] = np.where(done, xcur, roots[k])
-            open_ &= ~done
-            m = int(np.count_nonzero(open_))
-            if m == 0:
-                return roots
-            if _lanes(m) < k.size:  # open lanes first, then converged ones as spares
-                keep = np.argsort(~open_, kind="stable")[:_lanes(m)]
-                k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, open_ = (
-                    v[keep] for v in (k, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis, open_))
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            iqi = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, iqi)
-            interp = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-            accept = interp & (2.0 * np.abs(stry) < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta))
-            spre, scur = np.where(accept, scur, sbis), np.where(accept, stry, sbis)
-            xpre, fpre = xcur, fcur
-            step = np.where(np.abs(scur) > delta, scur, np.where(sbis > 0.0, delta, -delta))
-            xcur = np.where(open_, xcur + step, xcur)
-            fcur = _bulk(fun, k, xcur)
-    first = k[np.argmax(open_)]
-    raise RootNotFoundError(f"Brent iteration did not converge on [{a[first]}, {b[first]}]")
-
-
-def _lanes(count: int) -> int:
-    """The power of two at or above count."""
-    return 1 << (count - 1).bit_length()
 
 
 def _touch_candidates(vals):
@@ -500,7 +433,7 @@ def solve_lambda1(
     return _solve_axis(lambda2, kappa, 1, lo, hi, which)
 
 
-def _damped_newton2(fun, x0, max_iter=50, tol=1e-10):
+def _damped_newton2(fun, x0, tol, max_iter=50):
     """Damped Newton for a 2-vector system with finite-difference Jacobian."""
     x = np.array(x0, dtype=float)
     r = np.array(fun(x), dtype=float)
@@ -540,8 +473,9 @@ def _damped_newton2(fun, x0, max_iter=50, tol=1e-10):
     raise NoFoldError(f"Newton did not converge: residual {np.max(np.abs(r)):.3e} at {x}")
 
 
-def _local_scale(l1, l2, kappa, dl=0.05):
+def _local_scale(l1, l2, kappa):
     probes = []
+    dl = _SCALE_STEP
     for d1, d2 in ((dl, 0.0), (-dl, 0.0), (0.0, dl), (0.0, -dl)):
         try:
             probes.append(abs(_residual(max(l1 + d1, 1e-9), l2 + d2, kappa)))
@@ -620,12 +554,12 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     """Trace the mode_index-th interaction-curve family over a lambda1 grid.
 
     Roots in lambda2 are refined per grid column (each column scanned in
-    one array call, the brackets of all columns refined together, but see
-    below) with the sign of F just above each.  Every root is labelled
-    on its own, with no reference to another column: its family
-    K = round(phi / 2 pi + 1/2) from the phase (see _phase), and its side,
-    lower where F is negative just above it and upper where F is positive.
-    A branch is the roots of one label, in column order.  The two sides of
+    one array call and each bracket refined as _scan_roots refines it, so
+    every root is bitwise its root; but see below) with the sign of F just
+    above each.  Every root is labelled on its own, with no reference to
+    another column: its family K = round(phi / 2 pi + 1/2) from the phase
+    (see _phase), and its side, lower where F is negative just above it
+    and upper where F is positive.  A branch is the roots of one label, in column order.  The two sides of
     a family form one folded family (tags lower/upper) iff its lower side
     never reaches the lambda2 = 0 axis, that is iff F(lambda1, 0) has no
     root of that family (for K = 1, iff kappa > kappa_cr); otherwise each

@@ -83,9 +83,6 @@ class Grid:
     def i1(self, z) -> np.ndarray:
         return self.cumint_right(z)
 
-    def i2(self, z) -> np.ndarray:
-        return self.cumint_right(self.cumint_right(z))
-
     def j1(self, zdot) -> np.ndarray:
         zdot = self._slope(zdot)
         return self.cumint_right(np.sqrt(1.0 - zdot**2))

@@ -1,8 +1,8 @@
 """Independent checks the tests hold the package to, kept out of the package
 because no production path calls them: the second-order linearization
 residual, the adjoint boundary sets, the moment recomputed from the
-constitutive closure, the node count of a closed-form mode and the I3
-operator written out from the grid's cumulative integral.
+constitutive closure, the node count of a closed-form mode and the I2 and
+I3 operators written out from the grid's cumulative integral.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ def linear_residual_L2(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
     denom = 1.0 - kappa * p.lambda2
     vals = y.sample(grid)
     res = (y.sample(grid, 2)
-           - p.lambda1 / denom * (grid.i2(vals) - kappa * vals)
+           - p.lambda1 / denom * (i2(grid, vals) - kappa * vals)
            - p.lambda2 / denom * grid.i1(y.sample(grid, 1)))
     return float(np.max(np.abs(res)))
 
@@ -71,6 +71,11 @@ def closed_form_moment(sol: BvpSolution) -> np.ndarray:
 def mode_node_count(yL, grid: Grid) -> int:
     """Same morphology metric as bvp.node_count, applied to a closed-form mode shape."""
     return _sign_changes(yL.sample(grid, 1)[1:-1])
+
+
+def i2(grid: Grid, z) -> np.ndarray:
+    """I2(z) = int_t^1 I1(z), the right-anchored integral applied twice."""
+    return grid.cumint_right(grid.cumint_right(z))
 
 
 def i3(grid: Grid, z, zdot) -> np.ndarray:

@@ -10,7 +10,6 @@ from nanorod.bvp import linear_shooting_determinant
 from nanorod.charcurve import (
     SCAN_PANELS,
     _brentq,
-    _brentq_batch,
     _coefficients,
     _kappa_partial,
     _phase,
@@ -56,12 +55,13 @@ def _scan_columns(fun, params, lo, hi):
 
 
 @pytest.fixture
-def batch_sizes(monkeypatch):
-    """The number of brackets of every _brentq_batch call, in call order."""
+def refine_sizes(monkeypatch):
+    """The number of brackets of every _refine_into call, in call order."""
     sizes = []
-    batch = charcurve._brentq_batch
-    monkeypatch.setattr(charcurve, "_brentq_batch",
-                        lambda fun, a, *rest: sizes.append(a.size) or batch(fun, a, *rest))
+    refine = charcurve._refine_into
+    monkeypatch.setattr(charcurve, "_refine_into",
+                        lambda columns, fun, params, brackets:
+                        sizes.append(brackets[0].size) or refine(columns, fun, params, brackets))
     return sizes
 
 
@@ -192,13 +192,14 @@ class TestPhase:
         for l1 in l1s:
             r1 = charcurve._wavenumbers(l1, xs, kappa, 1.0 - kappa * xs, charcurve._ARRAY_OPS)[0]
             assert (np.diff(r1) >= 0.0).all()
-        fun = lambda l1, x: _residual(l1, x, kappa)
-        _, (col, a, b, fa, fb) = _scan_brackets(fun, l1s, 1e-9, hi)
-        roots = _brentq_batch(lambda k, x: fun(l1s[col[k]], x), a, b, fa, fb)
-        families = np.rint(_phase(l1s[col], roots, kappa)[0] / (2.0 * math.pi) + 0.5)
-        r1 = charcurve._wavenumbers(l1s[col], a, kappa, 1.0 - kappa * a, charcurve._ARRAY_OPS)[0]
-        assert col.size and (r1 < (2.0 * families + 0.5) * math.pi).all()
-        assert not charcurve._past_families(l1s[col], a, kappa, families).any()
+        columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), l1s, 1e-9, hi)
+        l1 = np.concatenate([np.full(len(column), p) for p, column in zip(l1s, columns)])
+        roots = np.array([x for column in columns for x, _ in column])
+        a = xs[np.searchsorted(xs, roots) - 1]  # the left end of each root's scan panel
+        families = np.rint(_phase(l1, roots, kappa)[0] / (2.0 * math.pi) + 0.5)
+        r1 = charcurve._wavenumbers(l1, a, kappa, 1.0 - kappa * a, charcurve._ARRAY_OPS)[0]
+        assert roots.size and (r1 < (2.0 * families + 0.5) * math.pi).all()
+        assert not charcurve._past_families(l1, a, kappa, families).any()
 
 
 class TestPartials:
@@ -443,9 +444,9 @@ class TestTraceCurve:
 
     @pytest.mark.parametrize("kappa", [0.25, 0.45])
     def test_residual_work_gate(self, kappa, monkeypatch):
-        # the roots of every column are refined in array calls: one per scan
-        # column plus one per batched Brent iteration, and no point-by-point
-        # refinement (3,986 real scalar calls at 0.25 with scalar Brent)
+        # one array call per scan column plus the axis test's samples, and
+        # scalar Brent calls only on the brackets the mode can lie in
+        # (3,986 real scalar calls at 0.25 when every bracket is refined)
         calls = {"array": 0, "real": 0, "complex": 0}
         residual = charcurve._residual
 
@@ -459,24 +460,24 @@ class TestTraceCurve:
         monkeypatch.setattr(charcurve, "_residual", counted)
         grid_l1 = list(np.arange(0.5, 8.5 + 1e-9, 0.25))
         assert trace_curve(kappa, grid_l1)
-        assert calls["real"] <= 50
-        assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 40
+        assert calls["real"] <= 420
+        assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 3
 
     @pytest.mark.parametrize("kappa,mode,ceiling", [(0.25, 1, 70), (0.45, 1, 70), (0.45, 3, 210)])
-    def test_bracket_work_gate(self, kappa, mode, ceiling, batch_sizes):
+    def test_bracket_work_gate(self, kappa, mode, ceiling, refine_sizes):
         # only the brackets that can hold a family up to the mode are refined,
-        # in one batch (518, 452 and 452 brackets when every one is refined)
+        # in one pass (518, 452 and 452 brackets when every one is refined)
         assert trace_curve(kappa, README_L1, mode_index=mode)
-        assert len(batch_sizes) == 1 and 0 < batch_sizes[0] <= ceiling
+        assert len(refine_sizes) == 1 and 0 < refine_sizes[0] <= ceiling
 
     @pytest.mark.parametrize("kappa,grid_l1,mode,sizes", [
         (0.6, [4.0, 4.5, 5.0], 1, [0, 8]),  # family 1 has folded away: mode 1 is family 2
         (0.46249999999999997, [0.01, 0.02], 6, [22, 0]),  # family 6 falls between scan points
     ])
     def test_skipped_brackets_refined_when_the_mode_lies_past_them(self, kappa, grid_l1, mode,
-                                                                   sizes, batch_sizes):
+                                                                   sizes, refine_sizes):
         lazy = trace_curve(kappa, grid_l1, mode_index=mode)
-        assert batch_sizes == sizes and [b.branch_tag for b in lazy] in (["single"], ["lower", "upper"])
+        assert refine_sizes == sizes and [b.branch_tag for b in lazy] in (["single"], ["lower", "upper"])
         with mock.patch.object(charcurve, "_past_families", _skip_none):
             assert repr(lazy) == repr(trace_curve(kappa, grid_l1, mode_index=mode))
 
@@ -642,28 +643,6 @@ class TestArrayScanAndBrent:
         assert with_touch == sorted(with_touch)
         assert [r for r in with_touch if r in ref] == ref
 
-    def test_batched_brent_matches_scipy_on_residual_brackets(self):
-        from scipy.optimize import brentq
-        rng = np.random.default_rng(20261018)
-        checked = 0
-        for kappa in [0.0] + list(rng.uniform(0.0, 0.6, 7)):
-            xs = np.linspace(-1.0, lambda2_max(kappa), 301)
-            l1s, a, b, fa, fb = [], [], [], [], []
-            for l1 in rng.uniform(0.0, 40.0, 5):
-                vals = _residual(l1, xs, kappa)
-                i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-                for ends, new in zip((l1s, a, b, fa, fb),
-                                     ([l1] * i.size, xs[i], xs[i + 1], vals[i], vals[i + 1])):
-                    ends.extend(new)
-            l1s = np.array(l1s)
-            roots = _brentq_batch(lambda k, x: _residual(l1s[k], x, kappa),
-                                  *(np.array(v) for v in (a, b, fa, fb)))
-            for r, l1, lo, hi in zip(roots, l1s, a, b):
-                ref = brentq(lambda x: _residual(l1, x, kappa), lo, hi, xtol=1e-14, rtol=8.9e-16)
-                assert abs(r - ref) <= 1e-14 + 8.9e-16 * abs(ref)
-                checked += 1
-        assert checked > 150
-
     @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.375, 0.45, 0.55])
     def test_scan_columns_match_scan_roots(self, kappa):
         grid_l1 = [0.0, 0.05] + list(np.arange(0.5, 40.0, 1.5))
@@ -674,9 +653,7 @@ class TestArrayScanAndBrent:
         for l1, column in zip(grid_l1, columns):
             roots, signs = [r for r, _ in column], [s for _, s in column]
             ref = _scan_roots(lambda x: fun(l1, x), 1e-9, hi)
-            assert len(roots) == len(ref) and roots == sorted(roots)
-            for r, x in zip(roots, ref):
-                assert abs(r - x) <= 1e-14 + 8.9e-16 * abs(x)
+            assert roots == ref
             # the sign of F above a root is the sign below the next one
             assert set(signs) <= {-1.0, 1.0}
             assert all(a == -b for a, b in zip(signs, signs[1:]))
@@ -685,6 +662,17 @@ class TestArrayScanAndBrent:
             for branch in trace_curve(kappa, grid_l1, mode_index=mode):
                 for p, _ in branch.points:
                     assert p.lambda2 in [r for r, _ in columns[grid_l1.index(p.lambda1)]]
+
+    @pytest.mark.parametrize("kappa,tags", [(0.25, ["single"]), (0.45, ["lower", "upper"])])
+    def test_traced_roots_are_point_query_roots(self, kappa, tags):
+        # to the last bit: a mode-1 point is the first root of its column,
+        # or the second on the upper branch
+        branches = trace_curve(kappa, README_L1)
+        assert [b.branch_tag for b in branches] == tags
+        for branch in branches:
+            which = 2 if branch.branch_tag == "upper" else 1
+            for p, _ in branch.points:
+                assert p.lambda2 == solve_lambda2(p.lambda1, kappa, which=which)
 
     def test_scan_columns_bracket_rule(self):
         # x - p on [0, 2]: a root on a grid point, on the last point, inside

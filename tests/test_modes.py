@@ -9,7 +9,7 @@ from nanorod.quadrature import Grid
 from nanorod.reduction import reduction_coefficients
 from nanorod.unfolding import unfolding_coefficients
 from conftest import critical_point, fixture_curvature
-from oracles import adjoint_boundary_residuals, i3, linear_residual_L2, mode_node_count
+from oracles import adjoint_boundary_residuals, i2, i3, linear_residual_L2, mode_node_count
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +131,7 @@ class TestAdjointKernels:
              3 * t**2 * np.sin(2 * t) + 2 * t**3 * np.cos(2 * t),
              6 * t * np.sin(2 * t) + 12 * t**2 * np.cos(2 * t) - 4 * t**3 * np.sin(2 * t)),
         ]:
-            l2y = (ydd - p25.lambda1 / denom * (grid.i2(y) - 0.25 * y)
+            l2y = (ydd - p25.lambda1 / denom * (i2(grid, y) - 0.25 * y)
                    - p25.lambda2 / denom * grid.i1(yd))
             assert abs(grid.inner(l2y, q2(t))) < 1e-6
 
@@ -151,7 +151,7 @@ class TestLinearResiduals:
             y = np.sin(a * t) * t**2 + b * t**3 + c * t**4
             yd = np.gradient(y, grid.h, edge_order=2)
             l2y = (np.gradient(yd, grid.h, edge_order=2)
-                   - p25.lambda1 / denom * (grid.i2(y) - 0.25 * y)
+                   - p25.lambda1 / denom * (i2(grid, y) - 0.25 * y)
                    - p25.lambda2 / denom * grid.i1(yd))
             lhs = np.gradient(np.gradient(l2y, grid.h, edge_order=2), grid.h, edge_order=2)
             d2 = np.gradient(yd, grid.h, edge_order=2)
@@ -226,7 +226,7 @@ class TestSampledPath:
         yL = mode_shape(p0, kappa, grid)
         held = _mode_profile(yL, grid)
         y, yd = yL(grid.t), yL(grid.t, 1)
-        expected = (y, yd, grid.i1(y), grid.i2(y), grid.i1(yd), i3(grid, y, yd), grid.i1(yd**2))
+        expected = (y, yd, grid.i1(y), i2(grid, y), grid.i1(yd), i3(grid, y, yd), grid.i1(yd**2))
         assert len(held) == len(expected)
         for arr, ref in zip(held, expected):
             assert np.array_equal(arr, ref)

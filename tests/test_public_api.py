@@ -34,6 +34,9 @@ REMOVED = (
     ("unfolding", "UnfoldingCoefficients.d51"),
     ("unfolding", "UnfoldingCoefficients.d52"),
     ("cli", "_CONVERGENCE_ERRORS"),
+    ("quadrature", "Grid.i2"),
+    ("charcurve", "_brentq_batch"),
+    ("charcurve", "_lanes"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs
@@ -51,6 +54,7 @@ REMOVED_PARAMETERS = (
     ("bvp", "node_count", "zero_tol"),
     ("bvp", "residual_M2", "grid"),
     ("unfolding", "is_universal_unfolding", "tol"),
+    ("charcurve", "_local_scale", "dl"),
 )
 
 

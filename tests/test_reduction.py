@@ -15,6 +15,7 @@ from nanorod.reduction import (
 )
 
 from conftest import critical_point
+from oracles import i2
 
 
 def build_rc(lambda1, kappa, near, grid, order=2, which=1):
@@ -74,10 +75,10 @@ class TestCoefficients:
         t = grid.t
         yv, yd, qv = yL(t), yL(t, 1), q(t)
         l1, l2 = p0.lambda1, p0.lambda2
-        c11 = -grid.inner(grid.i2(yv), qv)
+        c11 = -grid.inner(i2(grid, yv), qv)
         c12 = -grid.inner(grid.i1(yd), qv)
         i3 = grid.i1(yd**2 * grid.i1(yv))
-        c3 = grid.inner(0.5 * (l1 * (i3 + yd**2 * grid.i2(yv)) + l2 * yd**2 * grid.i1(yd)), qv)
+        c3 = grid.inner(0.5 * (l1 * (i3 + yd**2 * i2(grid, yv)) + l2 * yd**2 * grid.i1(yd)), qv)
         assert rc.c11 == pytest.approx(c11, abs=1e-8)
         assert rc.c12 == pytest.approx(c12, abs=1e-8)
         assert rc.c13 == 0.0
