@@ -1,4 +1,5 @@
-"""Nonlinear equilibrium of the rod by shooting, and the linear shooting oracle.
+"""Nonlinear equilibrium of the rod, by collocation and by shooting, and the
+linear shooting oracle.
 
 State vector (x, y, theta, v, m): coordinates, tangent angle, shear resultant,
 bending moment, all dimensionless on t in [0, 1].  The second-order
@@ -10,9 +11,20 @@ second derivative, leaving
 
 alongside v' = -l1 y, m' = -v cos(theta) - l2 sin(theta), x' = cos(theta),
 y' = sin(theta).  Boundary conditions: x = y = theta = 0 at the clamp,
-v(1) = alpha2 and m(1) = 0 at the tip; (v(0), m(0)) are the shooting
-unknowns.  Integration is classical fixed-step 4th order with one step per
-grid interval, so trajectories land exactly on the shared quadrature grid.
+v(1) = alpha2 and m(1) = 0 at the tip.
+
+`solve_postbuckling` solves this by Chebyshev collocation: theta and m at
+N + 1 Lobatto nodes are the unknowns, y = Q0 sin(theta), x = Q0 cos(theta)
+and v = alpha2 + l1 Q1 y follow by spectral integration, and a damped
+Newton with an analytic Jacobian drives D theta - theta' and
+D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
+13).  The solution is sampled on the requested grid by Clenshaw's
+recurrence.
+
+`shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
+integration is classical fixed-step 4th order with one step per grid
+interval, so trajectories land exactly on the shared quadrature grid.  It
+solves the straight rod on the trivial side and is the tests' oracle.
 """
 
 import functools
@@ -30,7 +42,7 @@ from .errors import (
     RegimeError,
 )
 from .model import LoadPoint, RodSetup
-from .quadrature import Grid
+from .quadrature import Grid, cheb_coefficients, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes
 from .reduction import Verdict, amplitude_for_offsets, critical_chain, crossing_offsets
 
 SING_TOL = 1e-8
@@ -38,6 +50,12 @@ THETA_LIMIT = 0.5 * math.pi
 SHOOT_TOL = 1e-9
 SHOOT_MAX_ITER = 50
 COARSE_N = 256  # steps of the grid shoot converges on before the requested one
+CHEB_N = 32  # collocation intervals; one retry at 2 * CHEB_N if the tail is not resolved
+CHEB_TAIL = 1e-10  # last three Chebyshev coefficients relative to the largest: resolved
+COLLOC_TOL = 1e-12
+COLLOC_MAX_ITER = 30
+COLLOC_ACCEPT_STEP = 0.125  # the line search takes the step once halved to this
+COLLOC_STALL_STEP = 1e-3  # and reports a stall below this, as _newton does
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,6 +153,8 @@ class BvpSolution:
     m0: float
     terminal_residuals: tuple
     m2_residual: Optional[float] = field(default=None)
+    path: Optional[str] = None  # solve_postbuckling: "direct" or "continuation"
+    newton_iterations: Optional[int] = None  # collocation Newton steps of the returned solve
 
 
 def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
@@ -217,6 +237,125 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
     )
 
 
+def _collocate(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
+               grid: Grid) -> BvpSolution:
+    """Chebyshev collocation of the equilibrium, sampled on grid.
+
+    The seed is the RK4 trajectory from (guess_v0, guess_m0) on
+    Grid(COARSE_N), interpolated onto the CHEB_N + 1 nodes.  If the
+    Chebyshev tail of theta or m is not resolved there, Newton restarts once
+    on 2 * CHEB_N nodes from the CHEB_N solution.
+    """
+    try:
+        seed = integrate(p, setup, guess_v0, guess_m0, grid=Grid(COARSE_N))
+    except RegimeError as exc:
+        raise NoConvergenceError(f"initial guess not integrable: {exc}",
+                                 last_iterate=(guess_v0, guess_m0)) from exc
+    nodes = cheb_nodes(CHEB_N)
+    theta, m = np.interp(nodes, seed.t, seed.theta), np.interp(nodes, seed.t, seed.m)
+    theta, m, iterations = _collocation_newton(p, setup, theta, m)
+    if not _resolved(theta, m):
+        nodes = cheb_nodes(2 * CHEB_N)
+        theta, m = cheb_eval(theta, nodes), cheb_eval(m, nodes)
+        theta[0] = 0.0
+        theta, m, more = _collocation_newton(p, setup, theta, m)
+        iterations += more
+        if not _resolved(theta, m):
+            raise NoConvergenceError(
+                f"collocation not resolved on {2 * CHEB_N + 1} Chebyshev nodes",
+                last_iterate=(guess_v0, guess_m0))
+
+    n = len(theta) - 1
+    q0, q1 = cheb_cumint(n)
+    x, y = q0 @ np.cos(theta), q0 @ np.sin(theta)
+    v = setup.alpha2 + p.lambda1 * (q1 @ y)
+    xs, ys, ths, vs, ms = (cheb_eval(f, grid.t) for f in (x, y, theta, v, m))
+    xs[0] = ys[0] = ths[0] = 0.0
+    den = 1.0 + setup.kappa * (vs * np.sin(ths) - p.lambda2 * np.cos(ths))
+    if np.max(np.abs(ths)) >= THETA_LIMIT or np.min(np.abs(den)) < SING_TOL:
+        raise NoConvergenceError("collocation solution leaves the regime between the nodes",
+                                 last_iterate=(float(v[0]), float(m[0])))
+    traj = Trajectory(t=grid.t.copy(), x=xs, y=ys, theta=ths, v=vs, m=ms)
+    sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(v[0]), m0=float(m[0]),
+                      terminal_residuals=(float(vs[-1] - setup.alpha2), float(ms[-1])),
+                      newton_iterations=iterations)
+    sol.m2_residual = residual_M2(sol)
+    return sol
+
+
+def _resolved(theta: np.ndarray, m: np.ndarray) -> bool:
+    """Whether the last three Chebyshev coefficients of theta and of m are
+    within CHEB_TAIL of their largest one."""
+    coefs = [np.abs(cheb_coefficients(f)) for f in (theta, m)]
+    return all(c[-3:].max() <= CHEB_TAIL * c.max() for c in coefs)
+
+
+def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray):
+    """Damped Newton on the collocation residual over (theta, m) at the nodes,
+    with the analytic Jacobian; returns (theta, m, iterations)."""
+    n1 = len(theta)
+    nodes, d = cheb_nodes(n1 - 1), cheb_diff(n1 - 1)
+    q0, q1 = cheb_cumint(n1 - 1)
+    l1, l2, kappa, alpha2 = p.lambda1, p.lambda2, setup.kappa, setup.alpha2
+    curv = (setup.alpha1 * np.broadcast_to(np.asarray(setup.rho0(nodes), dtype=float), n1)
+            if setup.alpha1 else 0.0)
+
+    def system(th, mm):
+        """(residual, Jacobian, v(0)), or None outside the regime at a node."""
+        c, s = np.cos(th), np.sin(th)
+        y = q0 @ s
+        v = alpha2 + l1 * (q1 @ y)
+        den = 1.0 + kappa * (v * s - l2 * c)
+        if np.max(np.abs(th)) >= THETA_LIMIT or np.min(np.abs(den)) < SING_TOL:
+            return None
+        num = mm - kappa * l1 * y * c + curv
+        r = np.concatenate([d @ th - num / den, d @ mm + v * c + l2 * s])
+        dy = q0 * c  # dy/dtheta = Q0 diag(cos theta)
+        dv = l1 * (q1 @ dy)
+        dnum = -kappa * l1 * (c[:, None] * dy - np.diag(y * s))
+        dden = kappa * (s[:, None] * dv + np.diag(v * c + l2 * s))
+        jac = np.empty((2 * n1, 2 * n1))
+        jac[:n1, :n1] = d - dnum / den[:, None] + (num / den**2)[:, None] * dden
+        jac[:n1, n1:] = np.diag(-1.0 / den)
+        jac[n1:, :n1] = c[:, None] * dv + np.diag(l2 * c - v * s)
+        jac[n1:, n1:] = d
+        # the rows of theta at t = 0 and of m at t = 1 carry theta(0) = 0, m(1) = 0
+        r[0], r[-1] = th[0], mm[-1]
+        jac[[0, -1]] = 0.0
+        jac[0, 0] = jac[-1, -1] = 1.0
+        return r, jac, float(v[0])
+
+    current = system(theta, m)
+    if current is None:
+        raise NoConvergenceError("collocation seed leaves the regime at a node")
+    for iteration in range(COLLOC_MAX_ITER):
+        r, jac, v0 = current
+        base = float(np.max(np.abs(r)))
+        if base < COLLOC_TOL:
+            return theta, m, iteration
+        try:
+            step = np.linalg.solve(jac, -r)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError("singular collocation Jacobian",
+                                     last_iterate=(v0, float(m[0]))) from exc
+        lam = 1.0
+        while lam > COLLOC_STALL_STEP:
+            current = system(theta + lam * step[:n1], m + lam * step[n1:])
+            if current is None:
+                lam *= 0.5
+                continue
+            if np.max(np.abs(current[0])) < base or lam <= COLLOC_ACCEPT_STEP:
+                break
+            lam *= 0.5
+        else:
+            raise NoConvergenceError("collocation line search stalled",
+                                     last_iterate=(v0, float(m[0])), residual=base)
+        theta, m = theta + lam * step[:n1], m + lam * step[n1:]
+    raise NoConvergenceError(
+        f"collocation Newton did not converge in {COLLOC_MAX_ITER} iterations",
+        last_iterate=(current[2], float(m[0])), residual=float(np.max(np.abs(current[0]))))
+
+
 def _mode_seed(yL, amplitude: float, grid: Grid):
     """Initial (v0, m0) predicted from the linear mode at amplitude a."""
     p0 = yL.p0
@@ -232,13 +371,14 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
 
     The offset follows the crossing path of the reduction module
     ((delta, -eta' delta) for along-lambda1, (-eta' delta, delta) for
-    along-lambda2); the shooting seed comes from the bifurcation amplitude of
-    the linear mode, with the requested branch sign.  If the direct solve
-    fails, or lands on the trivial state or the mirrored branch, the offset is
-    walked up quadratically in five continuation steps, each seeded with the
-    previous solution scaled by the amplitude law a ~ sqrt(offset); a step
-    that fails from that seed is retried once from the unscaled previous
-    solution.
+    along-lambda2); the seed (v(0), m(0)) comes from the bifurcation amplitude
+    of the linear mode, with the requested branch sign, and each attempt is
+    solved by collocation.  If the direct solve fails, or lands on the trivial
+    state or the mirrored branch, the offset is walked up quadratically in
+    five continuation steps, each seeded with the previous solution scaled by
+    the amplitude law a ~ sqrt(offset); a step that fails from that seed is
+    retried once from the unscaled previous solution.  The solution's path
+    records which of the two returned it.
     """
     if grid is None:
         grid = Grid()
@@ -259,7 +399,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
             raise AmplitudeSeedError(
                 f"offset {d} lies on the trivial side; no nontrivial branch to seed", load=p)
         v0, m0 = guess if guess is not None else _mode_seed(yL, sign * amp, grid)
-        sol = shoot(p, setup, v0, m0, grid=grid)
+        sol = _collocate(p, setup, v0, m0, grid=grid)
         # the tip must carry the requested sign and a share of the predicted size
         if sign * math.copysign(1.0, tip_mode) * tip_deflection(sol) < 0.2 * amp * abs(tip_mode):
             raise NoConvergenceError("converged to the trivial or the mirrored branch",
@@ -267,7 +407,9 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         return sol
 
     try:
-        return attempt(delta)
+        sol = attempt(delta)
+        sol.path = "direct"
+        return sol
     except NoConvergenceError:
         pass
     sol = attempt(delta * (1 / 5.0) ** 2)
@@ -279,6 +421,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
             # the tip grows slower than sqrt(offset) at large offsets, where
             # the scaled seed can leave the |theta| < pi/2 regime
             sol = attempt(d, guess=(sol.v0, sol.m0))
+    sol.path = "continuation"
     return sol
 
 

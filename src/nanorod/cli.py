@@ -309,7 +309,9 @@ def cmd_postbuckle(args):
            "lambda1": sol.load.lambda1, "lambda2": sol.load.lambda2,
            "tip_deflection": bvp.tip_deflection(sol),
            "node_count": bvp.node_count(sol),
-           "m2_residual": sol.m2_residual})
+           "m2_residual": sol.m2_residual,
+           "path": sol.path,
+           "newton_iterations": sol.newton_iterations})
     return EXIT_OK
 
 

@@ -6,7 +6,15 @@ running a cumulative composite-Simpson pass, and reversing back.  The
 cumulative pass is 4th-order accurate: even indices carry plain composite
 Simpson, odd indices add a half-panel integrated from the parabola through
 the three nearest samples.
+
+The Chebyshev tools at the end serve the post-buckling collocation: the
+Lobatto nodes t_j = (1 - cos(j pi / N)) / 2 on [0, 1], the differentiation
+matrix, the left- and right-anchored integration matrices and Clenshaw
+evaluation of the interpolant, all from closed forms (Trefethen, Spectral
+Methods in MATLAB, 2000, ch. 6 and 12).
 """
+
+import functools
 
 import numpy as np
 
@@ -97,3 +105,73 @@ class Grid:
             raise InadmissibleSlopeError("|dz/dt| reaches 1; sqrt(1 - zdot^2) kernel undefined")
         return zdot
 
+
+
+@functools.lru_cache(maxsize=4)
+def cheb_nodes(n: int) -> np.ndarray:
+    """Chebyshev-Lobatto nodes on [0, 1], t_0 = 0 and t_n = 1 exactly."""
+    t = 0.5 * (1.0 - np.sin(0.5 * np.pi * (n - 2 * np.arange(n + 1)) / n))
+    t.setflags(write=False)
+    return t
+
+
+@functools.lru_cache(maxsize=4)
+def _cheb_coefficient_matrix(n: int) -> np.ndarray:
+    """Node values -> coefficients a_k of sum_k a_k T_k(1 - 2t) (discrete cosine transform)."""
+    jk = np.outer(np.arange(n + 1), np.arange(n + 1))
+    c = np.cos(np.pi * (jk % (2 * n)) / n) * (2.0 / n)
+    c[:, [0, n]] *= 0.5
+    c[[0, n]] *= 0.5
+    c.setflags(write=False)
+    return c
+
+
+@functools.lru_cache(maxsize=4)
+def cheb_diff(n: int) -> np.ndarray:
+    """d/dt on the node values (Trefethen's cheb with t = (1 - x) / 2; the
+    diagonal is minus the off-diagonal row sum, so constants map to 0)."""
+    x = 1.0 - 2.0 * cheb_nodes(n)
+    c = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+    c[[0, n]] *= 2.0
+    dx = x[:, None] - x[None, :] + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / dx
+    d -= np.diag(d.sum(axis=1))
+    d *= -2.0
+    d.setflags(write=False)
+    return d
+
+
+@functools.lru_cache(maxsize=4)
+def cheb_cumint(n: int) -> tuple:
+    """(Q0, Q1): (Q0 z)_j = int_0^{t_j} z and (Q1 z)_j = int_{t_j}^1 z for the
+    degree-n interpolant of z, by term-wise integration of its T_k series."""
+    k = np.arange(1, n + 2)
+    s = np.zeros((n + 2, n + 1))  # coefficients -> antiderivative coefficients in x
+    s[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
+    s[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+    jk = np.outer(np.arange(n + 1), np.arange(n + 2))
+    anti = np.cos(np.pi * (jk % (2 * n)) / n) @ s @ _cheb_coefficient_matrix(n)
+    q0, q1 = 0.5 * (anti[0] - anti), 0.5 * (anti - anti[n])  # dt = -dx / 2
+    for q in (q0, q1):
+        q.setflags(write=False)
+    return q0, q1
+
+
+def cheb_coefficients(values) -> np.ndarray:
+    """Chebyshev coefficients a_k of the interpolant through the n + 1 node values."""
+    values = np.asarray(values, dtype=float)
+    return _cheb_coefficient_matrix(len(values) - 1) @ values
+
+
+def cheb_eval(values, t) -> np.ndarray:
+    """The interpolant through the n + 1 node values at the points t, by
+    Clenshaw's recurrence on its Chebyshev coefficients."""
+    coef = cheb_coefficients(values)
+    x2 = 2.0 * (1.0 - 2.0 * np.asarray(t, dtype=float))
+    b1, b2 = np.zeros_like(x2), np.zeros_like(x2)
+    for a in coef[:0:-1]:  # b_k = a_k + 2x b_{k+1} - b_{k+2}, into b_{k+2}'s array
+        b2 *= -1.0
+        b2 += a
+        b2 += x2 * b1
+        b1, b2 = b2, b1
+    return coef[0] + 0.5 * x2 * b1 - b2

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +151,20 @@ class TestShoot:
         for name in ("x", "y", "theta", "v", "m"):
             assert np.array_equal(getattr(sampled.trajectory, name), getattr(ref.trajectory, name))
 
+    def test_fine_grid_needs_one_integration(self, grid, monkeypatch):
+        # grid sequencing: Newton converges on the COARSE_N-step grid, and the
+        # requested grid then takes a single integration
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        seed = solve_postbuckling(p0, 0.25, 0.3, grid=Grid(bvp.COARSE_N))
+        steps = []
+        run = bvp.integrate
+        monkeypatch.setattr(bvp, "integrate",
+                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
+        sol = shoot(seed.load, seed.setup, 1.05 * seed.v0, 1.05 * seed.m0, grid=grid)
+        assert steps[-1] == grid.n and set(steps[:-1]) == {bvp.COARSE_N}
+        assert sum(steps) <= 2 * grid.n
+        assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
+
     def test_nonconvergence_reports_last_iterate(self, bgrid):
         # the failure happens in the coarse stage, and the message says so
         setup = RodSetup(kappa=0.45)
@@ -262,7 +278,7 @@ class TestPostbuckling:
     def test_continuation_retries_from_unscaled_solution(self, bgrid, monkeypatch):
         # at kappa = 0, lambda1 = 1 the step-5 seed scaled by the sqrt law
         # leaves the |theta| < pi/2 regime; the step is retried from the
-        # unscaled step-4 solution, one shoot call more
+        # unscaled step-4 solution, one collocation solve more
         _check_continuation_pair(critical_point(1.0, 0.0), 7, bgrid, monkeypatch)
 
     def test_trivial_side_carries_offset_load(self, bgrid):
@@ -291,14 +307,16 @@ class TestPostbuckling:
         assert bumped > base + 1e-4
 
 
-def _check_continuation_pair(p0, shoots, grid, monkeypatch):
+def _check_continuation_pair(p0, solves, grid, monkeypatch):
     """Both signs at dl1 = 4 through the continuation: sign, residuals, mirror."""
-    sols = {}
+    sols, solve = {}, bvp._collocate
     for sign in (1, -1):
         calls = []
-        monkeypatch.setattr(bvp, "shoot", lambda *a, _f=shoot, **k: calls.append(a) or _f(*a, **k))
+        monkeypatch.setattr(bvp, "_collocate",
+                            lambda *a, _f=solve, **k: calls.append(a) or _f(*a, **k))
         sols[sign] = solve_postbuckling(p0, 0.0, 4.0, sign=sign, grid=grid)
-        assert len(calls) == shoots
+        assert len(calls) == solves
+        assert sols[sign].path == "continuation"
         assert np.sign(tip_deflection(sols[sign])) == sign
         assert sols[sign].m2_residual < 1e-4
         assert max(abs(r) for r in sols[sign].terminal_residuals) < 1e-9
@@ -372,13 +390,13 @@ class TestGridSequencing:
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
     def test_matches_single_grid_reference(self, grid, monkeypatch, l1, kappa, which,
                                            delta, direction):
-        # the coarse stage changes the fine-grid solution by less than the
-        # shooting tolerance moves it
+        # the collocation solution agrees with single-grid shooting, run in
+        # its place on the same seed, to within the shooting tolerance's effect
         p0 = critical_point(l1, kappa, which=which)
         for sign in (1, -1):
             sol = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
             with monkeypatch.context() as patch:
-                patch.setattr(bvp, "shoot", _single_grid_shoot)
+                patch.setattr(bvp, "_collocate", _single_grid_shoot)
                 ref = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
             assert len(sol.trajectory.y) == grid.n + 1
             assert np.max(np.abs(sol.trajectory.y - ref.trajectory.y)) <= 1e-8
@@ -386,16 +404,18 @@ class TestGridSequencing:
 
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
     def test_rk4_steps_per_solve(self, grid, monkeypatch, l1, kappa, which, delta, direction):
-        # Newton converges on the coarse grid; the requested grid then needs
-        # about one integration (the single-grid loop made 28,672 steps here)
+        # a direct solve integrates its seed once on the coarse grid and
+        # converges in a few collocation Newton steps (grid-sequenced
+        # shooting made 5,888 RK4 steps here, the single-grid loop 28,672)
         p0 = critical_point(l1, kappa, which=which)
         steps = []
         run = bvp.integrate
         monkeypatch.setattr(bvp, "integrate",
                             lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
-        solve_postbuckling(p0, kappa, delta, direction, grid=grid)
-        assert steps[-1] == grid.n
-        assert sum(steps) <= 2 * grid.n
+        sol = solve_postbuckling(p0, kappa, delta, direction, grid=grid)
+        assert sol.path == "direct"
+        assert steps == [bvp.COARSE_N]
+        assert sol.newton_iterations <= 4
 
     def test_coarse_grid_runs_one_stage(self, monkeypatch):
         grid = Grid(bvp.COARSE_N)
@@ -408,6 +428,62 @@ class TestGridSequencing:
         assert set(steps) == {bvp.COARSE_N}
         assert len(sol.trajectory.y) == bvp.COARSE_N + 1
         assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
+
+
+# the collocation accuracy points: Fig. 6 shapes at kappa 0.25, and both sides
+# of the branch minimum at kappa 0.45 with the second root at lambda1 5
+COLLOCATION_POINTS = [
+    (0.05, 0.25, 1, 0.5, "along-lambda1"),
+    (10.0, 0.25, 1, 0.5, "along-lambda1"),
+    (15.0, 0.25, 1, 0.5, "along-lambda1"),
+    (5.0, 0.45, 1, 0.02, "along-lambda2"),
+    (5.0, 0.45, 2, 0.02, "along-lambda2"),
+    (7.5, 0.45, 1, 0.02, "along-lambda2"),
+]
+
+
+class TestCollocation:
+    @pytest.mark.parametrize("l1,kappa,which,delta,direction", COLLOCATION_POINTS)
+    def test_tip_conditions_and_sampling(self, l1, kappa, which, delta, direction):
+        # a fine RK4 shot from the returned (v0, m0) meets both tip conditions;
+        # the clamp samples are exact zeros on every grid
+        p0 = critical_point(l1, kappa, which=which)
+        for sign in (1, -1):
+            for n in (256, 1024, 4096):
+                grid = Grid(n)
+                sol = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
+                traj = sol.trajectory
+                assert len(traj.y) == grid.n + 1
+                assert (traj.x[0], traj.y[0], traj.theta[0]) == (0.0, 0.0, 0.0)
+            fine = integrate(sol.load, sol.setup, sol.v0, sol.m0, grid=Grid(16384))
+            assert abs(fine.v[-1] - sol.setup.alpha2) <= 1e-11
+            assert abs(fine.m[-1]) <= 1e-11
+
+    def test_seed_outside_regime_reports_no_convergence(self):
+        with pytest.raises(NoConvergenceError,
+                           match=r"^initial guess not integrable: \|theta\| reached pi/2") as err:
+            bvp._collocate(LoadPoint(1.0, 0.5), RodSetup(0.25), 0.0, 50.0, grid=Grid(64))
+        assert type(err.value.__cause__) is RegimeError
+        assert err.value.last_iterate == (0.0, 50.0)
+
+    def test_unresolved_tail_raises(self, monkeypatch):
+        # with a tail threshold no interpolant meets, the 2 * CHEB_N retry
+        # runs and the failure says so instead of returning the solution
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        monkeypatch.setattr(bvp, "CHEB_TAIL", 0.0)
+        load = p0.offset(0.3, -0.3 * eta_prime(p0, 0.25))
+        with pytest.raises(NoConvergenceError, match=f"on {2 * bvp.CHEB_N + 1} Chebyshev nodes"):
+            bvp._collocate(load, RodSetup(0.25), 0.05, 0.04, grid=Grid(256))
+
+    def test_solve_loads_no_numpy_polynomial(self):
+        body = ("import sys\n"
+                "import nanorod.cli\n"
+                "from nanorod import bvp, charcurve, model, quadrature\n"
+                "p0 = model.LoadPoint(10.0, charcurve.solve_lambda2(10.0, 0.25))\n"
+                "bvp.solve_postbuckling(p0, 0.25, 0.3, grid=quadrature.Grid(256))\n"
+                "sys.exit('numpy.polynomial' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestResidualM2:

@@ -110,6 +110,8 @@ def test_postbuckle_json_meta(tmp_path):
     assert payload["meta"]["node_count"] == 0
     assert payload["meta"]["m2_residual"] < 1e-4
     assert abs(payload["meta"]["tip_deflection"]) > 0.01
+    assert payload["meta"]["path"] == "direct"
+    assert 1 <= payload["meta"]["newton_iterations"] <= 4
     assert len(payload["rows"]) == 1025
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanorod.errors import ConfigurationError, GridMismatchError, InadmissibleSlopeError
-from nanorod.quadrature import Grid
+from nanorod.quadrature import Grid, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes
 from oracles import i2, i3
 
 
@@ -101,3 +101,55 @@ def test_fourth_order_convergence():
         errors.append(np.max(np.abs(out - exact)))
     assert errors[0] / errors[1] > 12.0
     assert errors[1] / errors[2] > 12.0
+
+
+@pytest.mark.parametrize("n", [4, 16, 32, 64])
+def test_chebyshev_matrices_exact_on_polynomials(n):
+    # D, Q0 and Q1 act exactly (to roundoff, D's growing as n^2) on t^k, k <= n
+    t = cheb_nodes(n)
+    d = cheb_diff(n)
+    q0, q1 = cheb_cumint(n)
+    assert (t[0], t[-1]) == (0.0, 1.0) and np.all(np.diff(t) > 0.0)
+    for k in range(n + 1):
+        f = t**k
+        slope = k * t ** max(k - 1, 0)
+        assert np.max(np.abs(d @ f - slope)) <= 1e-15 * n**2 * max(1, k)
+        assert np.max(np.abs(q0 @ f - t ** (k + 1) / (k + 1))) <= 1e-15
+        assert np.max(np.abs(q1 @ f - (1.0 - t ** (k + 1)) / (k + 1))) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [4, 32, 64])
+def test_chebyshev_integrals_anchored(n):
+    q0, q1 = cheb_cumint(n)
+    assert not q0[0].any() and not q1[n].any()
+    # Q0 + Q1 integrates over the whole interval on every row
+    np.testing.assert_allclose(q0 + q1, np.broadcast_to((q0 + q1)[n], q0.shape), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 32, 64])
+def test_clenshaw_interpolates_node_values(n):
+    t = cheb_nodes(n)
+    # noise, the hardest case: its roundoff grows like n^2 near the ends
+    for values in np.random.default_rng(n).standard_normal((3, n + 1)):
+        tol = 1e-15 * n**2 * np.max(np.abs(values))
+        assert np.max(np.abs(cheb_eval(values, t) - values)) <= tol
+
+
+def test_clenshaw_evaluates_between_nodes():
+    t = cheb_nodes(32)
+    s = np.linspace(0.0, 1.0, 101)
+    assert np.max(np.abs(cheb_eval(np.cos(5.0 * t), s) - np.cos(5.0 * s))) < 1e-14
+
+
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 4.0, 6.0])
+def test_chebyshev_integrals_of_cos_and_cosh(r):
+    # relative to the integral's size: at r = 6, int cosh is ~34
+    n = 32
+    t = cheb_nodes(n)
+    q0, q1 = cheb_cumint(n)
+    for f, anti in ((np.cos, np.sin), (np.cosh, np.sinh)):
+        left = anti(r * t) / r
+        right = (anti(r) - anti(r * t)) / r
+        scale = max(1.0, np.max(np.abs(right)))
+        assert np.max(np.abs(q0 @ f(r * t) - left)) <= 1e-14 * scale
+        assert np.max(np.abs(q1 @ f(r * t) - right)) <= 1e-14 * scale
