@@ -1,7 +1,7 @@
 """Buckling and bifurcation toolkit for a rotating axially compressed
 nonlocal cantilever rod: interaction curves, critical loads, closed-form
 modes, Lyapunov-Schmidt pitchfork classification, imperfection unfolding,
-and post-buckling equilibrium shapes by shooting.
+and post-buckling equilibrium shapes by Chebyshev collocation.
 """
 
 from .charcurve import (

@@ -18,8 +18,8 @@ N + 1 Lobatto nodes are the unknowns, y = Q0 sin(theta), x = Q0 cos(theta)
 and v = alpha2 + l1 Q1 y follow by spectral integration, and a damped
 Newton with an analytic Jacobian drives D theta - theta' and
 D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
-13).  The solution is sampled on the requested grid by Clenshaw's
-recurrence.
+13).  Newton starts from the linear mode at the nodes.  The solution is
+sampled on the requested grid by Clenshaw's recurrence.
 
 `shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
 integration is classical fixed-step 4th order with one step per grid
@@ -27,7 +27,6 @@ interval, so trajectories land exactly on the shared quadrature grid.  It
 solves the straight rod on the trivial side and is the tests' oracle.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -49,39 +48,20 @@ SING_TOL = 1e-8
 THETA_LIMIT = 0.5 * math.pi
 SHOOT_TOL = 1e-9
 SHOOT_MAX_ITER = 50
-COARSE_N = 256  # steps of the grid shoot converges on before the requested one
 CHEB_N = 32  # collocation intervals; one retry at 2 * CHEB_N if the tail is not resolved
 CHEB_TAIL = 1e-10  # last three Chebyshev coefficients relative to the largest: resolved
 COLLOC_TOL = 1e-12
 COLLOC_MAX_ITER = 30
 COLLOC_ACCEPT_STEP = 0.125  # the line search takes the step once halved to this
-COLLOC_STALL_STEP = 1e-3  # and reports a stall below this, as _newton does
+COLLOC_STALL_STEP = 1e-3  # and reports a stall below this, as shoot does
+DETERMINANT_STEPS = 512  # RK4 steps of linear_shooting_determinant
 
 
-@functools.lru_cache(maxsize=8)
-def _stage_times(n: int) -> memoryview:
-    """The RK4 stage times t_0, t_0 + h/2, t_1, ..., t_n of n steps on
-    [0, 1], t accumulated as t += h, so that stage 4's t_i + h is t_{i+1}."""
-    h, t, times = 1.0 / n, 0.0, np.empty(2 * n + 1)
-    for i in range(n):
-        times[2 * i], times[2 * i + 1] = t, t + 0.5 * h
-        t += h
-    times[-1] = t
-    return memoryview(times).toreadonly()
-
-
-def _make_rhs(p: LoadPoint, setup: RodSetup, n: Optional[int] = None):
-    """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives.
-    With n, rhs takes only the _stage_times(n), where one rho0 call samples alpha1 / rho0."""
+def _make_rhs(p: LoadPoint, setup: RodSetup):
+    """The closed first-order system as rhs(t, x, y, theta, v, m) -> its derivatives."""
     l1, l2, kappa = p.lambda1, p.lambda2, setup.kappa
     alpha1, rho0 = setup.alpha1, setup.rho0
     cos, sin = math.cos, math.sin
-    if alpha1 != 0.0 and n is not None:
-        times = _stage_times(n).tolist()
-        samples = np.broadcast_to(np.asarray(rho0(np.array(times)), dtype=float), len(times))
-        curvature = dict(zip(times, (alpha1 * samples).tolist())).__getitem__
-    else:
-        curvature = lambda tt: alpha1 * float(rho0(tt))
 
     def rhs(tt, xx, yy, thth, vv, mm):
         if abs(thth) >= THETA_LIMIT:
@@ -91,7 +71,7 @@ def _make_rhs(p: LoadPoint, setup: RodSetup, n: Optional[int] = None):
         den = 1.0 + kappa * (vv * s - l2 * c)
         if abs(den) < SING_TOL:
             raise ConstitutiveSingularityError(f"constitutive denominator vanished at t = {tt:.6f}")
-        curv = curvature(tt) if alpha1 != 0.0 else 0.0
+        curv = alpha1 * float(rho0(tt)) if alpha1 != 0.0 else 0.0
         return c, s, (mm - kappa * l1 * yy * c + curv) / den, -l1 * yy, -vv * c - l2 * s
 
     return rhs
@@ -117,28 +97,27 @@ def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
         grid = Grid()
     n = grid.n
     h = 1.0 / n
-    rhs = _make_rhs(p, setup, n)
+    rhs = _make_rhs(p, setup)
 
     xs, ys, ths, vs, ms = (np.empty(n + 1) for _ in range(5))
     x = y = th = xs[0] = ys[0] = ths[0] = 0.0
     v, m = vs[0], ms[0] = v0, m0
     h2, h6 = 0.5 * h, h / 6.0
-    stages = iter(_stage_times(n))
-    t = next(stages)
-    for i, tm, t1 in zip(range(1, n + 1), stages, stages):  # tm = t + h/2, t1 = t + h
+    t = 0.0
+    for i in range(1, n + 1):
         a1 = rhs(t, x, y, th, v, m)
-        a2 = rhs(tm, x + h2 * a1[0], y + h2 * a1[1], th + h2 * a1[2],
+        a2 = rhs(t + h2, x + h2 * a1[0], y + h2 * a1[1], th + h2 * a1[2],
                  v + h2 * a1[3], m + h2 * a1[4])
-        a3 = rhs(tm, x + h2 * a2[0], y + h2 * a2[1], th + h2 * a2[2],
+        a3 = rhs(t + h2, x + h2 * a2[0], y + h2 * a2[1], th + h2 * a2[2],
                  v + h2 * a2[3], m + h2 * a2[4])
-        a4 = rhs(t1, x + h * a3[0], y + h * a3[1], th + h * a3[2],
+        a4 = rhs(t + h, x + h * a3[0], y + h * a3[1], th + h * a3[2],
                  v + h * a3[3], m + h * a3[4])
         x += h6 * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0])
         y += h6 * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1])
         th += h6 * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2])
         v += h6 * (a1[3] + 2.0 * (a2[3] + a3[3]) + a4[3])
         m += h6 * (a1[4] + 2.0 * (a2[4] + a3[4]) + a4[4])
-        t = t1
+        t += h
         xs[i], ys[i], ths[i], vs[i], ms[i] = x, y, th, v, m
 
     return Trajectory(t=np.linspace(0.0, 1.0, n + 1), x=xs, y=ys, theta=ths, v=vs, m=ms)
@@ -159,32 +138,11 @@ class BvpSolution:
 
 def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
           grid: Optional[Grid] = None) -> BvpSolution:
-    """Newton on (v(1) - alpha2, m(1)) over the initial values (v(0), m(0)).
-
-    Grid-sequenced: on a grid finer than COARSE_N steps, Newton first
-    converges on Grid(COARSE_N) and then restarts on the requested grid from
-    that solution, which differs from the fine-grid one only by the coarse
-    RK4 error.  The returned trajectory and residuals, and the SHOOT_TOL
-    check, are those of the requested grid.
-    """
+    """Damped finite-difference Newton on (v(1) - alpha2, m(1)) over the
+    initial values (v(0), m(0)), integrating on grid."""
     if grid is None:
         grid = Grid()
-    if grid.n > COARSE_N:
-        try:
-            coarse = _newton(p, setup, guess_v0, guess_m0, Grid(COARSE_N))
-        except NoConvergenceError as exc:
-            raise NoConvergenceError(f"{exc} on the {COARSE_N}-step grid",
-                                     last_iterate=exc.last_iterate,
-                                     residual=exc.residual) from exc
-        guess_v0, guess_m0 = coarse.v0, coarse.m0
-    sol = _newton(p, setup, guess_v0, guess_m0, grid)
-    sol.m2_residual = residual_M2(sol)
-    return sol
-
-
-def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> BvpSolution:
-    """Damped finite-difference Newton for the terminal conditions on one grid."""
-    u = np.array([v0, m0], dtype=float)
+    u = np.array([guess_v0, guess_m0], dtype=float)
 
     def residual(uu):
         traj = integrate(p, setup, uu[0], uu[1], grid=grid)
@@ -198,8 +156,10 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
                                  last_iterate=tuple(u)) from exc
     for _ in range(SHOOT_MAX_ITER):
         if np.max(np.abs(r)) < SHOOT_TOL:
-            return BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
-                               m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
+            sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
+                              m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
+            sol.m2_residual = residual_M2(sol)
+            return sol
         jac = np.zeros((2, 2))
         for j in range(2):
             up = u.copy()
@@ -237,22 +197,14 @@ def _newton(p: LoadPoint, setup: RodSetup, v0: float, m0: float, grid: Grid) -> 
     )
 
 
-def _collocate(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
+def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
                grid: Grid) -> BvpSolution:
-    """Chebyshev collocation of the equilibrium, sampled on grid.
+    """Chebyshev collocation of the equilibrium from the seed theta, m at the
+    CHEB_N + 1 nodes, sampled on grid.
 
-    The seed is the RK4 trajectory from (guess_v0, guess_m0) on
-    Grid(COARSE_N), interpolated onto the CHEB_N + 1 nodes.  If the
-    Chebyshev tail of theta or m is not resolved there, Newton restarts once
-    on 2 * CHEB_N nodes from the CHEB_N solution.
+    If the Chebyshev tail of theta or m is not resolved on CHEB_N + 1 nodes,
+    Newton restarts once on 2 * CHEB_N + 1 nodes from the CHEB_N solution.
     """
-    try:
-        seed = integrate(p, setup, guess_v0, guess_m0, grid=Grid(COARSE_N))
-    except RegimeError as exc:
-        raise NoConvergenceError(f"initial guess not integrable: {exc}",
-                                 last_iterate=(guess_v0, guess_m0)) from exc
-    nodes = cheb_nodes(CHEB_N)
-    theta, m = np.interp(nodes, seed.t, seed.theta), np.interp(nodes, seed.t, seed.m)
     theta, m, iterations = _collocation_newton(p, setup, theta, m)
     if not _resolved(theta, m):
         nodes = cheb_nodes(2 * CHEB_N)
@@ -262,8 +214,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
         iterations += more
         if not _resolved(theta, m):
             raise NoConvergenceError(
-                f"collocation not resolved on {2 * CHEB_N + 1} Chebyshev nodes",
-                last_iterate=(guess_v0, guess_m0))
+                f"collocation not resolved on {2 * CHEB_N + 1} Chebyshev nodes")
 
     n = len(theta) - 1
     q0, q1 = cheb_cumint(n)
@@ -297,8 +248,7 @@ def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.
     nodes, d = cheb_nodes(n1 - 1), cheb_diff(n1 - 1)
     q0, q1 = cheb_cumint(n1 - 1)
     l1, l2, kappa, alpha2 = p.lambda1, p.lambda2, setup.kappa, setup.alpha2
-    curv = (setup.alpha1 * np.broadcast_to(np.asarray(setup.rho0(nodes), dtype=float), n1)
-            if setup.alpha1 else 0.0)
+    curv = setup.alpha1 * np.asarray(setup.rho0(nodes), dtype=float) if setup.alpha1 else 0.0
 
     def system(th, mm):
         """(residual, Jacobian, v(0)), or None outside the regime at a node."""
@@ -356,12 +306,15 @@ def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.
         last_iterate=(current[2], float(m[0])), residual=float(np.max(np.abs(current[0]))))
 
 
-def _mode_seed(yL, amplitude: float, grid: Grid):
-    """Initial (v0, m0) predicted from the linear mode at amplitude a."""
-    p0 = yL.p0
-    v0 = amplitude * p0.lambda1 * grid.inner(np.ones_like(grid.t), yL.sample(grid))
-    m0 = amplitude * (1.0 - yL.kappa * p0.lambda2) * float(yL(0.0, 2))
-    return v0, m0
+def _mode_seed(yL, amplitude: float):
+    """theta and m of the linear mode at amplitude a, at the CHEB_N + 1 nodes:
+    theta = a yL' and m = a ((1 - kappa l02) yL'' + kappa l01 yL)."""
+    nodes = cheb_nodes(CHEB_N)
+    p0, kappa = yL.p0, yL.kappa
+    theta = amplitude * yL(nodes, 1)
+    theta[0] = 0.0
+    m = amplitude * ((1.0 - kappa * p0.lambda2) * yL(nodes, 2) + kappa * p0.lambda1 * yL(nodes))
+    return theta, m
 
 
 def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
@@ -371,14 +324,14 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
 
     The offset follows the crossing path of the reduction module
     ((delta, -eta' delta) for along-lambda1, (-eta' delta, delta) for
-    along-lambda2); the seed (v(0), m(0)) comes from the bifurcation amplitude
-    of the linear mode, with the requested branch sign, and each attempt is
-    solved by collocation.  If the direct solve fails, or lands on the trivial
-    state or the mirrored branch, the offset is walked up quadratically in
-    five continuation steps, each seeded with the previous solution scaled by
-    the amplitude law a ~ sqrt(offset); a step that fails from that seed is
-    retried once from the unscaled previous solution.  The solution's path
-    records which of the two returned it.
+    along-lambda2); the seed is the linear mode at the bifurcation amplitude,
+    with the requested branch sign, and each attempt is solved by
+    collocation.  If the direct solve fails, or lands on the trivial state or
+    the mirrored branch, the offset is walked up quadratically in five
+    continuation steps, each seeded with the previous solution's theta and m
+    at the nodes scaled by the amplitude law a ~ sqrt(offset); a step that
+    fails from that seed is retried once from the unscaled previous solution.
+    The solution's path records which of the two returned it.
     """
     if grid is None:
         grid = Grid()
@@ -398,8 +351,8 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         if amp is None:
             raise AmplitudeSeedError(
                 f"offset {d} lies on the trivial side; no nontrivial branch to seed", load=p)
-        v0, m0 = guess if guess is not None else _mode_seed(yL, sign * amp, grid)
-        sol = _collocate(p, setup, v0, m0, grid=grid)
+        theta, m = guess if guess is not None else _mode_seed(yL, sign * amp)
+        sol = _collocate(p, setup, theta, m, grid=grid)
         # the tip must carry the requested sign and a share of the predicted size
         if sign * math.copysign(1.0, tip_mode) * tip_deflection(sol) < 0.2 * amp * abs(tip_mode):
             raise NoConvergenceError("converged to the trivial or the mirrored branch",
@@ -412,15 +365,18 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         return sol
     except NoConvergenceError:
         pass
+    nodes = cheb_nodes(CHEB_N)
     sol = attempt(delta * (1 / 5.0) ** 2)
     for k in range(2, 6):
         d = delta * (k / 5.0) ** 2
+        traj = sol.trajectory
+        theta, m = np.interp(nodes, traj.t, traj.theta), np.interp(nodes, traj.t, traj.m)
         try:
-            sol = attempt(d, guess=(k / (k - 1) * sol.v0, k / (k - 1) * sol.m0))
+            sol = attempt(d, guess=(k / (k - 1) * theta, k / (k - 1) * m))
         except NoConvergenceError:
             # the tip grows slower than sqrt(offset) at large offsets, where
             # the scaled seed can leave the |theta| < pi/2 regime
-            sol = attempt(d, guess=(sol.v0, sol.m0))
+            sol = attempt(d, guess=(theta, m))
     sol.path = "continuation"
     return sol
 
@@ -479,7 +435,7 @@ def _sign_changes(samples: np.ndarray) -> int:
     return int(np.sum(np.sign(signif[:-1]) != np.sign(signif[1:])))
 
 
-def linear_shooting_determinant(p: LoadPoint, kappa: float, n_steps: int = 512) -> float:
+def linear_shooting_determinant(p: LoadPoint, kappa: float) -> float:
     """Terminal-condition determinant of the linearized fourth-order problem.
 
     Two unit solutions with (y''(0), y'''(0)) = (1, 0) and (0, 1) are
@@ -489,14 +445,15 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float, n_steps: int = 512) 
 
     The linearized system s' = A s has constant coefficients, so one
     classical RK4 step of size h is exactly s -> M s with the stability
-    polynomial M = sum_{k<=4} (hA)^k / k!, and n_steps steps are M^n_steps.
+    polynomial M = sum_{k<=4} (hA)^k / k!, and DETERMINANT_STEPS steps are
+    its power.
     """
     denom = 1.0 - kappa * p.lambda2
     if denom <= 0.0:
         return float("nan")
     co2 = (kappa * p.lambda1 + p.lambda2) / denom
     co0 = p.lambda1 / denom
-    h = 1.0 / n_steps
+    h = 1.0 / DETERMINANT_STEPS
 
     # state (y, y', y'', y'''), y'''' = -co2 y'' + co0 y
     hA = np.zeros((4, 4))
@@ -507,7 +464,7 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float, n_steps: int = 512) 
         term = term @ hA / k
         step = step + term
     # columns: the unit solutions started from y''(0) = 1 and y'''(0) = 1
-    s = np.linalg.matrix_power(step, n_steps)[:, 2:]
+    s = np.linalg.matrix_power(step, DETERMINANT_STEPS)[:, 2:]
     b1 = s[2] * denom + kappa * p.lambda1 * s[0]
     b2 = s[3] * denom + (kappa * p.lambda1 + p.lambda2) * s[1]
     return float(b1[0] * b2[1] - b2[0] * b1[1])

@@ -66,7 +66,8 @@ class NoFoldError(ConvergenceError):
 
 
 class NoConvergenceError(ConvergenceError):
-    """Shooting Newton iteration failed; carries the last iterate."""
+    """A shooting or collocation Newton iteration failed; carries the last
+    iterate (v(0), m(0)) where there is one."""
 
     def __init__(self, message, last_iterate=None, residual=None):
         super().__init__(message)

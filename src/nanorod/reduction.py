@@ -28,7 +28,7 @@ linear coefficient is
 so delta = sgn(c12): increasing the axial force through the critical curve
 is the destabilizing crossing.  This is orientation-stable through branch
 minima (where eta' changes sign) and folds, and matches the side on which
-the nonlinear equilibrium branch is actually found by the shooting solver.
+the nonlinear equilibrium branch is actually found by the collocation solver.
 The tangential value is exported for inspection.
 
 The verdict is taken with the order-2 kernel q2, which every caller uses by

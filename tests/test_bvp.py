@@ -8,7 +8,6 @@ import pytest
 from nanorod import bvp
 from nanorod.bvp import (
     SHOOT_TOL,
-    BvpSolution,
     _make_rhs,
     integrate,
     linear_shooting_determinant,
@@ -27,6 +26,7 @@ from nanorod.errors import (
 )
 from nanorod.model import LoadPoint, RodSetup
 from nanorod.quadrature import Grid
+from nanorod.reduction import amplitude_for_offsets, critical_chain, crossing_offsets
 
 from conftest import critical_point, fixture_curvature
 from oracles import closed_form_moment
@@ -120,55 +120,9 @@ class TestShoot:
         assert abs(tip_deflection(sol)) > 1e-4
         assert tip_deflection(sol) == pytest.approx(y_lin, rel=0.10)
 
-    def test_stage_times_accumulate(self):
-        # t_i, t_i + h/2 and t_n as a loop doing t += h reaches them, so that
-        # stage 4's t_i + h is t_{i+1} bit for bit
-        n, t, ref = 1000, 0.0, []
-        h = 1.0 / n
-        for _ in range(n):
-            ref += (t, t + 0.5 * h)
-            t += h
-        assert bvp._stage_times(n).tolist() == ref + [t] and t != 1.0
-
-    @pytest.mark.parametrize("rho0", [
-        fixture_curvature,
-        pytest.param(lambda t: 1.5 + np.sin(3.0 * t) * np.exp(-t), id="sin_exp"),
-        pytest.param(lambda t: 1.0, id="constant"),
-    ])
-    def test_sampled_curvature_is_the_per_stage_one(self, rho0, monkeypatch):
-        # rho0 is sampled once per integration at the loop's stage times, and
-        # a scalar (constant-profile) value is broadcast; the shot is bitwise
-        # the one that calls rho0 at every RK4 stage (a 1000-step grid, where
-        # t accumulates rounding, and the 256-step one)
-        setup = RodSetup(kappa=0.25, alpha1=1e-5, rho0=rho0)
-        p = LoadPoint(10.0, 0.6)  # below the critical 0.682732
-        grid = Grid(1000)
-        sampled = shoot(p, setup, 0.0, 0.0, grid=grid)
-        per_stage = bvp._make_rhs
-        monkeypatch.setattr(bvp, "_make_rhs", lambda p, setup, n: per_stage(p, setup))
-        ref = shoot(p, setup, 0.0, 0.0, grid=grid)
-        assert tip_deflection(ref) != 0.0 and (sampled.v0, sampled.m0) == (ref.v0, ref.m0)
-        for name in ("x", "y", "theta", "v", "m"):
-            assert np.array_equal(getattr(sampled.trajectory, name), getattr(ref.trajectory, name))
-
-    def test_fine_grid_needs_one_integration(self, grid, monkeypatch):
-        # grid sequencing: Newton converges on the COARSE_N-step grid, and the
-        # requested grid then takes a single integration
-        p0 = critical_point(10.0, 0.25, near=0.682732)
-        seed = solve_postbuckling(p0, 0.25, 0.3, grid=Grid(bvp.COARSE_N))
-        steps = []
-        run = bvp.integrate
-        monkeypatch.setattr(bvp, "integrate",
-                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
-        sol = shoot(seed.load, seed.setup, 1.05 * seed.v0, 1.05 * seed.m0, grid=grid)
-        assert steps[-1] == grid.n and set(steps[:-1]) == {bvp.COARSE_N}
-        assert sum(steps) <= 2 * grid.n
-        assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
-
     def test_nonconvergence_reports_last_iterate(self, bgrid):
-        # the failure happens in the coarse stage, and the message says so
         setup = RodSetup(kappa=0.45)
-        with pytest.raises(NoConvergenceError, match=f"on the {bvp.COARSE_N}-step grid") as err:
+        with pytest.raises(NoConvergenceError) as err:
             shoot(LoadPoint(5.0, 1.0), setup, 40.0, -35.0, grid=bgrid)
         assert err.value.last_iterate is not None
 
@@ -254,7 +208,7 @@ class TestPostbuckling:
         assert node_count(sol_above) == 1
 
     def test_mode_built_once_per_solve(self, bgrid, monkeypatch):
-        # the shooting seed reuses the mode of the reduction chain
+        # the collocation seed reuses the mode of the reduction chain
         import nanorod.reduction as reduction
         calls = []
         build = reduction.mode_shape
@@ -331,103 +285,32 @@ CRITERION_POINTS = [
 ]
 
 
-def _single_grid_shoot(p, setup, guess_v0, guess_m0, grid=None):
-    """Reference: the Newton loop shoot ran on the requested grid alone
-    before it converged on a coarse grid first."""
-    u = np.array([guess_v0, guess_m0], dtype=float)
-
-    def residual(uu):
-        traj = integrate(p, setup, uu[0], uu[1], grid=grid)
-        v1, m1 = traj.terminal()
-        return np.array([v1 - setup.alpha2, m1]), traj
-
-    try:
-        r, traj = residual(u)
-    except RegimeError as exc:
-        raise NoConvergenceError(f"initial guess not integrable: {exc}",
-                                 last_iterate=tuple(u)) from exc
-    for _ in range(bvp.SHOOT_MAX_ITER):
-        if np.max(np.abs(r)) < SHOOT_TOL:
-            sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
-                              m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
-            sol.m2_residual = residual_M2(sol)
-            return sol
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            up = u.copy()
-            hp = 1e-7 * max(1.0, abs(u[j]))
-            up[j] += hp
-            try:
-                rp, _ = residual(up)
-            except RegimeError as exc:
-                raise NoConvergenceError(f"Jacobian probe failed: {exc}",
-                                         last_iterate=tuple(u)) from exc
-            jac[:, j] = (rp - r) / hp
-        try:
-            du = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError("singular shooting Jacobian", last_iterate=tuple(u)) from exc
-        base = np.max(np.abs(r))
-        lam = 1.0
-        while lam > 1e-3:
-            try:
-                r_new, traj_new = residual(u + lam * du)
-            except RegimeError:
-                lam *= 0.5
-                continue
-            if np.max(np.abs(r_new)) < base or lam <= 0.125:
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergenceError("shooting line search stalled",
-                                     last_iterate=tuple(u), residual=float(base))
-        u = u + lam * du
-        r, traj = r_new, traj_new
-    raise NoConvergenceError("shooting Newton did not converge", last_iterate=tuple(u))
-
-
-class TestGridSequencing:
+class TestDirectSolve:
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
-    def test_matches_single_grid_reference(self, grid, monkeypatch, l1, kappa, which,
-                                           delta, direction):
-        # the collocation solution agrees with single-grid shooting, run in
-        # its place on the same seed, to within the shooting tolerance's effect
+    def test_no_rk4_integrations(self, grid, monkeypatch, l1, kappa, which, delta, direction):
+        # the mode seed at the nodes converges in a few collocation Newton
+        # steps without a single RK4 integration
+        p0 = critical_point(l1, kappa, which=which)
+        calls = []
+        run = bvp.integrate
+        monkeypatch.setattr(bvp, "integrate",
+                            lambda *a, _f=run, **k: calls.append(a) or _f(*a, **k))
+        sol = solve_postbuckling(p0, kappa, delta, direction, grid=grid)
+        assert sol.path == "direct"
+        assert calls == []
+        assert sol.newton_iterations <= 4
+
+    @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
+    def test_matches_shooting(self, grid, l1, kappa, which, delta, direction):
+        # shooting from the collocation solution's own (v0, m0) on the same
+        # grid stays on it, to within the shooting tolerance's effect
         p0 = critical_point(l1, kappa, which=which)
         for sign in (1, -1):
             sol = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
-            with monkeypatch.context() as patch:
-                patch.setattr(bvp, "_collocate", _single_grid_shoot)
-                ref = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
+            ref = shoot(sol.load, sol.setup, sol.v0, sol.m0, grid=grid)
             assert len(sol.trajectory.y) == grid.n + 1
             assert np.max(np.abs(sol.trajectory.y - ref.trajectory.y)) <= 1e-8
             assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
-
-    @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
-    def test_rk4_steps_per_solve(self, grid, monkeypatch, l1, kappa, which, delta, direction):
-        # a direct solve integrates its seed once on the coarse grid and
-        # converges in a few collocation Newton steps (grid-sequenced
-        # shooting made 5,888 RK4 steps here, the single-grid loop 28,672)
-        p0 = critical_point(l1, kappa, which=which)
-        steps = []
-        run = bvp.integrate
-        monkeypatch.setattr(bvp, "integrate",
-                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
-        sol = solve_postbuckling(p0, kappa, delta, direction, grid=grid)
-        assert sol.path == "direct"
-        assert steps == [bvp.COARSE_N]
-        assert sol.newton_iterations <= 4
-
-    def test_coarse_grid_runs_one_stage(self, monkeypatch):
-        grid = Grid(bvp.COARSE_N)
-        p0 = critical_point(10.0, 0.25, near=0.682732)
-        steps = []
-        run = bvp.integrate
-        monkeypatch.setattr(bvp, "integrate",
-                            lambda *a, grid, _f=run: steps.append(grid.n) or _f(*a, grid=grid))
-        sol = solve_postbuckling(p0, 0.25, 0.3, grid=grid)
-        assert set(steps) == {bvp.COARSE_N}
-        assert len(sol.trajectory.y) == bvp.COARSE_N + 1
-        assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
 
 
 # the collocation accuracy points: Fig. 6 shapes at kappa 0.25, and both sides
@@ -460,20 +343,41 @@ class TestCollocation:
             assert abs(fine.m[-1]) <= 1e-11
 
     def test_seed_outside_regime_reports_no_convergence(self):
+        theta, m = np.zeros(bvp.CHEB_N + 1), np.zeros(bvp.CHEB_N + 1)
+        theta[-1] = 0.5 * math.pi
         with pytest.raises(NoConvergenceError,
-                           match=r"^initial guess not integrable: \|theta\| reached pi/2") as err:
-            bvp._collocate(LoadPoint(1.0, 0.5), RodSetup(0.25), 0.0, 50.0, grid=Grid(64))
-        assert type(err.value.__cause__) is RegimeError
-        assert err.value.last_iterate == (0.0, 50.0)
+                           match="^collocation seed leaves the regime at a node$"):
+            bvp._collocate(LoadPoint(1.0, 0.5), RodSetup(0.25), theta, m, grid=Grid(64))
+
+    @pytest.mark.parametrize("rho0", [
+        fixture_curvature,
+        pytest.param(lambda t: 1.0, id="constant"),
+    ])
+    @pytest.mark.parametrize("load", [LoadPoint(2.0, 0.3), LoadPoint(10.0, 0.6)],
+                             ids=["far", "near"])
+    def test_imperfect_rod_matches_shooting(self, rho0, load):
+        # the alpha1 and alpha2 terms of the collocation system against RK4
+        # shooting; both take the scalar rho0 of a constant profile
+        setup = RodSetup(kappa=0.25, alpha1=0.01, alpha2=0.01, rho0=rho0)
+        grid = Grid(1024)
+        zero = np.zeros(bvp.CHEB_N + 1)
+        sol = bvp._collocate(load, setup, zero, zero, grid=grid)
+        ref = shoot(load, setup, 0.0, 0.0, grid=grid)
+        assert abs(tip_deflection(sol)) > 1e-4
+        assert sol.newton_iterations <= 5
+        assert np.max(np.abs(sol.trajectory.y - ref.trajectory.y)) <= 1e-10
 
     def test_unresolved_tail_raises(self, monkeypatch):
         # with a tail threshold no interpolant meets, the 2 * CHEB_N retry
         # runs and the failure says so instead of returning the solution
         p0 = critical_point(10.0, 0.25, near=0.682732)
+        grid = Grid(256)
+        yL, _, rc = critical_chain(p0, 0.25, grid)
+        dl1, dl2 = crossing_offsets(rc, 0.3, "along-lambda1")
+        theta, m = bvp._mode_seed(yL, amplitude_for_offsets(rc, dl1, dl2))
         monkeypatch.setattr(bvp, "CHEB_TAIL", 0.0)
-        load = p0.offset(0.3, -0.3 * eta_prime(p0, 0.25))
         with pytest.raises(NoConvergenceError, match=f"on {2 * bvp.CHEB_N + 1} Chebyshev nodes"):
-            bvp._collocate(load, RodSetup(0.25), 0.05, 0.04, grid=Grid(256))
+            bvp._collocate(p0.offset(dl1, dl2), RodSetup(0.25), theta, m, grid=grid)
 
     def test_solve_loads_no_numpy_polynomial(self):
         body = ("import sys\n"
@@ -513,7 +417,7 @@ class TestLinearShootingDeterminant:
                                              (3.0, -0.5, 0.0)])
     def test_matches_stepwise_rk4(self, l1, l2, kappa):
         # the matrix-power form against classical RK4 applied step by step
-        n = 128
+        n = bvp.DETERMINANT_STEPS
         denom = 1.0 - kappa * l2
         co2, co0 = (kappa * l1 + l2) / denom, l1 / denom
         h = 1.0 / n
@@ -533,7 +437,7 @@ class TestLinearShootingDeterminant:
             cols.append((s[2] * denom + kappa * l1 * s[0],
                          s[3] * denom + (kappa * l1 + l2) * s[1]))
         stepwise = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
-        det = linear_shooting_determinant(LoadPoint(l1, l2), kappa, n_steps=n)
+        det = linear_shooting_determinant(LoadPoint(l1, l2), kappa)
         assert det == pytest.approx(stepwise, rel=1e-10)
 
     def test_agrees_with_char_residual_roots(self):

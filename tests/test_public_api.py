@@ -53,6 +53,7 @@ REMOVED_PARAMETERS = (
     ("bvp", "shoot", "max_iter"),
     ("bvp", "node_count", "zero_tol"),
     ("bvp", "residual_M2", "grid"),
+    ("bvp", "linear_shooting_determinant", "n_steps"),
     ("unfolding", "is_universal_unfolding", "tol"),
     ("charcurve", "_local_scale", "dl"),
 )
