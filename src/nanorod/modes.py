@@ -13,21 +13,32 @@ analytically, with derivatives up to fourth order.
 
 Sign and normalization conventions (they fix the arbitrary constants):
   * mode shape: unit L2 norm and y''(0) > 0;
-  * order-2 adjoint kernel: unit norm and q > 0 near t = 0;
+  * order-2 adjoint kernel: unit norm and q(0) > 0 (the raw kernel has
+    q(0) = 1 + r2^2/r1^2, so the sign does not depend on any grid);
   * order-4 adjoint kernel: unit norm and q''(0) > 0.
+
+Quadrature.  The norms here and every integral of the reduction and the
+unfolding are taken on the rule chain_rule picks per critical point:
+Clenshaw-Curtis on 65 Chebyshev-Lobatto nodes (129 or 257 when needed), or
+composite Simpson on the caller's grid when no size resolves the
+integrands.  Sampled outputs (the mode table, linear_residual_L4) use grid.
 """
 
+import functools
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
 from .charcurve import char_residual, lambda2_max, wavenumbers
 from .errors import DegenerateShapeError, DomainError
 from .model import LoadPoint
-from .quadrature import Grid
+from .quadrature import Grid, cheb_coefficients, cheb_rule
 
 CRITICAL_TOL = 1e-8  # |residual| demanded of p0, relative to its local scale
+CHAIN_LADDER = (64, 128, 256)  # ChebRule sizes the chain tries, smallest first
+CHAIN_TAIL = 1e-13  # last three Chebyshev coefficients relative to the largest: resolved
 
 
 @dataclass(frozen=True)
@@ -119,16 +130,20 @@ def _normalized(raw: ClosedFormShape, grid: Grid, probe_t: float, probe_k: int) 
     return raw.scaled(c_const)
 
 
-def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
-    """Closed-form normalized mode shape at a verified critical point."""
-    r1, r2 = _critical_wavenumbers(p0, kappa)
+def _raw_mode(p0: LoadPoint, kappa: float, r1: float, r2: float) -> ClosedFormShape:
+    """The mode at p0 before normalization: a = 1, b = -1."""
     kp = kappa * p0.lambda1 / (1.0 - kappa * p0.lambda2)
     num = r1**2 * math.cos(r1) + r2**2 * math.cosh(r2) + kp * (math.cosh(r2) - math.cos(r1))
     den = (r1**2 * math.sin(r1) + r1 * r2 * math.sinh(r2)
            + kp * ((r1 / r2) * math.sinh(r2) - math.sin(r1)))
     d_const = _ratio(num, den, "mode-shape", p0)
-    raw = ClosedFormShape(p0, kappa, 0, r1, r2, 1.0, -1.0, -d_const, d_const * r1 / r2)
-    return _normalized(raw, grid, 0.0, 2)
+    return ClosedFormShape(p0, kappa, 0, r1, r2, 1.0, -1.0, -d_const, d_const * r1 / r2)
+
+
+def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
+    """Closed-form normalized mode shape at a verified critical point."""
+    raw = _raw_mode(p0, kappa, *_critical_wavenumbers(p0, kappa))
+    return _normalized(raw, chain_rule(raw, grid), 0.0, 2)
 
 
 def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
@@ -142,9 +157,9 @@ def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> Close
     if order == 2:
         raw = ClosedFormShape(p0, kappa, 2, r1, r2, 1.0, r2**2 / r1**2,
                               -b_const, -b_const * r2 / r1)
-        return _normalized(raw, grid, grid.t[1], 0)
+        return _normalized(raw, chain_rule(raw, grid), 0.0, 0)
     raw = ClosedFormShape(p0, kappa, 4, r1, r2, 1.0, -1.0, -b_const, b_const * r1 / r2)
-    return _normalized(raw, grid, 0.0, 2)
+    return _normalized(raw, chain_rule(raw, grid), 0.0, 2)
 
 
 def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid):
@@ -165,7 +180,7 @@ def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
 
 def _mode_profile(yL: ClosedFormShape, grid: Grid):
     """The mode's samples and the integrals of them that the reduction and
-    unfolding coefficients are assembled from, built once per mode and grid:
+    unfolding coefficients are assembled from, built once per mode and rule:
     y, y', I1 y, I2 y = I1(I1 y), I1 y', I3 = I1(y'^2 I1 y), I1 y'^2.
     """
 
@@ -175,3 +190,36 @@ def _mode_profile(yL: ClosedFormShape, grid: Grid):
         return y, yd, i1y, grid.i1(i1y), grid.i1(yd), grid.i1(yd2 * i1y), grid.i1(yd2)
 
     return grid.memo("mode profile", yL, build)
+
+
+def chain_rule(shape: ClosedFormShape, grid: Grid, curvature: Optional[Callable] = None) -> Grid:
+    """The rule the chain at shape's critical point integrates on.
+
+    It is the ChebRule of the smallest size in CHAIN_LADDER on which the
+    mode's cubic integrand y'^2 I1 y at that point, and curvature(t) when
+    given, are resolved: their last three Chebyshev coefficients lie within
+    CHAIN_TAIL of their largest one.  The mode and both kernels are
+    cos/cosh/sin/sinh combinations at the point's wavenumbers, so that cubic
+    stands for the chain's other integrands.  When no size
+    resolves them (a very high mode, or a kinked curvature profile, where
+    Chebyshev quadrature converges only algebraically) it is grid, with its
+    composite-Simpson operators.
+    """
+    for n in CHAIN_LADDER:
+        rule = cheb_rule(n)
+        if (_cubic_resolved(shape.p0, shape.kappa, shape.r1, shape.r2, n)
+                and (curvature is None or _resolved(curvature(rule.t)))):
+            return rule
+    return grid
+
+
+@functools.lru_cache(maxsize=8)
+def _cubic_resolved(p0: LoadPoint, kappa: float, r1: float, r2: float, n: int) -> bool:
+    """Whether cheb_rule(n) resolves the cubic integrand y'^2 I1 y of the mode at p0."""
+    mode, rule = _raw_mode(p0, kappa, r1, r2), cheb_rule(n)
+    return _resolved(mode.sample(rule, 1) ** 2 * rule.i1(mode.sample(rule)))
+
+
+def _resolved(samples) -> bool:
+    coef = np.abs(cheb_coefficients(samples))
+    return coef[-3:].max() <= CHAIN_TAIL * coef.max()

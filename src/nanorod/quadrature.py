@@ -1,17 +1,21 @@
-"""Sampled-function calculus on the shared uniform grid.
+"""Sampled-function calculus on [0, 1]: the uniform grid and the Chebyshev rule.
 
 All integral operators used by the toolkit are right-anchored, i.e. they
-integrate from t to 1.  They are computed by reversing the sample array,
-running a cumulative composite-Simpson pass, and reversing back.  The
-cumulative pass is 4th-order accurate: even indices carry plain composite
-Simpson, odd indices add a half-panel integrated from the parabola through
-the three nearest samples.
+integrate from t to 1.  On the uniform Grid they are computed by reversing
+the sample array, running a cumulative composite-Simpson pass, and
+reversing back.  The cumulative pass is 4th-order accurate: even indices
+carry plain composite Simpson, odd indices add a half-panel integrated from
+the parabola through the three nearest samples.
 
-The Chebyshev tools at the end serve the post-buckling collocation: the
-Lobatto nodes t_j = (1 - cos(j pi / N)) / 2 on [0, 1], the differentiation
-matrix, the left- and right-anchored integration matrices and Clenshaw
-evaluation of the interpolant, all from closed forms (Trefethen, Spectral
-Methods in MATLAB, 2000, ch. 6 and 12).
+The Chebyshev tools at the end work on the Lobatto nodes
+t_j = (1 - cos(j pi / N)) / 2: the differentiation matrix, the left- and
+right-anchored integration matrices and Clenshaw evaluation of the
+interpolant, all from closed forms (Trefethen, Spectral Methods in MATLAB,
+2000, ch. 6 and 12).  The post-buckling collocation solves on them, and
+ChebRule gives them Grid's quadrature interface, with Clenshaw-Curtis
+weights (Clenshaw & Curtis, Numer. Math. 2, 1960) and the spectral
+right-anchored integral: the critical-point chain integrates on it (see
+modes.chain_rule).
 """
 
 import functools
@@ -175,3 +179,32 @@ def cheb_eval(values, t) -> np.ndarray:
         b2 += x2 * b1
         b1, b2 = b2, b1
     return coef[0] + 0.5 * x2 * b1 - b2
+
+
+class ChebRule(Grid):
+    """Grid's quadrature interface (t, weights, inner, norm, i1, memo) on the
+    n + 1 Chebyshev-Lobatto nodes of [0, 1]: inner is the Clenshaw-Curtis
+    rule (the weights are the last row of Q0) and i1 the spectral integral
+    Q1 of the degree-n interpolant, both exact to roundoff for integrands
+    the nodes resolve.  Build one through cheb_rule(n).
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.t = cheb_nodes(n)
+        q0, self._q1 = cheb_cumint(n)
+        self.weights = q0[-1]
+        self._memo = {}
+
+    def __repr__(self):
+        return f"ChebRule(n={self.n})"
+
+    def cumint_right(self, z) -> np.ndarray:
+        """Right-anchored integral of the interpolant: out[i] = int_{t_i}^1 z; out[-1] = 0."""
+        return self._q1 @ self._check(z)
+
+
+@functools.lru_cache(maxsize=4)
+def cheb_rule(n: int) -> ChebRule:
+    """The ChebRule on n + 1 nodes, built on first use and then shared."""
+    return ChebRule(n)

@@ -12,6 +12,12 @@ with x = 1 - kappa l02, A = I2 yL - kappa yL, B = I1 yL':
     c13 = kappa^2 <l01 A + l02 B, q> / x^3
     c3  = <Ntilde, q>,  the cubic kernel assembled from I1, I2, I3 on yL.
 
+The inner products and the integrals I1, I2, I3 are taken on the chain's
+rule (modes.chain_rule): Clenshaw-Curtis on 65 Chebyshev nodes (129 or 257
+for a high mode), exact to roundoff for these entire integrands, or
+composite Simpson on the caller's grid when no Chebyshev size resolves the
+mode's cubic integrand.
+
 Classification note.  The linear coefficient taken along the interaction
 curve's own tangent, c11 + c12 eta', vanishes identically: the order-2
 adjoint kernel is orthogonal to the range of the linearized operator, and a
@@ -48,7 +54,7 @@ from enum import Enum
 from .charcurve import eta_prime
 from .errors import DegeneratePointError, DomainError, FoldPointError
 from .model import LoadPoint
-from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, mode_shape
+from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, chain_rule, mode_shape
 from .quadrature import Grid
 
 DEGENERATE_TOL = 1e-10
@@ -87,9 +93,10 @@ def reduction_coefficients(
     """Assemble the reduction coefficients at a verified critical point."""
     l1, l2 = p0.lambda1, p0.lambda2
     x = 1.0 - kappa * l2
+    rule = chain_rule(yL, grid)
 
-    yv, yd, i1y, i2y, i1yd, i3y, _ = _mode_profile(yL, grid)
-    qv = q.sample(grid)
+    yv, yd, i1y, i2y, i1yd, i3y, _ = _mode_profile(yL, rule)
+    qv = q.sample(rule)
 
     def build():
         a_term = i2y - kappa * yv
@@ -104,13 +111,13 @@ def reduction_coefficients(
         return a_term, l1 * a_term + l2 * i1yd, cubic
 
     # independent of q: the q2 and q4 reductions at one point share them
-    a_term, mixed_term, cubic = grid.memo("reduction integrands", (yL, l1, l2, kappa), build)
-    mixed = grid.inner(mixed_term, qv)
+    a_term, mixed_term, cubic = rule.memo("reduction integrands", (yL, l1, l2, kappa), build)
+    mixed = rule.inner(mixed_term, qv)
 
-    c11 = -grid.inner(a_term, qv) / x
-    c12 = -grid.inner(i1yd, qv) / x - kappa / x**2 * mixed
+    c11 = -rule.inner(a_term, qv) / x
+    c12 = -rule.inner(i1yd, qv) / x - kappa / x**2 * mixed
     c13 = kappa**2 / x**3 * mixed
-    c3 = grid.inner(cubic, qv)
+    c3 = rule.inner(cubic, qv)
 
     try:
         slope = eta_prime(p0, kappa)

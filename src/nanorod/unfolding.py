@@ -10,6 +10,13 @@ the nondegeneracy of the perfect-rod coefficients.  The d-constants are inner
 products of curvature/load kernels with the adjoint kernel q; the chain
 constants (d13, d14, d25, d26, d39, d310) are exact multiples of d01/d02 and
 are computed from them rather than re-integrated.
+
+The inner products are taken on the rule modes.chain_rule picks from the
+mode's cubic integrand and the curvature profile rho0: Clenshaw-Curtis on
+Chebyshev nodes when both are resolved there, and composite Simpson on the
+caller's grid otherwise.  A piecewise-linear --profile file has kinks, on
+which Chebyshev quadrature converges only algebraically, so its constants
+come from the grid (and change with --n).
 """
 
 from dataclasses import dataclass
@@ -19,7 +26,7 @@ import numpy as np
 
 from .errors import SingularCurvatureError
 from .model import LoadPoint
-from .modes import ClosedFormShape, _mode_profile
+from .modes import ClosedFormShape, _mode_profile, chain_rule
 from .quadrature import Grid
 from .reduction import DEGENERATE_TOL, ReductionCoefficients, Verdict
 
@@ -61,33 +68,24 @@ def unfolding_coefficients(
     """All d-constants at a verified critical point, by quadrature."""
     l1, l2 = p0.lambda1, p0.lambda2
     x = 1.0 - kappa * l2
-    t = grid.t
+    rule = chain_rule(yL, grid, lambda t: _curvature_samples(rho0, t))
+    t = rule.t
+    curv = _curvature_samples(rho0, t)
 
-    try:
-        curv = np.asarray(rho0(t), dtype=float)
-    except SingularCurvatureError:
-        raise
-    except Exception as exc:
-        raise SingularCurvatureError(f"curvature profile evaluation failed: {exc}") from exc
-    if curv.shape != t.shape:
-        curv = np.broadcast_to(np.asarray(curv, dtype=float), t.shape).copy()
-    if not np.all(np.isfinite(curv)):
-        raise SingularCurvatureError("curvature profile is not finite on [0, 1]")
-
-    yv, yd, i1y, i2y, i1yd, _, i1yd2 = _mode_profile(yL, grid)
-    qv = q.sample(grid)
+    yv, yd, i1y, i2y, i1yd, _, i1yd2 = _mode_profile(yL, rule)
+    qv = q.sample(rule)
     one_minus_t = 1.0 - t
     a_term = i2y - kappa * yv
 
-    d01 = -grid.inner(curv, qv) / x
-    d02 = -grid.inner(one_minus_t, qv) / x
-    d11 = kappa / x**2 * grid.inner(curv * yd, qv)
-    d12 = kappa / x**2 * grid.inner(one_minus_t * yd, qv)
+    d01 = -rule.inner(curv, qv) / x
+    d02 = -rule.inner(one_minus_t, qv) / x
+    d11 = kappa / x**2 * rule.inner(curv * yd, qv)
+    d12 = kappa / x**2 * rule.inner(one_minus_t * yd, qv)
     d13 = -kappa / x * d01
     d14 = -kappa / x * d02
-    d21 = 0.5 / x * grid.inner(
+    d21 = 0.5 / x * rule.inner(
         curv * yd * (yd + kappa / x * (2.0 * l1 * i1y + l2 * yd)), qv)
-    d22 = 0.5 / x * grid.inner(
+    d22 = 0.5 / x * rule.inner(
         one_minus_t * yd**2 + i1yd2
         + kappa / x * yd * (2.0 * l1 * (one_minus_t * i1y + a_term)
                             + l2 * (one_minus_t * yd + 2.0 * i1yd)), qv)
@@ -95,12 +93,12 @@ def unfolding_coefficients(
     d24 = (1.0 - kappa / x) * d12
     d25 = kappa**2 / x**2 * d01
     d26 = kappa**2 / x**2 * d02
-    d31 = 0.5 * kappa / x**2 * grid.inner(curv * yd**3, qv)
-    d32 = 0.5 * kappa / x**2 * grid.inner(yd * (one_minus_t * yd**2 - i1yd2), qv)
-    d33 = kappa / x**2 * grid.inner(curv * yd * i1y, qv)
-    d34 = kappa / x**2 * grid.inner(yd * (one_minus_t * i1y + a_term), qv)
-    d35 = -0.5 * kappa**2 / x**3 * grid.inner(curv * yd * (2.0 * l1 * i1y + l2 * yd), qv)
-    d36 = 0.5 * kappa / x**2 * grid.inner(
+    d31 = 0.5 * kappa / x**2 * rule.inner(curv * yd**3, qv)
+    d32 = 0.5 * kappa / x**2 * rule.inner(yd * (one_minus_t * yd**2 - i1yd2), qv)
+    d33 = kappa / x**2 * rule.inner(curv * yd * i1y, qv)
+    d34 = kappa / x**2 * rule.inner(yd * (one_minus_t * i1y + a_term), qv)
+    d35 = -0.5 * kappa**2 / x**3 * rule.inner(curv * yd * (2.0 * l1 * i1y + l2 * yd), qv)
+    d36 = 0.5 * kappa / x**2 * rule.inner(
         2.0 * yd * i1yd - i1yd2
         - kappa / x * yd * (2.0 * l1 * (one_minus_t * i1y + a_term)
                             + l2 * (one_minus_t * yd + 2.0 * i1yd)), qv)
@@ -115,6 +113,21 @@ def unfolding_coefficients(
         d31=d31, d32=d32, d33=d33, d34=d34, d35=d35, d36=d36,
         d37=d37, d38=d38, d39=d39, d310=d310,
     )
+
+
+def _curvature_samples(rho0: Callable, t: np.ndarray) -> np.ndarray:
+    """rho0 on t as a finite array of t's shape, or SingularCurvatureError."""
+    try:
+        curv = np.asarray(rho0(t), dtype=float)
+    except SingularCurvatureError:
+        raise
+    except Exception as exc:
+        raise SingularCurvatureError(f"curvature profile evaluation failed: {exc}") from exc
+    if curv.shape != t.shape:
+        curv = np.broadcast_to(np.asarray(curv, dtype=float), t.shape).copy()
+    if not np.all(np.isfinite(curv)):
+        raise SingularCurvatureError("curvature profile is not finite on [0, 1]")
+    return curv
 
 
 def unfolding_determinant(uc: UnfoldingCoefficients) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nanorod import modes, quadrature
 from nanorod.charcurve import solve_lambda2
 from nanorod.model import LoadPoint
 from nanorod.quadrature import Grid
@@ -24,6 +25,13 @@ def critical_point(lambda1, kappa, near=None, which=1):
     else:
         lambda2 = solve_lambda2(lambda1, kappa, which=which)
     return LoadPoint(lambda1, lambda2)
+
+
+def fresh_rules():
+    """Drop the shared Chebyshev rules and the cached resolution checks, so the
+    next chain starts from empty memos."""
+    quadrature.cheb_rule.cache_clear()
+    modes._cubic_resolved.cache_clear()
 
 
 def fixture_curvature(t):

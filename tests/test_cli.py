@@ -95,6 +95,21 @@ def test_reduce_q4_same_verdict():
         out4.strip().splitlines()[1].split(",")[-1]
 
 
+@pytest.mark.parametrize("which", [2, 3, 5])
+def test_reduce_signs_do_not_depend_on_n(which):
+    # q2 takes its sign from q2(0) = 1 + r2^2/r1^2 > 0; probed at the first
+    # grid point t = 1/n instead, a high mode's q2 has already changed sign
+    # at small n, flipping c11, c3, epsilon and delta
+    signs = set()
+    for n in ("2", "4", "4096"):
+        code, out = run_cli(["reduce", "--kappa", "0.45", "--l1", "5",
+                             "--which", str(which), "--n", n])
+        assert code == 0
+        row = out.strip().splitlines()[1].split(",")
+        signs.add((float(row[2]) > 0, float(row[5]) > 0, row[9], row[10]))
+    assert len(signs) == 1, signs
+
+
 def test_unfold_reports_universal():
     code, out = run_cli(["unfold", "--kappa", "0.25", "--l1", "10", "--n", "2048"])
     assert code == 0

@@ -4,11 +4,11 @@ import pytest
 from nanorod.charcurve import find_fold, solve_lambda2
 from nanorod.errors import DegenerateShapeError, DomainError
 from nanorod.model import LoadPoint
-from nanorod.modes import _mode_profile, adjoint_kernel, linear_residual_L4, mode_shape
-from nanorod.quadrature import Grid
+from nanorod.modes import _mode_profile, adjoint_kernel, chain_rule, linear_residual_L4, mode_shape
+from nanorod.quadrature import ChebRule, Grid
 from nanorod.reduction import reduction_coefficients
 from nanorod.unfolding import unfolding_coefficients
-from conftest import critical_point, fixture_curvature
+from conftest import critical_point, fixture_curvature, fresh_rules
 from oracles import adjoint_boundary_residuals, i2, i3, linear_residual_L2, mode_node_count
 
 
@@ -172,7 +172,7 @@ def _shapes(p0, kappa, grid):
 
 
 def _coefficients(p0, kappa, grid, yL=None):
-    """(rc with q2, rc with q4, unfolding with q2), all read from grid's memo."""
+    """(rc with q2, rc with q4, unfolding with q2), all read from the chain rule's memo."""
     y0, q2, q4 = _shapes(p0, kappa, grid)
     yL = y0 if yL is None else yL
     return (reduction_coefficients(p0, kappa, yL, q2, grid),
@@ -204,33 +204,40 @@ class TestSampledPath:
                 assert np.array_equal(shape.sample(grid, k), ref), (shape.order, k)
 
     def test_memo_follows_its_key(self):
+        # the Chebyshev rules are shared by every chain, so a rule that held
+        # another point's arrays must give what fresh rules give
         (la, ka, na), (lb, kb, nb) = SAMPLED_POINTS
         a = critical_point(la, ka, near=na)
         b = critical_point(lb, kb, near=nb)
-        warm = Grid()
-        cold_a = _coefficients(a, ka, Grid())
-        first = _coefficients(a, ka, warm)
-        _coefficients(b, kb, warm)
-        assert first == cold_a
-        assert _coefficients(a, ka, warm) == cold_a
+
+        def cold(yL=None):
+            fresh_rules()
+            return _coefficients(a, ka, Grid(), yL)
+
+        cold_a = cold()
+        _coefficients(b, kb, Grid())
+        assert _coefficients(a, ka, Grid()) == cold_a
 
         # a mirrored mode has the same point and wavenumbers but its own profile
-        flipped = mode_shape(a, ka, warm).scaled(-1.0)
-        warm_flipped = _coefficients(a, ka, warm, flipped)
-        assert warm_flipped == _coefficients(a, ka, Grid(), flipped)
+        flipped = mode_shape(a, ka, Grid()).scaled(-1.0)
+        warm_flipped = _coefficients(a, ka, Grid(), flipped)
+        assert warm_flipped == cold(flipped)
         assert warm_flipped[0].c11 == -cold_a[0].c11
 
     def test_mode_profile_is_the_grid_operators_read_only(self, grid):
+        # the profile the chain reads is its rule's operators on the mode
         (l1, kappa, near), _ = SAMPLED_POINTS
         p0 = critical_point(l1, kappa, near=near)
         yL = mode_shape(p0, kappa, grid)
-        held = _mode_profile(yL, grid)
-        y, yd = yL(grid.t), yL(grid.t, 1)
-        expected = (y, yd, grid.i1(y), i2(grid, y), grid.i1(yd), i3(grid, y, yd), grid.i1(yd**2))
+        rule = chain_rule(yL, grid)
+        assert isinstance(rule, ChebRule)
+        held = _mode_profile(yL, rule)
+        y, yd = yL(rule.t), yL(rule.t, 1)
+        expected = (y, yd, rule.i1(y), i2(rule, y), rule.i1(yd), i3(rule, y, yd), rule.i1(yd**2))
         assert len(held) == len(expected)
         for arr, ref in zip(held, expected):
             assert np.array_equal(arr, ref)
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        for _, arrays in grid._memo.values():
+        for _, arrays in rule._memo.values():
             assert not any(arr.flags.writeable for arr in arrays)

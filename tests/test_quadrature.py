@@ -1,8 +1,11 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from nanorod.errors import ConfigurationError, GridMismatchError, InadmissibleSlopeError
-from nanorod.quadrature import Grid, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes
+from nanorod.quadrature import Grid, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes, cheb_rule
 from oracles import i2, i3
 
 
@@ -153,3 +156,26 @@ def test_chebyshev_integrals_of_cos_and_cosh(r):
         scale = max(1.0, np.max(np.abs(right)))
         assert np.max(np.abs(q0 @ f(r * t) - left)) <= 1e-14 * scale
         assert np.max(np.abs(q1 @ f(r * t) - right)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_cheb_rule_is_grid_quadrature_on_chebyshev_nodes(n):
+    # Clenshaw-Curtis inner products and the spectral i1, exact on t^k, k <= n
+    rule = cheb_rule(n)
+    assert rule is cheb_rule(n) and rule.t is cheb_nodes(n)
+    for k in range(n + 1):
+        f = rule.t**k
+        assert abs(rule.inner(f, np.ones_like(f)) - 1.0 / (k + 1)) <= 1e-15
+        assert np.max(np.abs(rule.i1(f) - (1.0 - rule.t ** (k + 1)) / (k + 1))) <= 1e-15
+    # an entire integrand to roundoff: int_0^1 sin^2(3 t) = 1/2 - sin 6 / 12
+    s = np.sin(3.0 * rule.t)
+    assert abs(rule.norm(s) ** 2 - (0.5 - np.sin(6.0) / 12.0)) <= 1e-15
+    with pytest.raises(GridMismatchError):
+        rule.inner(s, Grid(n).t[:-1])
+
+
+def test_no_cheb_rule_is_built_at_import():
+    body = ("import nanorod.cli, nanorod.quadrature as q; "
+            "assert q.cheb_rule.cache_info().currsize == 0")
+    proc = subprocess.run([sys.executable, "-c", body], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

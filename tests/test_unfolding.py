@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanorod import charcurve, modes
-from nanorod.quadrature import Grid
+from nanorod.quadrature import ChebRule, Grid
 from nanorod.reduction import critical_chain, reduction_coefficients
 from nanorod.unfolding import (
     is_universal_unfolding,
@@ -10,7 +10,7 @@ from nanorod.unfolding import (
     unfolding_determinant,
 )
 
-from conftest import critical_point, fixture_curvature
+from conftest import critical_point, fixture_curvature, fresh_rules
 
 
 def build_all(lambda1, kappa, near, grid, order=2, which=1, rho0=fixture_curvature):
@@ -141,42 +141,58 @@ class TestUniversality:
             is_universal_unfolding(rc, uc).universal
 
 
+def _run_chain(p0, kappa, ladder):
+    """The chain on a fresh grid, with the given Chebyshev ladder (() leaves the
+    grid alone) and empty memos."""
+    grid = Grid()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(modes, "CHAIN_LADDER", ladder)
+        fresh_rules()
+        yL = modes.mode_shape(p0, kappa, grid)
+        q2 = modes.adjoint_kernel(2, p0, kappa, grid)
+        q4 = modes.adjoint_kernel(4, p0, kappa, grid)
+        reduction_coefficients(p0, kappa, yL, q2, grid)
+        reduction_coefficients(p0, kappa, yL, q4, grid)
+        unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
+
+
 def test_chain_work_gate(monkeypatch):
     # one critical point's mode -> q2 -> q4 -> rc2 -> rc4 -> unfold chain integrates
-    # the five distinct mode integrals once (21 cumulative integrals when each
-    # coefficient set built its own) and evaluates cos/sin/cosh/sinh on the grid
-    # once (12 full-grid shape evaluations when each sample built its own)
+    # the five distinct mode integrals once on its rule (21 cumulative integrals
+    # when each coefficient set built its own), the Chebyshev rule one more for
+    # its resolution check, and evaluates cos/sin/cosh/sinh on the rule once
+    # (12 full evaluations when each sample built its own); the same holds on
+    # the grid when the ladder offers no rule
     kappa = 0.25
     p0 = critical_point(10.0, kappa, near=0.682732)
-    grid = Grid()
-    counts = {"cumint": 0, "basis": 0}
-    cumint, basis = Grid.cumint_right, modes._basis
+    counts = {}
+    basis = modes._basis
 
-    def counted_cumint(self, z):
-        counts["cumint"] += 1
-        return cumint(self, z)
+    def counted(cumint):
+        def counted_cumint(self, z):
+            counts["cumint"] += 1
+            return cumint(self, z)
+        return counted_cumint
 
     def counted_basis(r1, r2, t):
-        counts["basis"] += t.shape == grid.t.shape  # scalar probes are not samples
+        counts["basis"] += np.ndim(t) > 0  # scalar probes are not samples
         return basis(r1, r2, t)
 
-    monkeypatch.setattr(Grid, "cumint_right", counted_cumint)
+    for cls in (Grid, ChebRule):
+        monkeypatch.setattr(cls, "cumint_right", counted(cls.cumint_right))
     monkeypatch.setattr(modes, "_basis", counted_basis)
-    yL = modes.mode_shape(p0, kappa, grid)
-    q2 = modes.adjoint_kernel(2, p0, kappa, grid)
-    q4 = modes.adjoint_kernel(4, p0, kappa, grid)
-    reduction_coefficients(p0, kappa, yL, q2, grid)
-    reduction_coefficients(p0, kappa, yL, q4, grid)
-    unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
-    assert counts == {"cumint": 5, "basis": 1}
+    for ladder, cumints in ((modes.CHAIN_LADDER, 6), ((), 5)):
+        counts.update(cumint=0, basis=0)
+        _run_chain(p0, kappa, ladder)
+        assert counts == {"cumint": cumints, "basis": 1}, ladder
 
 
 def test_chain_builds_each_memo_slot_once(monkeypatch):
     # the q2 and q4 reductions share the q-independent integrands: one build
-    # of each slot for the whole mode -> q2 -> q4 -> rc2 -> rc4 -> unfold chain
+    # of each slot for the whole mode -> q2 -> q4 -> rc2 -> rc4 -> unfold chain,
+    # on the Chebyshev rule and on the grid when the ladder offers no rule
     kappa = 0.25
     p0 = critical_point(10.0, kappa, near=0.682732)
-    grid = Grid()
     builds = {}
     memo = Grid.memo
 
@@ -186,14 +202,11 @@ def test_chain_builds_each_memo_slot_once(monkeypatch):
             return build()
         return memo(self, slot, key, counted_build)
 
-    monkeypatch.setattr(Grid, "memo", counted_memo)
-    yL = modes.mode_shape(p0, kappa, grid)
-    q2 = modes.adjoint_kernel(2, p0, kappa, grid)
-    q4 = modes.adjoint_kernel(4, p0, kappa, grid)
-    reduction_coefficients(p0, kappa, yL, q2, grid)
-    reduction_coefficients(p0, kappa, yL, q4, grid)
-    unfolding_coefficients(p0, kappa, yL, q2, fixture_curvature, grid)
-    assert builds == {"basis": 1, "mode profile": 1, "reduction integrands": 1}
+    monkeypatch.setattr(Grid, "memo", counted_memo)  # ChebRule inherits it
+    for ladder in (modes.CHAIN_LADDER, ()):
+        builds.clear()
+        _run_chain(p0, kappa, ladder)
+        assert builds == {"basis": 1, "mode profile": 1, "reduction integrands": 1}, ladder
 
 
 @pytest.mark.parametrize("kappa, l1, which", [
