@@ -19,7 +19,10 @@ and v = alpha2 + l1 Q1 y follow by spectral integration, and a damped
 Newton with an analytic Jacobian drives D theta - theta' and
 D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
 13).  Newton starts from the linear mode at the nodes.  The solution is
-sampled on the requested grid by Clenshaw's recurrence.
+sampled on the requested grid by Clenshaw's recurrence.  The nodes, D, Q0,
+Q1, the resolution test on the Chebyshev tail and Clenshaw's recurrence
+all come from one quadrature.ChebRule per size, shared through cheb_rule
+with the critical-point chain.
 
 `shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
 integration is classical fixed-step 4th order with one step per grid
@@ -41,7 +44,7 @@ from .errors import (
     RegimeError,
 )
 from .model import LoadPoint, RodSetup
-from .quadrature import Grid, cheb_coefficients, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes
+from .quadrature import Grid, cheb_rule
 from .reduction import Verdict, amplitude_for_offsets, critical_chain, crossing_offsets
 
 SING_TOL = 1e-8
@@ -206,21 +209,20 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
     Newton restarts once on 2 * CHEB_N + 1 nodes from the CHEB_N solution.
     """
     theta, m, iterations = _collocation_newton(p, setup, theta, m)
-    if not _resolved(theta, m):
-        nodes = cheb_nodes(2 * CHEB_N)
-        theta, m = cheb_eval(theta, nodes), cheb_eval(m, nodes)
+    rule = cheb_rule(len(theta) - 1)
+    if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
+        coarse, rule = rule, cheb_rule(2 * CHEB_N)
+        theta, m = coarse.eval(theta, rule.t), coarse.eval(m, rule.t)
         theta[0] = 0.0
         theta, m, more = _collocation_newton(p, setup, theta, m)
         iterations += more
-        if not _resolved(theta, m):
+        if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
             raise NoConvergenceError(
                 f"collocation not resolved on {2 * CHEB_N + 1} Chebyshev nodes")
 
-    n = len(theta) - 1
-    q0, q1 = cheb_cumint(n)
-    x, y = q0 @ np.cos(theta), q0 @ np.sin(theta)
-    v = setup.alpha2 + p.lambda1 * (q1 @ y)
-    xs, ys, ths, vs, ms = (cheb_eval(f, grid.t) for f in (x, y, theta, v, m))
+    x, y = rule.q0 @ np.cos(theta), rule.q0 @ np.sin(theta)
+    v = setup.alpha2 + p.lambda1 * (rule.q1 @ y)
+    xs, ys, ths, vs, ms = (rule.eval(f, grid.t) for f in (x, y, theta, v, m))
     xs[0] = ys[0] = ths[0] = 0.0
     den = 1.0 + setup.kappa * (vs * np.sin(ths) - p.lambda2 * np.cos(ths))
     if np.max(np.abs(ths)) >= THETA_LIMIT or np.min(np.abs(den)) < SING_TOL:
@@ -234,19 +236,12 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
     return sol
 
 
-def _resolved(theta: np.ndarray, m: np.ndarray) -> bool:
-    """Whether the last three Chebyshev coefficients of theta and of m are
-    within CHEB_TAIL of their largest one."""
-    coefs = [np.abs(cheb_coefficients(f)) for f in (theta, m)]
-    return all(c[-3:].max() <= CHEB_TAIL * c.max() for c in coefs)
-
-
 def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray):
     """Damped Newton on the collocation residual over (theta, m) at the nodes,
     with the analytic Jacobian; returns (theta, m, iterations)."""
     n1 = len(theta)
-    nodes, d = cheb_nodes(n1 - 1), cheb_diff(n1 - 1)
-    q0, q1 = cheb_cumint(n1 - 1)
+    rule = cheb_rule(n1 - 1)
+    nodes, d, q0, q1 = rule.t, rule.d, rule.q0, rule.q1
     l1, l2, kappa, alpha2 = p.lambda1, p.lambda2, setup.kappa, setup.alpha2
     curv = setup.alpha1 * np.asarray(setup.rho0(nodes), dtype=float) if setup.alpha1 else 0.0
 
@@ -309,7 +304,7 @@ def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.
 def _mode_seed(yL, amplitude: float):
     """theta and m of the linear mode at amplitude a, at the CHEB_N + 1 nodes:
     theta = a yL' and m = a ((1 - kappa l02) yL'' + kappa l01 yL)."""
-    nodes = cheb_nodes(CHEB_N)
+    nodes = cheb_rule(CHEB_N).t
     p0, kappa = yL.p0, yL.kappa
     theta = amplitude * yL(nodes, 1)
     theta[0] = 0.0
@@ -365,7 +360,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         return sol
     except NoConvergenceError:
         pass
-    nodes = cheb_nodes(CHEB_N)
+    nodes = cheb_rule(CHEB_N).t
     sol = attempt(delta * (1 / 5.0) ** 2)
     for k in range(2, 6):
         d = delta * (k / 5.0) ** 2

@@ -34,7 +34,7 @@ import numpy as np
 from .charcurve import char_residual, lambda2_max, wavenumbers
 from .errors import DegenerateShapeError, DomainError
 from .model import LoadPoint
-from .quadrature import Grid, cheb_coefficients, cheb_rule
+from .quadrature import Grid, cheb_rule
 
 CRITICAL_TOL = 1e-8  # |residual| demanded of p0, relative to its local scale
 CHAIN_LADDER = (64, 128, 256)  # ChebRule sizes the chain tries, smallest first
@@ -208,7 +208,7 @@ def chain_rule(shape: ClosedFormShape, grid: Grid, curvature: Optional[Callable]
     for n in CHAIN_LADDER:
         rule = cheb_rule(n)
         if (_cubic_resolved(shape.p0, shape.kappa, shape.r1, shape.r2, n)
-                and (curvature is None or _resolved(curvature(rule.t)))):
+                and (curvature is None or rule.resolved(curvature(rule.t), CHAIN_TAIL))):
             return rule
     return grid
 
@@ -217,9 +217,4 @@ def chain_rule(shape: ClosedFormShape, grid: Grid, curvature: Optional[Callable]
 def _cubic_resolved(p0: LoadPoint, kappa: float, r1: float, r2: float, n: int) -> bool:
     """Whether cheb_rule(n) resolves the cubic integrand y'^2 I1 y of the mode at p0."""
     mode, rule = _raw_mode(p0, kappa, r1, r2), cheb_rule(n)
-    return _resolved(mode.sample(rule, 1) ** 2 * rule.i1(mode.sample(rule)))
-
-
-def _resolved(samples) -> bool:
-    coef = np.abs(cheb_coefficients(samples))
-    return coef[-3:].max() <= CHAIN_TAIL * coef.max()
+    return rule.resolved(mode.sample(rule, 1) ** 2 * rule.i1(mode.sample(rule)), CHAIN_TAIL)

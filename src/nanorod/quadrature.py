@@ -7,15 +7,16 @@ reversing back.  The cumulative pass is 4th-order accurate: even indices
 carry plain composite Simpson, odd indices add a half-panel integrated from
 the parabola through the three nearest samples.
 
-The Chebyshev tools at the end work on the Lobatto nodes
-t_j = (1 - cos(j pi / N)) / 2: the differentiation matrix, the left- and
-right-anchored integration matrices and Clenshaw evaluation of the
-interpolant, all from closed forms (Trefethen, Spectral Methods in MATLAB,
-2000, ch. 6 and 12).  The post-buckling collocation solves on them, and
-ChebRule gives them Grid's quadrature interface, with Clenshaw-Curtis
-weights (Clenshaw & Curtis, Numer. Math. 2, 1960) and the spectral
-right-anchored integral: the critical-point chain integrates on it (see
-modes.chain_rule).
+ChebRule is the Chebyshev discretization on the Lobatto nodes
+t_j = (1 - cos(j pi / N)) / 2: the coefficient transform, the
+differentiation matrix, the left- and right-anchored integration matrices,
+the resolution test on the tail of the coefficients and Clenshaw evaluation
+of the interpolant, all from closed forms (Trefethen, Spectral Methods in
+MATLAB, 2000, ch. 6 and 12).  It also has Grid's quadrature interface,
+with Clenshaw-Curtis weights (Clenshaw & Curtis, Numer. Math. 2, 1960) and
+the spectral right-anchored integral.  One rule per size, shared through
+cheb_rule(n), serves both the post-buckling collocation (bvp) and the
+critical-point chain (see modes.chain_rule).
 """
 
 import functools
@@ -110,90 +111,50 @@ class Grid:
         return zdot
 
 
-
-@functools.lru_cache(maxsize=4)
-def cheb_nodes(n: int) -> np.ndarray:
-    """Chebyshev-Lobatto nodes on [0, 1], t_0 = 0 and t_n = 1 exactly."""
-    t = 0.5 * (1.0 - np.sin(0.5 * np.pi * (n - 2 * np.arange(n + 1)) / n))
-    t.setflags(write=False)
-    return t
-
-
-@functools.lru_cache(maxsize=4)
-def _cheb_coefficient_matrix(n: int) -> np.ndarray:
-    """Node values -> coefficients a_k of sum_k a_k T_k(1 - 2t) (discrete cosine transform)."""
-    jk = np.outer(np.arange(n + 1), np.arange(n + 1))
-    c = np.cos(np.pi * (jk % (2 * n)) / n) * (2.0 / n)
-    c[:, [0, n]] *= 0.5
-    c[[0, n]] *= 0.5
-    c.setflags(write=False)
-    return c
-
-
-@functools.lru_cache(maxsize=4)
-def cheb_diff(n: int) -> np.ndarray:
-    """d/dt on the node values (Trefethen's cheb with t = (1 - x) / 2; the
-    diagonal is minus the off-diagonal row sum, so constants map to 0)."""
-    x = 1.0 - 2.0 * cheb_nodes(n)
-    c = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
-    c[[0, n]] *= 2.0
-    dx = x[:, None] - x[None, :] + np.eye(n + 1)
-    d = np.outer(c, 1.0 / c) / dx
-    d -= np.diag(d.sum(axis=1))
-    d *= -2.0
-    d.setflags(write=False)
-    return d
-
-
-@functools.lru_cache(maxsize=4)
-def cheb_cumint(n: int) -> tuple:
-    """(Q0, Q1): (Q0 z)_j = int_0^{t_j} z and (Q1 z)_j = int_{t_j}^1 z for the
-    degree-n interpolant of z, by term-wise integration of its T_k series."""
-    k = np.arange(1, n + 2)
-    s = np.zeros((n + 2, n + 1))  # coefficients -> antiderivative coefficients in x
-    s[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
-    s[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
-    jk = np.outer(np.arange(n + 1), np.arange(n + 2))
-    anti = np.cos(np.pi * (jk % (2 * n)) / n) @ s @ _cheb_coefficient_matrix(n)
-    q0, q1 = 0.5 * (anti[0] - anti), 0.5 * (anti - anti[n])  # dt = -dx / 2
-    for q in (q0, q1):
-        q.setflags(write=False)
-    return q0, q1
-
-
-def cheb_coefficients(values) -> np.ndarray:
-    """Chebyshev coefficients a_k of the interpolant through the n + 1 node values."""
-    values = np.asarray(values, dtype=float)
-    return _cheb_coefficient_matrix(len(values) - 1) @ values
-
-
-def cheb_eval(values, t) -> np.ndarray:
-    """The interpolant through the n + 1 node values at the points t, by
-    Clenshaw's recurrence on its Chebyshev coefficients."""
-    coef = cheb_coefficients(values)
-    x2 = 2.0 * (1.0 - 2.0 * np.asarray(t, dtype=float))
-    b1, b2 = np.zeros_like(x2), np.zeros_like(x2)
-    for a in coef[:0:-1]:  # b_k = a_k + 2x b_{k+1} - b_{k+2}, into b_{k+2}'s array
-        b2 *= -1.0
-        b2 += a
-        b2 += x2 * b1
-        b1, b2 = b2, b1
-    return coef[0] + 0.5 * x2 * b1 - b2
-
-
 class ChebRule(Grid):
-    """Grid's quadrature interface (t, weights, inner, norm, i1, memo) on the
-    n + 1 Chebyshev-Lobatto nodes of [0, 1]: inner is the Clenshaw-Curtis
-    rule (the weights are the last row of Q0) and i1 the spectral integral
-    Q1 of the degree-n interpolant, both exact to roundoff for integrands
-    the nodes resolve.  Build one through cheb_rule(n).
+    """The Chebyshev discretization on the n + 1 Lobatto nodes of [0, 1].
+
+    Its arrays, all read-only, come from closed forms:
+      t        the nodes t_j = (1 - cos(j pi / n)) / 2, t_0 = 0 and t_n = 1 exactly;
+      coef     node values -> coefficients a_k of sum_k a_k T_k(1 - 2t)
+               (a discrete cosine transform);
+      d        d/dt on the node values (Trefethen's cheb with t = (1 - x) / 2;
+               the diagonal is minus the off-diagonal row sum, so constants map to 0);
+      q0, q1   (q0 z)_j = int_0^{t_j} z and (q1 z)_j = int_{t_j}^1 z for the
+               degree-n interpolant of z, by term-wise integration of its T_k series;
+      weights  the Clenshaw-Curtis weights, the last row of q0.
+    With them it has Grid's quadrature interface (inner, norm, i1, memo):
+    inner is the Clenshaw-Curtis rule and i1 the spectral integral q1, both
+    exact to roundoff for integrands the nodes resolve.  Build one through
+    cheb_rule(n).
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.t = cheb_nodes(n)
-        q0, self._q1 = cheb_cumint(n)
-        self.weights = q0[-1]
+        self.t = 0.5 * (1.0 - np.sin(0.5 * np.pi * (n - 2 * np.arange(n + 1)) / n))
+        jk = np.outer(np.arange(n + 1), np.arange(n + 1))
+        self.coef = np.cos(np.pi * (jk % (2 * n)) / n) * (2.0 / n)
+        self.coef[:, [0, n]] *= 0.5
+        self.coef[[0, n]] *= 0.5
+
+        x = 1.0 - 2.0 * self.t
+        c = np.where(np.arange(n + 1) % 2 == 0, 1.0, -1.0)
+        c[[0, n]] *= 2.0
+        dx = x[:, None] - x[None, :] + np.eye(n + 1)
+        self.d = np.outer(c, 1.0 / c) / dx
+        self.d -= np.diag(self.d.sum(axis=1))
+        self.d *= -2.0
+
+        k = np.arange(1, n + 2)
+        s = np.zeros((n + 2, n + 1))  # coefficients -> antiderivative coefficients in x
+        s[k, k - 1] = np.where(k == 1, 1.0, 0.5 / k)
+        s[k[:-2], k[:-2] + 1] = -0.5 / k[:-2]
+        jk = np.outer(np.arange(n + 1), np.arange(n + 2))
+        anti = np.cos(np.pi * (jk % (2 * n)) / n) @ s @ self.coef
+        self.q0, self.q1 = 0.5 * (anti[0] - anti), 0.5 * (anti - anti[n])  # dt = -dx / 2
+        self.weights = self.q0[-1]
+        for a in (self.t, self.coef, self.d, self.q0, self.q1, self.weights):
+            a.setflags(write=False)
         self._memo = {}
 
     def __repr__(self):
@@ -201,9 +162,30 @@ class ChebRule(Grid):
 
     def cumint_right(self, z) -> np.ndarray:
         """Right-anchored integral of the interpolant: out[i] = int_{t_i}^1 z; out[-1] = 0."""
-        return self._q1 @ self._check(z)
+        return self.q1 @ self._check(z)
+
+    def resolved(self, values, tail: float) -> bool:
+        """Whether the last three Chebyshev coefficients of the interpolant
+        through the node values lie within tail of its largest one."""
+        coef = np.abs(self.coef @ self._check(values))
+        return coef[-3:].max() <= tail * coef.max()
+
+    def eval(self, values, t) -> np.ndarray:
+        """The interpolant through the node values at the points t, by
+        Clenshaw's recurrence on its Chebyshev coefficients."""
+        coef = self.coef @ self._check(values)
+        x2 = 2.0 * (1.0 - 2.0 * np.asarray(t, dtype=float))
+        b1, b2 = np.zeros_like(x2), np.zeros_like(x2)
+        for a in coef[:0:-1]:  # b_k = a_k + 2x b_{k+1} - b_{k+2}, into b_{k+2}'s array
+            b2 *= -1.0
+            b2 += a
+            b2 += x2 * b1
+            b1, b2 = b2, b1
+        return coef[0] + 0.5 * x2 * b1 - b2
 
 
+# The collocation's 32 and 64 and the chain's 64, 128 and 256 are four sizes,
+# so a post-buckling solve and a chain never evict each other's rules.
 @functools.lru_cache(maxsize=4)
 def cheb_rule(n: int) -> ChebRule:
     """The ChebRule on n + 1 nodes, built on first use and then shared."""

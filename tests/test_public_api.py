@@ -37,6 +37,14 @@ REMOVED = (
     ("quadrature", "Grid.i2"),
     ("charcurve", "_brentq_batch"),
     ("charcurve", "_lanes"),
+    ("quadrature", "cheb_nodes"),
+    ("quadrature", "_cheb_coefficient_matrix"),
+    ("quadrature", "cheb_diff"),
+    ("quadrature", "cheb_cumint"),
+    ("quadrature", "cheb_coefficients"),
+    ("quadrature", "cheb_eval"),
+    ("bvp", "_resolved"),
+    ("modes", "_resolved"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs

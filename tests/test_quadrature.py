@@ -4,8 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import critical_point
+from nanorod.bvp import CHEB_N, CHEB_TAIL, solve_postbuckling
 from nanorod.errors import ConfigurationError, GridMismatchError, InadmissibleSlopeError
-from nanorod.quadrature import Grid, cheb_cumint, cheb_diff, cheb_eval, cheb_nodes, cheb_rule
+from nanorod.modes import CHAIN_TAIL, chain_rule
+from nanorod.quadrature import Grid, cheb_rule
+from nanorod.reduction import critical_chain
 from oracles import i2, i3
 
 
@@ -109,9 +113,8 @@ def test_fourth_order_convergence():
 @pytest.mark.parametrize("n", [4, 16, 32, 64])
 def test_chebyshev_matrices_exact_on_polynomials(n):
     # D, Q0 and Q1 act exactly (to roundoff, D's growing as n^2) on t^k, k <= n
-    t = cheb_nodes(n)
-    d = cheb_diff(n)
-    q0, q1 = cheb_cumint(n)
+    rule = cheb_rule(n)
+    t, d, q0, q1 = rule.t, rule.d, rule.q0, rule.q1
     assert (t[0], t[-1]) == (0.0, 1.0) and np.all(np.diff(t) > 0.0)
     for k in range(n + 1):
         f = t**k
@@ -123,7 +126,7 @@ def test_chebyshev_matrices_exact_on_polynomials(n):
 
 @pytest.mark.parametrize("n", [4, 32, 64])
 def test_chebyshev_integrals_anchored(n):
-    q0, q1 = cheb_cumint(n)
+    q0, q1 = cheb_rule(n).q0, cheb_rule(n).q1
     assert not q0[0].any() and not q1[n].any()
     # Q0 + Q1 integrates over the whole interval on every row
     np.testing.assert_allclose(q0 + q1, np.broadcast_to((q0 + q1)[n], q0.shape), atol=1e-15)
@@ -131,25 +134,24 @@ def test_chebyshev_integrals_anchored(n):
 
 @pytest.mark.parametrize("n", [4, 32, 64])
 def test_clenshaw_interpolates_node_values(n):
-    t = cheb_nodes(n)
+    rule = cheb_rule(n)
     # noise, the hardest case: its roundoff grows like n^2 near the ends
     for values in np.random.default_rng(n).standard_normal((3, n + 1)):
         tol = 1e-15 * n**2 * np.max(np.abs(values))
-        assert np.max(np.abs(cheb_eval(values, t) - values)) <= tol
+        assert np.max(np.abs(rule.eval(values, rule.t) - values)) <= tol
 
 
 def test_clenshaw_evaluates_between_nodes():
-    t = cheb_nodes(32)
+    rule = cheb_rule(32)
     s = np.linspace(0.0, 1.0, 101)
-    assert np.max(np.abs(cheb_eval(np.cos(5.0 * t), s) - np.cos(5.0 * s))) < 1e-14
+    assert np.max(np.abs(rule.eval(np.cos(5.0 * rule.t), s) - np.cos(5.0 * s))) < 1e-14
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 4.0, 6.0])
 def test_chebyshev_integrals_of_cos_and_cosh(r):
     # relative to the integral's size: at r = 6, int cosh is ~34
-    n = 32
-    t = cheb_nodes(n)
-    q0, q1 = cheb_cumint(n)
+    rule = cheb_rule(32)
+    t, q0, q1 = rule.t, rule.q0, rule.q1
     for f, anti in ((np.cos, np.sin), (np.cosh, np.sinh)):
         left = anti(r * t) / r
         right = (anti(r) - anti(r * t)) / r
@@ -162,7 +164,11 @@ def test_chebyshev_integrals_of_cos_and_cosh(r):
 def test_cheb_rule_is_grid_quadrature_on_chebyshev_nodes(n):
     # Clenshaw-Curtis inner products and the spectral i1, exact on t^k, k <= n
     rule = cheb_rule(n)
-    assert rule is cheb_rule(n) and rule.t is cheb_nodes(n)
+    assert rule is cheb_rule(n)
+    # the Lobatto nodes, within the roundoff of the cosine form, endpoints exact
+    lobatto = 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+    np.testing.assert_allclose(rule.t, lobatto, rtol=0.0, atol=2.0**-51)
+    assert (rule.t[0], rule.t[-1]) == (0.0, 1.0)
     for k in range(n + 1):
         f = rule.t**k
         assert abs(rule.inner(f, np.ones_like(f)) - 1.0 / (k + 1)) <= 1e-15
@@ -172,6 +178,52 @@ def test_cheb_rule_is_grid_quadrature_on_chebyshev_nodes(n):
     assert abs(rule.norm(s) ** 2 - (0.5 - np.sin(6.0) / 12.0)) <= 1e-15
     with pytest.raises(GridMismatchError):
         rule.inner(s, Grid(n).t[:-1])
+
+
+@pytest.mark.parametrize("n", [4, 32, 64, 128, 256])
+def test_coefficients_of_chebyshev_polynomials_are_unit_vectors(n):
+    # the samples of T_k(1 - 2t), by the three-term recurrence, map to e_k
+    rule = cheb_rule(n)
+    x = 1.0 - 2.0 * rule.t
+    tk = [np.ones_like(x), x]
+    while len(tk) <= n:
+        tk.append(2.0 * x * tk[-1] - tk[-2])
+    coef = np.array([rule.coef @ samples for samples in tk[: n + 1]])
+    assert np.max(np.abs(coef - np.eye(n + 1))) <= 1e-15 * n
+
+
+def test_resolved_flips_between_sizes_at_each_tail():
+    # cos(65 t) is entire; its Chebyshev tail falls below CHEB_TAIL between
+    # 32 and 64 intervals, and below CHAIN_TAIL between 64 and 128
+    def resolved(n, tail):
+        rule = cheb_rule(n)
+        return rule.resolved(np.cos(65.0 * rule.t), tail)
+
+    assert (resolved(CHEB_N, CHEB_TAIL), resolved(2 * CHEB_N, CHEB_TAIL)) == (False, True)
+    assert (resolved(64, CHAIN_TAIL), resolved(128, CHAIN_TAIL)) == (False, True)
+
+
+def test_every_rule_array_refuses_writes():
+    rule = cheb_rule(16)
+    arrays = {name: a for name, a in vars(rule).items() if isinstance(a, np.ndarray)}
+    assert set(arrays) == {"t", "coef", "d", "q0", "q1", "weights"}
+    for a in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_collocation_and_chain_rules_share_the_cache_without_eviction():
+    # the collocation (32, 64 on a retry) and the chain (64, 128, 256) use at
+    # most four sizes, so a chain on 128 nodes between two post-buckling
+    # solves evicts none of the rules the second solve needs
+    p0, grid = critical_point(10.0, 0.25, near=0.682732), Grid(256)
+    solve_postbuckling(p0, 0.25, 0.5, grid=grid)
+    high = critical_point(5.0, 0.45, which=10)
+    y_l, _, _ = critical_chain(high, 0.45, grid)
+    assert chain_rule(y_l, grid) is cheb_rule(128)
+    misses = cheb_rule.cache_info().misses
+    solve_postbuckling(p0, 0.25, 0.5, grid=grid)
+    assert cheb_rule.cache_info().misses == misses
 
 
 def test_no_cheb_rule_is_built_at_import():
