@@ -18,11 +18,11 @@ N + 1 Lobatto nodes are the unknowns, y = Q0 sin(theta), x = Q0 cos(theta)
 and v = alpha2 + l1 Q1 y follow by spectral integration, and a damped
 Newton with an analytic Jacobian drives D theta - theta' and
 D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
-13).  Newton starts from the linear mode at the nodes.  The solution is
-sampled on the requested grid by Clenshaw's recurrence.  The nodes, D, Q0,
-Q1, the resolution test on the Chebyshev tail and Clenshaw's recurrence
-all come from one quadrature.ChebRule per size, shared through cheb_rule
-with the critical-point chain.
+13).  Newton starts from the linear mode at the nodes.  One product of the
+Chebyshev coefficients of all five states with the basis samples them on
+the requested grid.  The nodes, D, Q0, Q1, the resolution test on the
+Chebyshev tail and that basis all come from one quadrature.ChebRule per
+size, shared through cheb_rule with the critical-point chain.
 
 `shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
 integration is classical fixed-step 4th order with one step per grid
@@ -212,7 +212,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
     rule = cheb_rule(len(theta) - 1)
     if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
         coarse, rule = rule, cheb_rule(2 * CHEB_N)
-        theta, m = coarse.eval(theta, rule.t), coarse.eval(m, rule.t)
+        theta, m = coarse.eval([theta, m], rule.t)
         theta[0] = 0.0
         theta, m, more = _collocation_newton(p, setup, theta, m)
         iterations += more
@@ -222,7 +222,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
 
     x, y = rule.q0 @ np.cos(theta), rule.q0 @ np.sin(theta)
     v = setup.alpha2 + p.lambda1 * (rule.q1 @ y)
-    xs, ys, ths, vs, ms = (rule.eval(f, grid.t) for f in (x, y, theta, v, m))
+    xs, ys, ths, vs, ms = rule.eval([x, y, theta, v, m], grid.t)
     xs[0] = ys[0] = ths[0] = 0.0
     den = 1.0 + setup.kappa * (vs * np.sin(ths) - p.lambda2 * np.cos(ths))
     if np.max(np.abs(ths)) >= THETA_LIMIT or np.min(np.abs(den)) < SING_TOL:

@@ -10,8 +10,9 @@ the parabola through the three nearest samples.
 ChebRule is the Chebyshev discretization on the Lobatto nodes
 t_j = (1 - cos(j pi / N)) / 2: the coefficient transform, the
 differentiation matrix, the left- and right-anchored integration matrices,
-the resolution test on the tail of the coefficients and Clenshaw evaluation
-of the interpolant, all from closed forms (Trefethen, Spectral Methods in
+the resolution test on the tail of the coefficients and the evaluation of
+the interpolant as one product of its coefficients with the Chebyshev
+basis at the points, all from closed forms (Trefethen, Spectral Methods in
 MATLAB, 2000, ch. 6 and 12).  It also has Grid's quadrature interface,
 with Clenshaw-Curtis weights (Clenshaw & Curtis, Numer. Math. 2, 1960) and
 the spectral right-anchored integral.  One rule per size, shared through
@@ -171,17 +172,25 @@ class ChebRule(Grid):
         return coef[-3:].max() <= tail * coef.max()
 
     def eval(self, values, t) -> np.ndarray:
-        """The interpolant through the node values at the points t, by
-        Clenshaw's recurrence on its Chebyshev coefficients."""
-        coef = self.coef @ self._check(values)
-        x2 = 2.0 * (1.0 - 2.0 * np.asarray(t, dtype=float))
-        b1, b2 = np.zeros_like(x2), np.zeros_like(x2)
-        for a in coef[:0:-1]:  # b_k = a_k + 2x b_{k+1} - b_{k+2}, into b_{k+2}'s array
-            b2 *= -1.0
-            b2 += a
-            b2 += x2 * b1
-            b1, b2 = b2, b1
-        return coef[0] + 0.5 * x2 * b1 - b2
+        """The interpolant through the node values at the points t.
+
+        values is one row of n + 1 node values or a stack of such rows, shape
+        (k, n + 1); the result has one row of len(t) samples per row.  The
+        Chebyshev coefficients of every row multiply, in one product, the
+        basis T_0 ... T_n at x = 1 - 2t, built by the three-term recurrence.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.ndim not in (1, 2) or values.shape[-1] != self.n + 1:
+            raise GridMismatchError(
+                f"expected rows of {self.n + 1} node values, got shape {values.shape}")
+        x = 1.0 - 2.0 * np.asarray(t, dtype=float)
+        x2 = 2.0 * x
+        basis = np.empty((self.n + 1, x.size))
+        basis[0], basis[1] = 1.0, x
+        for k in range(2, self.n + 1):
+            np.multiply(x2, basis[k - 1], out=basis[k])
+            basis[k] -= basis[k - 2]
+        return (values @ self.coef.T) @ basis
 
 
 # The collocation's 32 and 64 and the chain's 64, 128 and 256 are four sizes,

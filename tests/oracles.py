@@ -1,8 +1,9 @@
 """Independent checks the tests hold the package to, kept out of the package
 because no production path calls them: the second-order linearization
 residual, the adjoint boundary sets, the moment recomputed from the
-constitutive closure, the node count of a closed-form mode and the I2 and
-I3 operators written out from the grid's cumulative integral.
+constitutive closure, the node count of a closed-form mode, the I2 and I3
+operators written out from the grid's cumulative integral, and Clenshaw's
+recurrence for the Chebyshev interpolant.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ import numpy as np
 from nanorod.bvp import BvpSolution, _central_second_derivative, _sign_changes
 from nanorod.model import LoadPoint
 from nanorod.modes import ClosedFormShape
-from nanorod.quadrature import Grid
+from nanorod.quadrature import ChebRule, Grid
 
 
 def linear_residual_L2(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid) -> float:
@@ -83,3 +84,18 @@ def i3(grid: Grid, z, zdot) -> np.ndarray:
     constraint on zdot."""
     zdot = grid._check(zdot)
     return grid.cumint_right(zdot**2 * grid.cumint_right(z))
+
+
+def clenshaw(rule: ChebRule, values, t) -> np.ndarray:
+    """The interpolant through the node values at the points t, by Clenshaw's
+    recurrence on its Chebyshev coefficients (Clenshaw, Math. Tables Aids
+    Comput. 9, 1955): one row of node values, one pass per coefficient."""
+    coef = rule.coef @ rule._check(values)
+    x2 = 2.0 * (1.0 - 2.0 * np.asarray(t, dtype=float))
+    b1, b2 = np.zeros_like(x2), np.zeros_like(x2)
+    for a in coef[:0:-1]:  # b_k = a_k + 2x b_{k+1} - b_{k+2}, into b_{k+2}'s array
+        b2 *= -1.0
+        b2 += a
+        b2 += x2 * b1
+        b1, b2 = b2, b1
+    return coef[0] + 0.5 * x2 * b1 - b2

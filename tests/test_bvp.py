@@ -25,7 +25,7 @@ from nanorod.errors import (
     RegimeError,
 )
 from nanorod.model import LoadPoint, RodSetup
-from nanorod.quadrature import Grid
+from nanorod.quadrature import Grid, cheb_rule
 from nanorod.reduction import amplitude_for_offsets, critical_chain, crossing_offsets
 
 from conftest import critical_point, fixture_curvature
@@ -378,6 +378,24 @@ class TestCollocation:
         monkeypatch.setattr(bvp, "CHEB_TAIL", 0.0)
         with pytest.raises(NoConvergenceError, match=f"on {2 * bvp.CHEB_N + 1} Chebyshev nodes"):
             bvp._collocate(p0.offset(dl1, dl2), RodSetup(0.25), theta, m, grid=grid)
+
+    def test_unresolved_tail_retries_on_twice_the_nodes(self):
+        # at kappa 0.1, lambda1 10, root 2 the theta tail of the CHEB_N solve
+        # is ~9e-10, above CHEB_TAIL: Newton restarts on 2 * CHEB_N + 1 nodes,
+        # resolves there, and the solution meets the tip conditions
+        p0, grid = critical_point(10.0, 0.1, which=2), Grid(1024)
+        yL, _, rc = critical_chain(p0, 0.1, grid)
+        dl1, dl2 = crossing_offsets(rc, 1.0, "along-lambda1")
+        seed = bvp._mode_seed(yL, amplitude_for_offsets(rc, dl1, dl2))
+        theta, _, coarse_steps = bvp._collocation_newton(p0.offset(dl1, dl2), RodSetup(0.1), *seed)
+        assert not cheb_rule(bvp.CHEB_N).resolved(theta, bvp.CHEB_TAIL)
+        sol = solve_postbuckling(p0, 0.1, 1.0, grid=grid)
+        assert sol.path == "direct" and sol.newton_iterations > coarse_steps
+        traj = sol.trajectory
+        assert (traj.x[0], traj.y[0], traj.theta[0]) == (0.0, 0.0, 0.0)
+        fine = integrate(sol.load, sol.setup, sol.v0, sol.m0, grid=Grid(16384))
+        assert abs(fine.v[-1] - sol.setup.alpha2) <= 1e-11
+        assert abs(fine.m[-1]) <= 1e-11
 
     def test_solve_loads_no_numpy_polynomial(self):
         body = ("import sys\n"

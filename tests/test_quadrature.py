@@ -10,7 +10,7 @@ from nanorod.errors import ConfigurationError, GridMismatchError, InadmissibleSl
 from nanorod.modes import CHAIN_TAIL, chain_rule
 from nanorod.quadrature import Grid, cheb_rule
 from nanorod.reduction import critical_chain
-from oracles import i2, i3
+from oracles import clenshaw, i2, i3
 
 
 def test_grid_requires_even_size():
@@ -145,6 +145,30 @@ def test_clenshaw_evaluates_between_nodes():
     rule = cheb_rule(32)
     s = np.linspace(0.0, 1.0, 101)
     assert np.max(np.abs(rule.eval(np.cos(5.0 * rule.t), s) - np.cos(5.0 * s))) < 1e-14
+
+
+@pytest.mark.parametrize("n,other", [(32, 64), (64, 32)])
+def test_basis_product_matches_clenshaw_oracle(n, other):
+    # five smooth rows and one noise row in one stacked call, each within
+    # 4 n eps sum |a_k| of Clenshaw's recurrence on its own coefficients
+    rule = cheb_rule(n)
+    t = rule.t
+    rows = np.array([np.cos(5.0 * t), np.exp(-2.0 * t), t**3 - t, np.sin(np.pi * t) / 4.0,
+                     1.0 / (1.0 + t**2), np.random.default_rng(n).standard_normal(n + 1)])
+    for points in (Grid(4096).t, Grid(256).t, cheb_rule(other).t):
+        out = rule.eval(rows, points)
+        assert out.shape == (len(rows), len(points))
+        for values, got in zip(rows, out):
+            tol = 4 * n * np.finfo(float).eps * np.sum(np.abs(rule.coef @ values))
+            assert np.max(np.abs(got - clenshaw(rule, values, points))) <= tol
+        assert np.array_equal(rule.eval(-rows, points), -out)
+
+
+def test_eval_rejects_rows_of_the_wrong_length():
+    rule, s = cheb_rule(32), np.linspace(0.0, 1.0, 11)
+    for values in (np.ones(32), np.ones(34), np.ones((5, 34)), np.ones((2, 5, 33))):
+        with pytest.raises(GridMismatchError):
+            rule.eval(values, s)
 
 
 @pytest.mark.parametrize("r", [0.5, 1.0, 2.5, 4.0, 6.0])
