@@ -27,6 +27,7 @@ Conventions adopted here:
 """
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -45,14 +46,13 @@ from .errors import (
 )
 from .model import LoadPoint
 
-SCAN_PANELS = 2000
 ADMISSIBLE_MARGIN = 1e-9
-DEFAULT_L2_CAP = 40.0  # scan ceiling for kappa = 0, where 1/kappa is no bound
-_TOUCH_REL = 1e-5      # |F| at a tangency, relative to the scan scale
+_WINDOW_SAMPLES = 17   # samples of F per family window
+_TWO_PI = 2.0 * math.pi
+_TOUCH_REL = 1e-5      # |F| at a tangency, relative to the window's scale
 _CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
-_SCAN_XTOL, _SCAN_RTOL = 1e-14, 8.9e-16  # Brent stop for the roots of a scan
+_SCAN_XTOL, _SCAN_RTOL = 1e-14, 8.9e-16  # Brent stop for the roots of a window
 _SCALE_STEP = 0.05     # load offset of the probes that set a Newton system's scale
-_NO_INDEX = np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,17 @@ class Wavenumbers:
 
 
 def lambda2_max(kappa: float) -> float:
-    """Upper end of the admissible lambda2 range (constitutive singularity)."""
+    """Upper end of the admissible lambda2 range (constitutive singularity;
+    none at kappa = 0)."""
     if kappa < 0.0:
         raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
     if kappa == 0.0:
-        return DEFAULT_L2_CAP
+        return math.inf
     return (1.0 - ADMISSIBLE_MARGIN) / kappa
 
 
 # Elementwise functions the residual is written in: math for one load point
-# (cheapest per call), numpy for a whole scan column in one evaluation, cmath
+# (cheapest per call), numpy for a whole family window in one evaluation, cmath
 # for a complex step.  The real paths clamp s - half at 0 against roundoff
 # (-5e-171 at lambda1 = 0, lambda2 = 1e-170); a clamp would cut a complex step.
 _SCALAR_OPS = SimpleNamespace(sqrt=math.sqrt, cos=math.cos, cosh=math.cosh,
@@ -196,16 +197,17 @@ def eta_prime(p0: LoadPoint, kappa: float) -> float:
     return -df1 / df2
 
 
-def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps):
+def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, fa=None, fb=None):
     """Root of f on [a, b], where f(a) and f(b) differ in sign.
 
     Brent's method (Brent 1973, ch. 4), step for step as the classic
     ``brentq`` routine: secant or inverse quadratic interpolation,
     safeguarded by bisection, until the bracket half-width drops below
-    (xtol + rtol |x|) / 2.
+    (xtol + rtol |x|) / 2.  fa and fb, when given, stand for f(a) and f(b).
     """
     xpre, xcur = float(a), float(b)
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if fa is None else float(fa)
+    fcur = f(xcur) if fb is None else float(fb)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -261,136 +263,120 @@ def _bulk(fun, xs):
     return vals
 
 
-def _sign_brackets(vals):
-    """The scan's root rule, (exact, brackets) as index arrays: a grid point
-    where vals is exactly zero is a root (the last point included), and a
-    panel whose ends differ strictly in sign brackets one to refine."""
-    return np.flatnonzero(vals == 0.0), np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+class _Column:
+    """F along one load x, the other held at fixed: x is lambda2 (axis 2) or
+    lambda1 (axis 1), searched on [lo, hi).  first is the family of lo."""
+
+    def __init__(self, fixed: float, kappa: float, axis: int, lo: float, hi: float):
+        self.fixed, self.kappa, self.axis, self.lo, self.hi = fixed, kappa, axis, lo, hi
+        l1, l2 = (fixed, lo) if axis == 2 else (lo, fixed)
+        r1 = _wavenumbers(l1, l2, kappa, _check_admissible(l1, l2, kappa), _SCALAR_OPS)[0]
+        if not math.isfinite(r1):
+            self.fun(lo)  # raises DomainError: the residual overflows
+        self.first = int(r1 // _TWO_PI) + 1
+
+    def fun(self, x):
+        if self.axis == 2:
+            return _residual(self.fixed, x, self.kappa)
+        return _residual(x, self.fixed, self.kappa)
+
+    def load(self, r1: float) -> float:
+        """The x at which the wavenumber r1 is reached, in closed form; r1
+        grows with either load wherever lambda1 >= 0."""
+        u, k = r1 * r1, self.kappa
+        if self.axis == 2:
+            return (u * u - k * self.fixed * u - self.fixed) / (u * (k * u + 1.0))
+        return u * ((1.0 - k * self.fixed) * u - self.fixed) / (k * u + 1.0)
+
+    def rootless_tail(self, xs) -> bool:
+        """Whether no root lies at or past the window xs in lambda2.  As
+        lambda2 -> 1/kappa, A/rho tends to L = kappa^2 lambda1 / cosh(r2*),
+        r2* = sqrt(lambda1 / (kappa lambda1 + 1/kappa)).  With L > 1 and
+        A > rho across the window, F = A + rho cos(phi) > 0 there and, as
+        A/rho keeps approaching L (observed, not proved), past it too."""
+        l1, k = self.fixed, self.kappa
+        if self.axis == 1 or k == 0.0 or k * k * l1 <= math.cosh(math.sqrt(l1 / (k * l1 + 1.0 / k))):
+            return False
+        _, a, rho = _phase(l1, xs, k)
+        return bool((a > rho).all())
 
 
-def _scan_roots(fun, lo, hi, touch_gate=None, count=None):
-    """All roots of fun on [lo, hi], sorted: sign-change roots, plus tangency
-    (double) roots when a touch gate is given.  With a count, the first count
-    entries are those of the full list, bit for bit, and the entries past
-    them may differ.
+def _family_roots(col: _Column, k: int, touch_gate=None):
+    """The roots of family k on the column, sorted, as (root, sign of F just
+    above it) pairs; None once the families have run out.
 
-    fun must evaluate elementwise on an array: the scan grid is evaluated
-    in one call, and only the refinements evaluate point by point.  (One
-    bracket takes ~8 scalar calls, ~20 us, in _brentq, against ~180 us for
-    the scan.)  With a touch gate, fun must also accept a complex scalar:
-    its derivative is taken by complex step.
-    A tangency is accepted when a local minimum of |fun| on the scan refines,
-    by Brent on fun' between the neighbouring grid points, to a stationary
-    point where |fun| is negligible: either against the scan scale, or
-    against the caller-supplied gate ``touch_gate(x)`` (used to admit
-    residuals explained by the finite printing precision of the transverse
-    load parameter).
-    A count refines only what the first count roots depend on.  Exact zeros
-    and brackets are ordered by grid position (2j for an exact zero at
-    xs[j], 2i + 1 for the bracket [xs[i], xs[i + 1]]), and the count-th of
-    them is the cut: no root past it can come first.  A touch candidate at
-    xs[i] is refined when its root, in [xs[i - 1], xs[i + 1]], can lie at
-    or below the cut.  With fewer than count sign roots, everything is
-    refined.
+    A root of family K has r1 in (2(K - 1) pi, 2K pi), since |phi - r1| <
+    pi/2 and cos(phi) < 0 there (see _phase), and r1 grows with the free
+    load, so the family's window on the load axis comes from col.load.  F
+    is sampled at _WINDOW_SAMPLES points across it in one array call; a
+    sample where F is exactly zero is a root (the window's top excluded: it
+    is the next window's bottom), and each sign change is refined by Brent.
+    At a local minimum of |F| between samples of one sign, Brent on the
+    complex-step F' finds the stationary point: where F has the other sign
+    there it brackets a close pair of roots, and where F is exactly zero,
+    or negligible against the window's scale or the caller's
+    ``touch_gate(x)`` (a residual explained by the printed precision of
+    the loads), it is a tangency (double) root.
     """
-    xs = np.linspace(lo, hi, SCAN_PANELS + 1)
-    vals = _bulk(fun, xs)
-    exact, brackets = _sign_brackets(vals)
-    touch = _touch_candidates(vals) if touch_gate is not None else _NO_INDEX
-    if count is not None and exact.size + brackets.size >= count:
-        cut = np.sort(np.concatenate((2 * exact, 2 * brackets + 1)))[count - 1]
-        touch = touch[touch - 1 <= (cut + 1) // 2]  # the cut root is at or below xs[(cut + 1) // 2]
-        # a touch root below the cut root within 10 steps of a sign root past the cut is as near the cut root
-        exact, brackets = exact[2 * exact <= cut], brackets[2 * brackets + 1 <= cut]
-    roots = [xs[i] for i in exact]
-    roots += [_brentq(fun, xs[i], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL) for i in brackets]
-    if touch.size:
-        roots.extend(_touch_roots(fun, xs, vals, roots, touch_gate, touch))
+    if k < col.first:
+        return []
+    a = col.lo if k == col.first else max(col.lo, col.load(_TWO_PI * (k - 1)))
+    if a >= col.hi:
+        return None
+    b = min(col.hi, col.load(_TWO_PI * k))
+    if b <= a:  # below lo by rounding, or past where 2 pi still moves r1
+        return [] if k == col.first else None
+    xs = np.linspace(a, b, _WINDOW_SAMPLES)
+    vals = _bulk(col.fun, xs)
+    sign = np.sign(vals)  # products of the values themselves may overflow
+    above = sign[1:].tolist()
+    refine = lambda f, lo, hi, *ends: _brentq(f, lo, hi, _SCAN_XTOL, _SCAN_RTOL, *ends)
+    roots = [(float(xs[i]), above[i]) for i in np.flatnonzero(vals[:-1] == 0.0)]
+    roots += [(refine(col.fun, xs[i], xs[i + 1], vals[i], vals[i + 1]), above[i])
+              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
+    absv = np.abs(vals)
+    pad_abs, pad_sign = np.r_[np.inf, absv, np.inf], np.r_[sign[0], sign, sign[-1]]
+    troughs = ((absv <= pad_abs[:-2]) & (absv <= pad_abs[2:])
+               & (pad_sign[:-2] * sign > 0.0) & (sign * pad_sign[2:] > 0.0))
+    for i in np.flatnonzero(troughs):
+        j, m = max(i - 1, 0), min(i + 1, _WINDOW_SAMPLES - 1)  # an end sample is a minimum too
+        try:
+            x = refine(lambda z: _derivative(col.fun, z), xs[j], xs[m])
+        except RootNotFoundError:  # F' keeps its sign: no stationary point here
+            continue
+        f = col.fun(x)
+        if f != 0.0 and (f < 0.0) != (vals[i] < 0.0):
+            roots += [(refine(col.fun, xs[j], x, vals[j], f), math.copysign(1.0, f)),
+                      (refine(col.fun, x, xs[m], f, vals[m]), float(sign[i]))]
+        elif f == 0.0 or (touch_gate is not None
+                          and abs(f) <= max(_TOUCH_REL * absv.max(), touch_gate(x))):
+            roots.append((x, float(sign[i])))
+    if not roots and col.rootless_tail(xs):
+        return None
     roots.sort()
     return roots
 
 
-def _scan_brackets(fun, params, lo, hi):
-    """The scan of _scan_roots, without a touch gate, of fun(p, x) in x on
-    [lo, hi] for every p in params: (columns, brackets).  columns[c] lists
-    the exact zeros of fun(params[c], x) as (root, sign of fun just above
-    it) pairs; brackets is the arrays (c, a, b, sign of fun at b) of the
-    panels [a, b] of every column whose ends differ strictly in sign.
-
-    The sign is read from the scan: the value at the next grid point, or
-    minus the value before the last point for an exact zero there.  Each
-    column is scanned in one array call, so fun must evaluate elementwise
-    on an array of x.
-    """
-    xs = np.linspace(lo, hi, SCAN_PANELS + 1)
-    columns, ends = [], [(_NO_INDEX, _NO_INDEX, np.empty(0))]
-    for c, p in enumerate(params):
-        vals = _bulk(lambda x: fun(p, x), xs)
-        exact, i = _sign_brackets(vals)
-        above = np.sign(np.append(vals[1:], -vals[-2])[exact])
-        columns.append(list(zip(xs[exact].tolist(), above.tolist())))
-        ends.append((np.full(i.size, c), i, np.sign(vals[i + 1])))
-    col, i, above = (np.concatenate(e) for e in zip(*ends))
-    return columns, (col, xs[i], xs[i + 1], above)
-
-
-def _refine_into(columns, fun, params, brackets):
-    """Refine brackets (as _scan_brackets gives them) by _brentq with the
-    stop of _scan_roots, add each root with the sign of fun above it to its
-    column, sort every column.  Each root is bitwise the one _scan_roots
-    gives for its column."""
-    for c, a, b, above in zip(*(v.tolist() for v in brackets)):
-        p = params[c]
-        root = _brentq(lambda x: fun(p, x), a, b, xtol=_SCAN_XTOL, rtol=_SCAN_RTOL)
-        columns[c].append((root, above))
-    for column in columns:
-        column.sort()
-    return columns
-
-
-def _touch_candidates(vals):
-    """Grid indices of the local |vals| minima that may be double roots:
-    small against the scan scale, with no sign change on either side (a
-    genuine sign change is already refined)."""
-    absv = np.abs(vals)
-    scale = absv.max()
-    if scale == 0.0:
-        return _NO_INDEX
-    mid = absv[1:-1]
-    candidates = (
-        (mid <= absv[:-2]) & (mid <= absv[2:]) & (mid <= 1e-3 * scale)
-        & ~(vals[:-2] * vals[1:-1] < 0.0) & ~(vals[1:-1] * vals[2:] < 0.0)
-    )
-    return np.flatnonzero(candidates) + 1
-
-
-def _touch_roots(fun, xs, vals, known, touch_gate, candidates):
-    """The candidates (see _touch_candidates) that are numerically double roots."""
-    scale = float(np.max(np.abs(vals)))
-    touches = []
-    step = xs[1] - xs[0]
-    slope = lambda x: _derivative(fun, x)
-    for i in candidates:
-        try:
-            x = _brentq(slope, xs[i - 1], xs[i + 1], xtol=_SCAN_XTOL, rtol=_SCAN_RTOL)
-        except RootNotFoundError:  # fun' keeps its sign: no stationary point here
-            continue
-        if abs(fun(x)) > max(_TOUCH_REL * scale, touch_gate(x)):
-            continue
-        if any(abs(x - r) < 10.0 * step for r in known + touches):
-            continue
-        touches.append(x)
-    return touches
+def _scan_roots(col: _Column, count, touch_gate=None) -> list:
+    """The column's first count roots, sorted: the family windows are walked
+    upward from col.first; fewer roots when the families run out first."""
+    roots = []
+    for k in itertools.count(col.first):
+        found = _family_roots(col, k, touch_gate)
+        if found is None:
+            break
+        roots += [x for x, _ in found]
+        if len(roots) >= count:
+            break
+    return roots
 
 
 def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, which: int) -> float:
     """The which-th root in lambda_axis of the residual, the other load held at fixed."""
     if which < 1:
         raise InvalidInputError(f"root index must be at least 1, got {which}")
-    if axis == 2:
-        fun = lambda x: _residual(fixed, x, kappa)
-    else:
-        fun = lambda x: _residual(x, fixed, kappa)
+    if not lo < hi:
+        raise InvalidInputError(f"bracket must have lo < hi, got ({lo}, {hi})")
 
     def gate(x):
         # residual explainable by the fixed load and kappa known to ~6 significant digits
@@ -399,7 +385,7 @@ def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, whi
         dk = _kappa_partial(l1, l2, kappa)
         return 1e-5 * (abs(d_fixed) * max(1.0, abs(fixed)) + abs(dk) * max(1.0, kappa))
 
-    roots = _scan_roots(fun, lo, hi, touch_gate=gate, count=which)
+    roots = _scan_roots(_Column(fixed, kappa, axis, lo, hi), which, touch_gate=gate)
     if len(roots) < which:
         raise RootNotFoundError(
             f"only {len(roots)} lambda{axis} root(s) on [{lo}, {hi}] at "
@@ -553,36 +539,40 @@ def _eta_prime_or_nan(p: LoadPoint, kappa: float) -> float:
 def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     """Trace the mode_index-th interaction-curve family over a lambda1 grid.
 
-    Roots in lambda2 are refined per grid column (each column scanned in
-    one array call and each bracket refined as _scan_roots refines it, so
-    every root is bitwise its root; but see below) with the sign of F just
-    above each.  Every root is labelled on its own, with no reference to
-    another column: its family K = round(phi / 2 pi + 1/2) from the phase
-    (see _phase), and its side, lower where F is negative just above it
-    and upper where F is positive.  A branch is the roots of one label, in column order.  The two sides of
+    The family windows of every lambda2 column are walked upward together
+    (see _family_roots), so every root is bitwise the one a point query
+    gives for it.  A root's family K is its window, and its side is lower
+    where F is negative just above it and upper where F is positive.  A
+    branch is the roots of one (K, side), in column order.  The two sides of
     a family form one folded family (tags lower/upper) iff its lower side
     never reaches the lambda2 = 0 axis, that is iff F(lambda1, 0) has no
     root of that family (for K = 1, iff kappa > kappa_cr); otherwise each
     side is a family of its own (tag single).  Families are numbered in
     (K, side) order among those with a root on the grid, a folded family
-    counting once.  The fold of the returned family is refined from the
-    midpoint of its branch ends; when that refinement fails, fold is None.
-
-    Only brackets that can hold a root of a family K <= mode_index are
-    refined (see _past_families), the rest only when those families give
-    fewer than mode_index units; each root is bitwise the full refinement's.
+    counting once, and the walk stops at the mode_index-th or when every
+    column's families have run out.  The fold of the returned family is
+    refined from the midpoint of its branch ends; when that refinement
+    fails, fold is None.
     """
     if mode_index < 1:
         raise InvalidInputError(f"mode index must be at least 1, got {mode_index}")
-    grid = [float(l1) for l1 in lambda1_grid]
-    fun = lambda l1, x: _residual(l1, x, kappa)
-    columns, brackets = _scan_brackets(fun, grid, 1e-9, lambda2_max(kappa))
-    far = _past_families(np.asarray(grid)[brackets[0]], brackets[1], kappa, mode_index)
-    _refine_into(columns, fun, grid, [v[~far] for v in brackets])
-    units = _units(kappa, grid, columns, mode_index, last=mode_index)
-    if len(units) < mode_index:  # the mode lies past family mode_index, if anywhere
-        _refine_into(columns, fun, grid, [v[far] for v in brackets])
-        units = _units(kappa, grid, columns, mode_index)
+    hi = lambda2_max(kappa)
+    walks = [(l1, _Column(l1, kappa, 2, 1e-9, hi)) for l1 in map(float, lambda1_grid)]
+    units, k = [], 0
+    while walks and len(units) < mode_index:
+        k = max(k + 1, min(col.first for _, col in walks))
+        lower, upper, live = [], [], []
+        for l1, col in walks:
+            found = _family_roots(col, k)
+            if found is not None:
+                live.append((l1, col))
+                for x, above in found:
+                    (lower if above < 0.0 else upper).append((l1, x))
+        walks = live
+        if lower and upper and not _axis_has_root(kappa, k):
+            units.append([("lower", lower), ("upper", upper)])
+        else:
+            units += [[("single", pts)] for pts in (lower, upper) if pts]
     if len(units) < mode_index:
         return []
     branches = units[mode_index - 1]
@@ -602,62 +592,13 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     ]
 
 
-def _past_families(l1, l2, kappa: float, family: int):
-    """Mask of the load points (arrays) at and above which in lambda2 every
-    root has a family past the given one: r1 >= (2 family + 1/2) pi there.
-    A root of family K has phi < (2K - 1/2) pi (see _phase), so r1 < 2K pi
-    as |phi - r1| < pi/2, and r1 grows with lambda2 (half and s in
-    _wavenumbers both do); the last pi/2 is slack against rounding."""
-    r1 = _wavenumbers(l1, l2, kappa, 1.0 - kappa * l2, _ARRAY_OPS)[0]
-    return r1 >= (2 * family + 0.5) * math.pi
-
-
-def _units(kappa: float, grid, columns, mode_index: int, last=math.inf):
-    """The first mode_index units in (K, side) order of the column roots of families
-    K <= last: each [(tag, [(lambda1, lambda2)])], one single side or a lower/upper pair."""
-    roots = [(l1, x, above) for l1, column in zip(grid, columns) for x, above in column]
-    l1s, l2s = np.array([r[0] for r in roots]), np.array([r[1] for r in roots])
-    families = np.rint(_phase(l1s, l2s, kappa)[0] / (2.0 * math.pi) + 0.5).astype(int)
-    sides = {}  # (K, sign of F above) -> [(lambda1, lambda2)] in column order
-    for (l1, x, above), k in zip(roots, families.tolist()):
-        sides.setdefault((k, above), []).append((l1, x))
-    units = []
-    for k in sorted({k for k, _ in sides if k <= last}):
-        lower, upper = sides.get((k, -1.0)), sides.get((k, 1.0))
-        if lower and upper and not _axis_has_root(kappa, k):
-            units.append([("lower", lower), ("upper", upper)])
-        else:
-            units += [[("single", pts)] for pts in (lower, upper) if pts]
-        if len(units) >= mode_index:
-            break
-    return units
-
-
 def _axis_has_root(kappa: float, family: int) -> bool:
-    """Whether F(lambda1, 0) has a root of the family K: phi grows with lambda1
-    along the axis, so F is sampled where phi is within pi/2 of (2K - 1) pi.
-    Unless a sample is at or below zero, the stationary point of F next to
-    the lowest sample (Brent on the exact dF/dlambda1) decides, so a double
-    root (at kappa_cr for K = 1) is resolved to roundoff, not to the spacing.
-    Where cosh(r2) overflows (kappa < 2e-6, far families), A/rho is ~0 and
-    the family has axis roots."""
-    phi = lambda x: _phase(x, 0.0, kappa)[0]
-    axis = lambda x: _residual(x, 0.0, kappa)
+    """Whether F(lambda1, 0) has a root of the family: its window on the
+    lambda1 axis, without a touch gate, so a double root (at kappa_cr for
+    K = 1) counts only where F reaches zero at its stationary point.  Where
+    cosh(r2) overflows (kappa < 2e-6, far families), A/rho is ~0 and the
+    family has axis roots."""
     try:
-        ends = []
-        for level in ((2 * family - 1.5) * math.pi, (2 * family - 0.5) * math.pi):
-            lo, hi = 1e-9, 1.0
-            while phi(hi) < level:
-                lo, hi = hi, 2.0 * hi
-            ends.append(_brentq(lambda x: phi(x) - level, lo, hi))
-        xs = np.linspace(ends[0], ends[1], 65)
-        vals = _bulk(axis, xs)
-    except (OverflowError, DomainError):
+        return bool(_family_roots(_Column(0.0, kappa, 1, 1e-9, math.inf), family))
+    except DomainError:
         return True
-    i = int(np.argmin(vals))
-    if vals[i] > 0.0 and 0 < i < xs.size - 1:
-        try:
-            return axis(_brentq(lambda x: _derivative(axis, x), xs[i - 1], xs[i + 1])) <= 0.0
-        except RootNotFoundError:  # dF/dlambda1 keeps its sign: the lowest sample is the minimum
-            pass
-    return bool(vals[i] <= 0.0)

@@ -78,6 +78,9 @@ class PhysicalRod:
     R0_profile: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
+        for name in ("E", "I", "L", "mu", "ell", "omega", "H0", "V0"):
+            if not np.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("E", "I", "L", "mu"):
             if getattr(self, name) <= 0.0:
                 raise InvalidInputError(f"{name} must be positive, got {getattr(self, name)}")

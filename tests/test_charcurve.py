@@ -1,4 +1,7 @@
+import itertools
 import math
+import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -8,14 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from nanorod import charcurve
 from nanorod.bvp import linear_shooting_determinant
 from nanorod.charcurve import (
-    SCAN_PANELS,
+    _Column,
     _brentq,
     _coefficients,
+    _family_roots,
     _kappa_partial,
     _phase,
-    _refine_into,
     _residual,
-    _scan_brackets,
     _scan_roots,
     char_partials,
     char_residual,
@@ -43,26 +45,52 @@ from nanorod.modes import mode_shape
 from nanorod.quadrature import Grid
 
 from conftest import critical_point
+from oracles import SCAN_PANELS, scan_roots
 
 README_L1 = [0.5 + 0.25 * i for i in range(33)]  # nanorod curve --l1 0.5:8.5:0.25
 
 
-def _scan_columns(fun, params, lo, hi):
-    """Every column's (root, sign above) pairs with every bracket refined:
-    what trace_curve refines when no bracket is skipped."""
-    columns, brackets = _scan_brackets(fun, params, lo, hi)
-    return _refine_into(columns, fun, params, brackets)
+def _walk(col, count=math.inf):
+    """(root, sign of F just above it, family) of the column's first count
+    roots, the family windows walked upward as _scan_roots walks them; all
+    of them when the families run out first."""
+    roots = []
+    for k in itertools.count(col.first):
+        found = _family_roots(col, k)
+        if found is None:
+            return roots
+        roots += [(x, above, k) for x, above in found]
+        if len(roots) >= count:
+            return roots
+
+
+def _stop(x):
+    """The Brent stop of a window root at x: two refinements of one root
+    differ by at most this."""
+    return charcurve._SCAN_XTOL + charcurve._SCAN_RTOL * abs(x)
 
 
 @pytest.fixture
-def refine_sizes(monkeypatch):
-    """The number of brackets of every _refine_into call, in call order."""
+def family_sizes(monkeypatch):
+    """(family, number of roots) of every lambda2 window a trace walks, in walk order."""
     sizes = []
-    refine = charcurve._refine_into
-    monkeypatch.setattr(charcurve, "_refine_into",
-                        lambda columns, fun, params, brackets:
-                        sizes.append(brackets[0].size) or refine(columns, fun, params, brackets))
+    family_roots = charcurve._family_roots
+
+    def recorded(col, k, touch_gate=None):
+        found = family_roots(col, k, touch_gate)
+        if col.axis == 2 and found is not None:
+            sizes.append((k, len(found)))
+        return found
+
+    monkeypatch.setattr(charcurve, "_family_roots", recorded)
     return sizes
+
+
+def _per_family(sizes):
+    totals = {}
+    for k, n in sizes:
+        totals[k] = totals.get(k, 0) + n
+    return [totals[k] for k in sorted(totals)]
 
 
 class TestWavenumbers:
@@ -140,7 +168,7 @@ class TestPhase:
     def test_amplitude_phase_form(self, kappa):
         rng = np.random.default_rng(int(kappa * 1e6))
         l1 = rng.uniform(1e-6, 60.0, 500)
-        l2 = rng.uniform(0.0, lambda2_max(kappa), 500)
+        l2 = rng.uniform(0.0, min(lambda2_max(kappa), 40.0), 500)
         phi, a, rho = _phase(l1, l2, kappa)
         tol = 8.0 * np.finfo(float).eps * (a + rho) * (1.0 + np.abs(phi))
         assert (np.abs(_residual(l1, l2, kappa) - (a + rho * np.cos(phi))) <= tol).all()
@@ -169,37 +197,42 @@ class TestPhase:
     @pytest.mark.parametrize("kappa,l1", [(0.0, 3.0), (0.25, 10.0), (0.375325, 29.145),
                                           (0.45, 5.0), (0.6, 1.0)])
     def test_family_margin_at_scan_roots(self, kappa, l1):
-        # every root lies within a quarter turn of its family's centre, and
-        # no two roots of a column share a label (K, sign of F above)
-        (column,) = _scan_columns(lambda p, x: _residual(p, x, kappa), [l1], 1e-9,
-                                  lambda2_max(kappa))
-        roots = np.array([x for x, _ in column])
+        # each of a column's first ten roots has the phase family of its
+        # window, within a quarter turn of the family's centre, and no two
+        # roots of a column share a label (K, sign of F above)
+        column = _walk(_Column(l1, kappa, 2, 1e-9, lambda2_max(kappa)), 10)
+        roots = np.array([x for x, _, _ in column])
         turns = _phase(l1, roots, kappa)[0] / (2.0 * math.pi) + 0.5
-        families = np.rint(turns)
-        assert roots.size >= 2 and (np.abs(turns - families) <= 0.25).all()
-        labels = [(k, above) for k, (_, above) in zip(families.tolist(), column)]
+        windows = np.array([k for _, _, k in column])
+        assert roots.size >= 2 and (np.rint(turns) == windows).all()
+        assert (np.abs(turns - windows) <= 0.25).all()
+        labels = [(k, above) for _, above, k in column]
         assert len(set(labels)) == len(labels)
 
     @pytest.mark.parametrize("kappa", [0.0] + np.random.default_rng(19).uniform(0.0, 1.2, 7).tolist())
     def test_bracket_skip_premises(self, kappa):
-        # what trace_curve's bracket skip (_past_families) rests on: r1 does
-        # not fall as lambda2 rises, and the bracket of every scanned root of
-        # family K has r1 below (2K + 1/2) pi at its left end
+        # what the family windows rest on: r1 does not fall as lambda2
+        # rises, _Column.load inverts r1 in closed form, and every root of
+        # the reference scan of phase family K has r1 in (2(K - 1) pi, 2K pi)
         rng = np.random.default_rng(int(kappa * 1e6))
         l1s = np.concatenate((rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 40.0, 3)))
-        hi = lambda2_max(kappa)
+        hi = min(lambda2_max(kappa), 40.0)
         xs = np.linspace(1e-9, hi, SCAN_PANELS + 1)
-        for l1 in l1s:
-            r1 = charcurve._wavenumbers(l1, xs, kappa, 1.0 - kappa * xs, charcurve._ARRAY_OPS)[0]
+        l1, roots = [], []
+        for p in l1s:
+            r1 = charcurve._wavenumbers(p, xs, kappa, 1.0 - kappa * xs, charcurve._ARRAY_OPS)[0]
             assert (np.diff(r1) >= 0.0).all()
-        columns = _scan_columns(lambda l1, x: _residual(l1, x, kappa), l1s, 1e-9, hi)
-        l1 = np.concatenate([np.full(len(column), p) for p, column in zip(l1s, columns)])
-        roots = np.array([x for column in columns for x, _ in column])
-        a = xs[np.searchsorted(xs, roots) - 1]  # the left end of each root's scan panel
+            col = _Column(p, kappa, 2, 1e-9, hi)
+            back = np.array([col.load(r) for r in r1.tolist()])
+            assert np.abs(back - xs)[r1 > 0.1].max() <= 1e-11 * max(1.0, hi)
+            found = scan_roots(lambda x: _residual(p, x, kappa), 1e-9, hi)
+            l1 += [p] * len(found)
+            roots += found
+        l1, roots = np.array(l1), np.array(roots)
         families = np.rint(_phase(l1, roots, kappa)[0] / (2.0 * math.pi) + 0.5)
-        r1 = charcurve._wavenumbers(l1, a, kappa, 1.0 - kappa * a, charcurve._ARRAY_OPS)[0]
-        assert roots.size and (r1 < (2.0 * families + 0.5) * math.pi).all()
-        assert not charcurve._past_families(l1, a, kappa, families).any()
+        r1 = charcurve._wavenumbers(l1, roots, kappa, 1.0 - kappa * roots, charcurve._ARRAY_OPS)[0]
+        assert roots.size
+        assert ((2.0 * (families - 1.0) * math.pi < r1) & (r1 < 2.0 * families * math.pi)).all()
 
 
 class TestPartials:
@@ -464,22 +497,33 @@ class TestTraceCurve:
         assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 3
 
     @pytest.mark.parametrize("kappa,mode,ceiling", [(0.25, 1, 70), (0.45, 1, 70), (0.45, 3, 210)])
-    def test_bracket_work_gate(self, kappa, mode, ceiling, refine_sizes):
-        # only the brackets that can hold a family up to the mode are refined,
-        # in one pass (518, 452 and 452 brackets when every one is refined)
+    def test_bracket_work_gate(self, kappa, mode, ceiling, family_sizes):
+        # only the family windows up to the mode are walked, one per column
+        # and family: 66, 64 and 196 roots refined
         assert trace_curve(kappa, README_L1, mode_index=mode)
-        assert len(refine_sizes) == 1 and 0 < refine_sizes[0] <= ceiling
+        assert len(family_sizes) == mode * len(README_L1)
+        assert {k for k, _ in family_sizes} == set(range(1, mode + 1))
+        assert 0 < sum(n for _, n in family_sizes) <= ceiling
 
     @pytest.mark.parametrize("kappa,grid_l1,mode,sizes", [
-        (0.6, [4.0, 4.5, 5.0], 1, [0, 8]),  # family 1 has folded away: mode 1 is family 2
-        (0.46249999999999997, [0.01, 0.02], 6, [22, 0]),  # family 6 falls between scan points
+        (0.6, [4.0, 4.5, 5.0], 1, [0, 2]),  # family 1 has folded away: mode 1 is family 2
+        (0.46249999999999997, [0.01, 0.02], 6, [4] * 6),  # family 6's two roots share a scan panel
     ])
     def test_skipped_brackets_refined_when_the_mode_lies_past_them(self, kappa, grid_l1, mode,
-                                                                   sizes, refine_sizes):
-        lazy = trace_curve(kappa, grid_l1, mode_index=mode)
-        assert refine_sizes == sizes and [b.branch_tag for b in lazy] in (["single"], ["lower", "upper"])
-        with mock.patch.object(charcurve, "_past_families", _skip_none):
-            assert repr(lazy) == repr(trace_curve(kappa, grid_l1, mode_index=mode))
+                                                                   sizes, family_sizes):
+        # the walk passes the rootless windows and numbers the mode by the
+        # families walked; each returned root lies in its family's window and
+        # is a sign change of the linear shooting determinant
+        branches = trace_curve(kappa, grid_l1, mode_index=mode)
+        assert _per_family(family_sizes) == sizes
+        assert [b.branch_tag for b in branches] == ["lower", "upper"]
+        family = len(sizes)
+        for b in branches:
+            for p, _ in b.points:
+                turns = _phase(p.lambda1, p.lambda2, kappa)[0] / (2.0 * math.pi) + 0.5
+                assert round(turns) == family
+                det = lambda x: linear_shooting_determinant(LoadPoint(p.lambda1, x), kappa)
+                assert det(p.lambda2 - 1e-7) * det(p.lambda2 + 1e-7) < 0.0
 
     def test_small_kappa_keeps_every_column(self):
         branches = trace_curve(0.0, [0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
@@ -533,10 +577,13 @@ class TestTraceCurve:
 
     def test_far_family_past_the_float_range_of_cosh(self):
         # at kappa 1e-6 the axis window of the ~200th family has cosh(r2) past
-        # 1e308: the pairing test reads that as axis roots (A/rho ~ 0)
+        # 1e308: the pairing test reads that as axis roots (A/rho ~ 0), so
+        # every family gives two single units and mode 400 is family 200
         branches = trace_curve(1e-6, [1.0, 2.0], mode_index=400)
         assert [(b.branch_tag, len(b.points)) for b in branches] == [("single", 2)]
-        assert branches[0].points[0][0].lambda2 == pytest.approx(632398.044332, rel=1e-9)
+        p = branches[0].points[0][0]
+        assert p.lambda2 == pytest.approx(611679.338764, rel=1e-9)
+        assert round(_phase(p.lambda1, p.lambda2, 1e-6)[0] / (2.0 * math.pi) + 0.5) == 200
 
     def test_higher_mode_branches_at_025(self):
         # some family above the first folds back even though the first-mode
@@ -595,7 +642,7 @@ class TestArrayScanAndBrent:
             kappa = float(rng.choice([0.0, rng.uniform(0.0, 0.6)]))
             l1 = float(rng.uniform(0.0, 40.0))
             f = lambda x: _residual(l1, x, kappa)
-            xs = np.linspace(-1.0, lambda2_max(kappa), 301)
+            xs = np.linspace(-1.0, min(lambda2_max(kappa), 40.0), 301)
             vals = [f(float(x)) for x in xs]
             for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
                 if fa * fb < 0.0:
@@ -623,7 +670,7 @@ class TestArrayScanAndBrent:
         assert _brentq(lambda x: x - 1.0, 1.0, 3.0) == 1.0
 
     @pytest.mark.parametrize("l1,kappa,lo", [
-        (5.0, 0.0, 1e-9),        # classical limit, scan capped at DEFAULT_L2_CAP
+        (5.0, 0.0, 1e-9),        # classical limit, reference capped at 40
         (10.0, 0.25, 1e-9),      # below kappa_cr
         (5.0, 0.45, 1e-9),       # above kappa_cr: lower and upper branch
         (8.0, 0.45, -3.0),
@@ -632,36 +679,43 @@ class TestArrayScanAndBrent:
         (10.0, 0.39, -20.0),     # just above kappa_cr, roots crowd toward 1/kappa
     ])
     def test_scan_roots_match_reference_scan(self, l1, kappa, lo):
+        # up to the reference's last root the walk holds every root of the
+        # scalar reference scan within the Brent stop; each root it adds is
+        # a sign change of F that the uniform panels missed
         f = lambda x: _residual(l1, x, kappa)
-        hi = lambda2_max(kappa)
+        hi = min(lambda2_max(kappa), 40.0)
         ref = _reference_scan(f, lo, hi)
         assert ref
-        assert _scan_roots(f, lo, hi) == ref
+        col = _Column(l1, kappa, 2, lo, min(hi, ref[-1] + 1e-11))
+        roots = _scan_roots(col, math.inf)
+        assert roots == sorted(roots)
+        matched = [min(roots, key=lambda r: abs(r - x)) for x in ref]
+        assert all(abs(m - x) <= _stop(x) for m, x in zip(matched, ref))
+        for r in set(roots) - set(matched):  # Brent's last bracket holds a sign change
+            assert f(r - _stop(r)) * f(r + _stop(r)) < 0.0
         # tangency detection only adds roots: with a zero gate every
         # sign-change root is kept
-        with_touch = _scan_roots(f, lo, hi, touch_gate=lambda x: 0.0)
-        assert with_touch == sorted(with_touch)
-        assert [r for r in with_touch if r in ref] == ref
+        with_touch = _scan_roots(col, math.inf, touch_gate=lambda x: 0.0)
+        assert with_touch == sorted(with_touch) and set(roots) <= set(with_touch)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.25, 0.375, 0.45, 0.55])
     def test_scan_columns_match_scan_roots(self, kappa):
         grid_l1 = [0.0, 0.05] + list(np.arange(0.5, 40.0, 1.5))
-        fun = lambda l1, x: _residual(l1, x, kappa)
         hi = lambda2_max(kappa)
-        columns = _scan_columns(fun, grid_l1, 1e-9, hi)
-        assert len(columns) == len(grid_l1) and sum(map(len, columns)) > len(grid_l1)
-        for l1, column in zip(grid_l1, columns):
-            roots, signs = [r for r, _ in column], [s for _, s in column]
-            ref = _scan_roots(lambda x: fun(l1, x), 1e-9, hi)
-            assert roots == ref
+        for l1 in grid_l1:
+            col = _Column(l1, kappa, 2, 1e-9, hi)
+            column = _walk(col, 8)
+            assert [x for x, _, _ in column] == _scan_roots(col, 8)
             # the sign of F above a root is the sign below the next one
+            signs = [above for _, above, _ in column]
             assert set(signs) <= {-1.0, 1.0}
             assert all(a == -b for a, b in zip(signs, signs[1:]))
         # trace_curve's points are these column roots
         for mode in (1, 2):
             for branch in trace_curve(kappa, grid_l1, mode_index=mode):
                 for p, _ in branch.points:
-                    assert p.lambda2 in [r for r, _ in columns[grid_l1.index(p.lambda1)]]
+                    col = _Column(p.lambda1, kappa, 2, 1e-9, hi)
+                    assert p.lambda2 in [x for x, _, _ in _walk(col, 8)]
 
     @pytest.mark.parametrize("kappa,tags", [(0.25, ["single"]), (0.45, ["lower", "upper"])])
     def test_traced_roots_are_point_query_roots(self, kappa, tags):
@@ -675,36 +729,40 @@ class TestArrayScanAndBrent:
                 assert p.lambda2 == solve_lambda2(p.lambda1, kappa, which=which)
 
     def test_scan_columns_bracket_rule(self):
-        # x - p on [0, 2]: a root on a grid point, on the last point, inside
-        # a panel, and none at all, each exactly where the scalar scan has it
-        xs = np.linspace(0.0, 2.0, SCAN_PANELS + 1)
-        line = lambda p, x: x - p
-        params = [float(xs[700]), 2.0, 0.3337, 5.0]
-        columns = _scan_columns(line, params, 0.0, 2.0)
-        roots = [[r for r, _ in column] for column in columns]
-        assert roots == [_scan_roots(lambda x: line(p, x), 0.0, 2.0) for p in params]
-        assert roots[:2] == [[xs[700]], [2.0]] and roots[3] == []
-        assert abs(roots[2][0] - 0.3337) <= 1e-14
-        # x - p is positive above its root: read at the next grid point, or
-        # as minus the value below an exact zero on the last point
-        assert [[s for _, s in column] for column in columns] == [[1.0], [1.0], [1.0], []]
-        falling = _scan_columns(lambda p, x: p - x, params, 0.0, 2.0)
-        assert [[s for _, s in column] for column in falling] == [[-1.0], [-1.0], [-1.0], []]
-        assert _scan_columns(line, [], 0.0, 2.0) == []
+        # F = x - p over windows of width 1 (the load at r1 is r1 / 2 pi) on
+        # [0, 3): a root on a sample, on the edge of two windows (counted
+        # once, by the window above it), inside a panel, and none at all
+        def line(p, slope=1.0):
+            return SimpleNamespace(first=1, lo=0.0, hi=3.0, load=lambda r1: r1 / (2.0 * math.pi),
+                                   fun=lambda x: slope * (x - p), rootless_tail=lambda xs: False)
+
+        on_sample = 5.0 / (charcurve._WINDOW_SAMPLES - 1)
+        assert _walk(line(on_sample)) == [(on_sample, 1.0, 1)]
+        assert _walk(line(1.0)) == [(1.0, 1.0, 2)]
+        ((root, above, k),) = _walk(line(1.3337))
+        assert abs(root - 1.3337) <= 1e-14 and (above, k) == (1.0, 2)
+        assert _walk(line(5.0)) == []
+        # F = p - x is negative above its root
+        assert [(above, k) for _, above, k in _walk(line(1.3337, -1.0))] == [(-1.0, 2)]
 
     def test_batched_brent_iteration_cap(self):
         # a step function gives Brent nothing to interpolate: bisecting a
-        # 5e36-wide first panel down to 1e-14 takes ~170 halvings > 100
+        # 6e38-wide panel of a 1e40-wide window down to 1e-14 takes ~175
+        # halvings > 100
         step = lambda p, x: np.where(x > p, 1.0, -1.0)
+        col = SimpleNamespace(first=1, lo=0.0, hi=1e40, load=lambda r1: 1e40 * r1 / (2.0 * math.pi),
+                              fun=lambda x: step(1.0 / 3.0, x), rootless_tail=lambda xs: False)
         with pytest.raises(RootNotFoundError, match="did not converge"):
-            _scan_columns(step, [1.0 / 3.0], 0.0, 1e40)
+            _family_roots(col, 1)
         with pytest.raises(RootNotFoundError, match="did not converge"):
             _brentq(lambda x: step(1.0 / 3.0, x), 0.0, 5e36, xtol=1e-14, rtol=8.9e-16)
 
     def test_lambda1_scan_matches_reference_scan(self):
         f = lambda x: _residual(x, 0.0, 0.25)
         ref = _reference_scan(f, 1e-6, 60.0)
-        assert ref and _scan_roots(f, 1e-6, 60.0) == ref
+        roots = _scan_roots(_Column(0.0, 0.25, 1, 1e-6, 60.0), math.inf)
+        assert ref and len(roots) == len(ref)
+        assert all(abs(r - x) <= _stop(x) for r, x in zip(roots, ref))
 
 
 def _outcome(solve, *args, **kwargs):
@@ -714,30 +772,33 @@ def _outcome(solve, *args, **kwargs):
         return type(exc), str(exc)
 
 
-def _full_scan(fun, lo, hi, touch_gate=None, count=None):
-    return _scan_roots(fun, lo, hi, touch_gate=touch_gate)
+_SCAN_ROOTS = charcurve._scan_roots
 
 
-# kappa = 0, the whole range, and around kappa_cr (0.375325), where tangencies
-# live; below 0.01 the scan reaches past lambda2 = 100, where F oscillates
-# faster than the grid and a full scan refines hundreds of noise brackets
+def _longer_walk(col, count, touch_gate=None):
+    return _SCAN_ROOTS(col, count + 6, touch_gate)
+
+
+# kappa = 0, the whole range, and around kappa_cr (0.375325), where tangencies live
 _KAPPAS = st.one_of(st.just(0.0), st.floats(0.01, 0.6), st.floats(0.37, 0.38))
 _WHICH = st.integers(1, 12)
 
 
 class TestLazyPointQuery:
-    """A point query refines only what its root depends on; its answer is the
-    which-th root of the full scan, bit for bit, or the same error."""
+    """A point query walks the family windows only until it holds its root;
+    its answer is the which-th root of a longer walk, bit for bit, or the
+    same error, and the which-th root of the 2000-panel reference scan
+    wherever that scan has converged."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(kappa=_KAPPAS, l1=st.floats(0.0, 40.0), which=_WHICH)
     @example(kappa=0.375325, l1=29.145, which=1)
     @example(kappa=0.45, l1=5.0, which=5)
-    @example(kappa=0.45, l1=8.29796, which=1)  # an accepted tangency (the fold) below the cut
+    @example(kappa=0.45, l1=8.29796, which=1)  # an accepted tangency (the fold)
     @example(kappa=0.5, l1=5.87007, which=2)
     def test_lambda2_query_is_the_full_scan_root(self, kappa, l1, which):
         got = _outcome(solve_lambda2, l1, kappa, which=which)
-        with mock.patch.object(charcurve, "_scan_roots", _full_scan):
+        with mock.patch.object(charcurve, "_scan_roots", _longer_walk):
             assert got == _outcome(solve_lambda2, l1, kappa, which=which)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -746,36 +807,126 @@ class TestLazyPointQuery:
     @example(kappa=0.375325, l2=0.0, which=2)
     def test_lambda1_query_is_the_full_scan_root(self, kappa, l2, which):
         got = _outcome(solve_lambda1, l2, kappa, which=which)
-        with mock.patch.object(charcurve, "_scan_roots", _full_scan):
+        with mock.patch.object(charcurve, "_scan_roots", _longer_walk):
             assert got == _outcome(solve_lambda1, l2, kappa, which=which)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(kappa=_KAPPAS, l1=st.floats(0.0, 40.0), which=_WHICH)
+    @example(kappa=0.375325, l1=29.145, which=1)
+    @example(kappa=0.45, l1=8.29796, which=1)  # an accepted tangency (the fold)
+    @example(kappa=0.5712357192626106, l1=4.835819055087094, which=1)  # a pair the scan misses
+    def test_lambda2_query_matches_the_reference_scan(self, kappa, l1, which):
+        calls = []
 
-def _skip_none(l1, l2, kappa, family):
-    return np.zeros(np.shape(l2), dtype=bool)
+        def spy(col, count, touch_gate=None):
+            calls.append((col, touch_gate))
+            return _SCAN_ROOTS(col, count, touch_gate)
 
-
-def _trace_outcome(kappa, grid_l1, mode):
-    try:
-        return repr(trace_curve(kappa, grid_l1, mode_index=mode))
-    except NanorodError as exc:
-        return type(exc), str(exc)
+        with mock.patch.object(charcurve, "_scan_roots", spy):
+            got = _outcome(solve_lambda2, l1, kappa, which=which)
+        if not isinstance(got, float):
+            assert got[0] is RootNotFoundError
+            return
+        ((col, gate),) = calls
+        # a sign change of the linear shooting determinant, or a tangency
+        # the gate accepts: a stationary point of F where F is negligible.
+        # The determinant's RK4 root sits up to ~2e-7 relative off F's.
+        neighbours = [r for r in _SCAN_ROOTS(col, which + 1, gate)[max(which - 2, 0):] if r != got]
+        delta = min([1e-6 * max(1.0, got)] + [abs(r - got) / 3.0 for r in neighbours])
+        det = lambda x: linear_shooting_determinant(LoadPoint(l1, x), kappa)
+        if _residual(l1, got - delta, kappa) * _residual(l1, got + delta, kappa) < 0.0:
+            # the determinant is sqrt(lambda1 / (1 - kappa lambda2)) F: no sign left near lambda1 = 0
+            assert l1 < 1e-3 or det(got - delta) * det(got + delta) < 0.0
+        else:
+            assert abs(_residual(l1, got, kappa)) <= gate(got)
+        # the reference's which-th root, wherever 10x its panels give the same first roots
+        f = lambda x: _residual(l1, x, kappa)
+        hi = min(lambda2_max(kappa), 40.0)
+        ref = scan_roots(f, 1e-9, hi, touch_gate=gate, count=which)[:which]
+        fine = scan_roots(f, 1e-9, hi, touch_gate=gate, count=which, panels=10 * SCAN_PANELS)[:which]
+        if len(ref) == len(fine) == which and all(abs(a - b) <= _stop(a) for a, b in zip(ref, fine)):
+            assert abs(got - ref[-1]) <= _stop(got)
 
 
 class TestLazyTrace:
-    """trace_curve refines only the brackets that can hold a root of a family
-    up to the mode; its result is the one with every bracket refined, repr
-    for repr, or the same error."""
+    """trace_curve walks the family windows of every column together: each
+    traced root is the root its column's window gives, bit for bit, and a
+    branch holds the roots of one window family and one side."""
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=80)
     @given(kappa=st.one_of(st.just(0.0), st.floats(0.01, 1.2)), start=st.floats(0.0, 40.0),
            step=st.floats(0.05, 4.0), count=st.integers(0, 12), mode=st.integers(1, 4))
     @example(kappa=0.25, start=30.0, step=4.0, count=20, mode=1)
-    @example(kappa=0.6, start=4.0, step=0.5, count=3, mode=1)  # the skipped brackets are needed
+    @example(kappa=0.6, start=4.0, step=0.5, count=3, mode=1)  # family 1 has no roots on the grid
     @example(kappa=0.3753146736259471, start=0.5, step=0.25, count=33, mode=1)  # kappa_cr - 1e-5
     @example(kappa=0.37533467362594714, start=0.5, step=0.25, count=33, mode=1)  # kappa_cr + 1e-5
     @example(kappa=0.45, start=0.5, step=0.25, count=33, mode=3)
     def test_trace_is_the_full_refinement(self, kappa, start, step, count, mode):
         grid_l1 = [start + step * i for i in range(count)]
-        got = _trace_outcome(kappa, grid_l1, mode)
-        with mock.patch.object(charcurve, "_past_families", _skip_none):
-            assert got == _trace_outcome(kappa, grid_l1, mode)
+        hi = lambda2_max(kappa)
+        sides = {"lower": {-1.0}, "upper": {1.0}, "single": {-1.0, 1.0}}
+        for branch in trace_curve(kappa, grid_l1, mode_index=mode):
+            labels = set()
+            for p, _ in branch.points:
+                turns = _phase(p.lambda1, p.lambda2, kappa)[0] / (2.0 * math.pi) + 0.5
+                family = round(turns)
+                column = dict(_family_roots(_Column(p.lambda1, kappa, 2, 1e-9, hi), family))
+                assert p.lambda2 in column and column[p.lambda2] in sides[branch.branch_tag]
+                labels.add((family, column[p.lambda2]))
+            assert len(labels) == 1
+
+
+class TestFamilyWindows:
+    """The defects of the 2000-panel scan, each mended by the family windows."""
+
+    def test_crowded_first_root(self):
+        # the scan returned 1.9909696 as root 1; the determinant changes
+        # sign at 1.9777726, 1.9779548 and 1.9865171 below it
+        assert solve_lambda2(6.75, 0.5) == pytest.approx(1.9777726, rel=1e-7)
+
+    def test_eleventh_root_in_its_certified_enclosure(self):
+        # interval arithmetic puts the 11th root in [2.2124566, 2.2135417]
+        assert 2.2124566 <= solve_lambda2(5.0, 0.45, which=11) <= 2.2135417
+
+    @pytest.mark.parametrize("kappa", [1e-6, 1e-300])
+    def test_small_kappa_first_root(self, kappa):
+        # a 500-wide first panel hid the lowest families at 1e-6, and the scan
+        # overflowed at 1e-300; the walk ends by the roots it holds
+        assert solve_lambda2(12.8, kappa) == pytest.approx(20.1679, rel=5e-5)
+        (single,) = trace_curve(kappa, [1.0, 2.0])
+        assert [p.lambda2 for p, _ in single.points] == pytest.approx([2.2823, 2.0947], rel=1e-4)
+
+    def test_kappa_zero_has_no_cap(self):
+        assert solve_lambda2(3.0, 0.0, which=3) == pytest.approx(61.5647819419, rel=1e-10)
+
+    def test_rootless_tail_ends_the_walk(self):
+        # L = kappa^2 lambda1 / cosh(r2*) = 1.1005 > 1: no family past the
+        # fold has a root; a walk to 1/kappa would visit ~13,700 windows
+        start = time.perf_counter()
+        with pytest.raises(RootNotFoundError, match=r"only 0 lambda2 root\(s\)"):
+            solve_lambda2(12.0, 0.42)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("kappa,l1", [(0.42, 12.0), (0.45, 9.5), (0.6, 6.0), (1.0, 3.0)])
+    def test_ratio_stays_above_one_past_the_tail_window(self, kappa, l1):
+        # what the tail stop rests on, observed: from the window where A > rho
+        # at every sample on, A/rho stays above 1 all the way to 1/kappa
+        col = _Column(l1, kappa, 2, 1e-9, lambda2_max(kappa))
+        limit = kappa * kappa * l1 / math.cosh(math.sqrt(l1 / (kappa * l1 + 1.0 / kappa)))
+        assert limit > 1.0
+        k = col.first
+        while _family_roots(col, k) is not None:
+            k += 1
+        a = col.lo if k == col.first else col.load(charcurve._TWO_PI * (k - 1))
+        gap = np.geomspace(1.0 / kappa - a, 1e-12 / kappa, 4001)  # distance below 1/kappa
+        _, amp, rho = _phase(l1, 1.0 / kappa - gap, kappa)
+        assert (amp > rho).all()
+        assert abs(amp[-1] / rho[-1] - limit) <= 1e-3 * limit
+
+    @pytest.mark.parametrize("bracket", [(2.0, 0.5), (1.0, 1.0), (float("nan"), 1.0)])
+    def test_reversed_or_empty_bracket_rejected(self, bracket):
+        # (2.0, 0.5) used to return 1.6116077, root 2 of [0.5, 2.0], as root 1
+        with pytest.raises(InvalidInputError, match="bracket must have lo < hi"):
+            solve_lambda2(5.0, 0.45, bracket=bracket)
+        with pytest.raises(InvalidInputError, match="bracket must have lo < hi"):
+            solve_lambda1(0.0, 0.25, bracket=(20.0, 1.0))

@@ -180,6 +180,17 @@ def test_mode_at_root_next_to_the_singularity(capsys):
     assert len(out.splitlines()) == 258
 
 
+@pytest.mark.parametrize("args,rows", [
+    (["mode", "--kappa", "0", "--l1", "3", "--which", "3", "--n", "256"], 257),  # root 3 past lambda2 = 40
+    (["curve", "--kappa", "0", "--l1", "1:3:1", "--mode", "3"], 3),
+    (["curve", "--kappa", "1e-300", "--l1", "1:2:1"], 2),  # 1/kappa = 1e300 is no bound on the walk
+])
+def test_small_kappa_roots_past_the_old_scan_range(args, rows, capsys):
+    code, out = run_cli(args)
+    assert code == 0 and capsys.readouterr().err == ""
+    assert len(out.splitlines()) == rows + 1
+
+
 def test_postbuckle_trivial_regime_straight_table(tmp_path):
     out_file = tmp_path / "trivial.json"
     code, _ = run_cli(["postbuckle", "--kappa", "0.25", "--l1", "10", "--dl1", "-0.3",

@@ -53,6 +53,14 @@ def test_invalid_physical_inputs():
         PhysicalRod(E=-1.0, I=1.0, L=1.0, mu=1.0)
     with pytest.raises(InvalidInputError):
         PhysicalRod(E=1.0, I=1.0, L=0.0, mu=1.0)
+    # non-finite fields once gave lambda1 = nan (E, L, omega), kappa = nan
+    # (ell) or lambda2 = inf (H0) without an error
+    base = dict(E=1.0, I=1.0, L=1.0, mu=1.0)
+    for field, value in [("E", float("nan")), ("L", float("inf")), ("omega", float("nan")),
+                         ("ell", float("nan")), ("H0", float("inf")), ("I", float("inf")),
+                         ("mu", float("nan")), ("V0", float("-inf"))]:
+        with pytest.raises(InvalidInputError, match=f"{field} must be finite"):
+            PhysicalRod(**{**base, field: value})
 
 
 def test_singular_curvature_rejected():

@@ -45,6 +45,16 @@ REMOVED = (
     ("quadrature", "cheb_eval"),
     ("bvp", "_resolved"),
     ("modes", "_resolved"),
+    ("charcurve", "SCAN_PANELS"),
+    ("charcurve", "DEFAULT_L2_CAP"),
+    ("charcurve", "_NO_INDEX"),
+    ("charcurve", "_sign_brackets"),
+    ("charcurve", "_scan_brackets"),
+    ("charcurve", "_refine_into"),
+    ("charcurve", "_touch_candidates"),
+    ("charcurve", "_touch_roots"),
+    ("charcurve", "_past_families"),
+    ("charcurve", "_units"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs
