@@ -442,6 +442,12 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float) -> float:
     classical RK4 step of size h is exactly s -> M s with the stability
     polynomial M = sum_{k<=4} (hA)^k / k!, and DETERMINANT_STEPS steps are
     its power.
+
+    As an oracle it resolves a root only while h r1 stays well below 1, h
+    = 1 / DETERMINANT_STEPS: at kappa 0, lambda1 1 (h r1 = 0.05) its root
+    lies 8.8e-5 above F's root 713.0749 (1.2e-7 relative), and at kappa
+    1e-6, lambda1 1, lambda2 611679.34 (h r1 = 2.5) it keeps one sign
+    within 1 of a sign change of F.
     """
     denom = 1.0 - kappa * p.lambda2
     if denom <= 0.0:

@@ -48,6 +48,7 @@ from .model import LoadPoint
 
 ADMISSIBLE_MARGIN = 1e-9
 _WINDOW_SAMPLES = 17   # samples of F per family window
+_STEPS = np.arange(float(_WINDOW_SAMPLES))
 _TWO_PI = 2.0 * math.pi
 _TOUCH_REL = 1e-5      # |F| at a tangency, relative to the window's scale
 _CS_STEP = 1e-30       # complex step: any h far below the scale of x will do
@@ -66,6 +67,7 @@ def lambda2_max(kappa: float) -> float:
     none at kappa = 0)."""
     if kappa < 0.0:
         raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
+    _check_finite("kappa", kappa)
     if kappa == 0.0:
         return math.inf
     return (1.0 - ADMISSIBLE_MARGIN) / kappa
@@ -83,6 +85,11 @@ _ARRAY_OPS = SimpleNamespace(sqrt=np.sqrt, cos=np.cos, cosh=np.cosh,
                              atan=np.arctan, tanh=np.tanh, hypot=np.hypot)
 _COMPLEX_OPS = SimpleNamespace(sqrt=cmath.sqrt, cos=cmath.cos, cosh=cmath.cosh,
                                sin=cmath.sin, sinh=cmath.sinh, maximum=lambda z, _: z)
+
+
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value}")
 
 
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
@@ -150,7 +157,7 @@ def _residual(l1, l2, kappa: float):
     """F at one load point, or elementwise when lambda1 or lambda2 is an array;
     a complex scalar (a complex step) is admitted when its real part is.
     At one point, a load so large that a wavenumber overflows raises
-    DomainError; an array holds inf or nan there (see _bulk)."""
+    DomainError; an array holds inf or nan there (see _family_roots)."""
     ops, a, b, c, r1, r2 = _coefficients(l1, l2, kappa)
     try:
         return a + b * ops.cos(r1) * ops.cosh(r2) - c * ops.sin(r1) * ops.sinh(r2)
@@ -248,26 +255,13 @@ def _brentq(f, a, b, xtol=2e-12, rtol=4.0 * np.finfo(float).eps, fa=None, fb=Non
     raise RootNotFoundError(f"Brent iteration did not converge on [{a}, {b}]")
 
 
-def _bulk(fun, xs):
-    """fun(xs), evaluated elementwise on the array xs with numpy's
-    floating-point warnings off.  At a non-finite value fun is called again
-    on that point alone, so the scalar path raises its error (DomainError
-    for an overflowed wavenumber)."""
-    with np.errstate(all="ignore"):
-        vals = fun(xs)
-        finite = np.isfinite(vals)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            fun(xs[i])
-            raise DomainError(f"the residual evaluates to {vals[i]}")
-    return vals
-
-
 class _Column:
     """F along one load x, the other held at fixed: x is lambda2 (axis 2) or
     lambda1 (axis 1), searched on [lo, hi).  first is the family of lo."""
 
     def __init__(self, fixed: float, kappa: float, axis: int, lo: float, hi: float):
+        _check_finite(f"lambda{3 - axis}", fixed)
+        _check_finite("kappa", kappa)
         self.fixed, self.kappa, self.axis, self.lo, self.hi = fixed, kappa, axis, lo, hi
         l1, l2 = (fixed, lo) if axis == 2 else (lo, fixed)
         r1 = _wavenumbers(l1, l2, kappa, _check_admissible(l1, l2, kappa), _SCALAR_OPS)[0]
@@ -279,6 +273,17 @@ class _Column:
         if self.axis == 2:
             return _residual(self.fixed, x, self.kappa)
         return _residual(x, self.fixed, self.kappa)
+
+    @staticmethod
+    def sample(cols, xs):
+        """F at xs[i, j] on the column cols[i], in one array call; the
+        columns share their kappa and axis."""
+        col = cols[0]
+        # one column's load as a scalar: a (1, 1) array costs ~7 us more a window
+        fixed = col.fixed if len(cols) == 1 else np.array([[c.fixed] for c in cols])
+        if col.axis == 2:
+            return _residual(fixed, xs, col.kappa)
+        return _residual(xs, fixed, col.kappa)
 
     def load(self, r1: float) -> float:
         """The x at which the wavenumber r1 is reached, in closed form; r1
@@ -301,60 +306,94 @@ class _Column:
         return bool((a > rho).all())
 
 
-def _family_roots(col: _Column, k: int, touch_gate=None):
-    """The roots of family k on the column, sorted, as (root, sign of F just
-    above it) pairs; None once the families have run out.
+def _family_roots(cols, k: int, touch_gate=None) -> list:
+    """For each column, in order, the roots of family k on it, sorted, as
+    (root, sign of F just above it) pairs; None once its families have run
+    out.  The columns share their kappa and axis.
 
     A root of family K has r1 in (2(K - 1) pi, 2K pi), since |phi - r1| <
     pi/2 and cos(phi) < 0 there (see _phase), and r1 grows with the free
     load, so the family's window on the load axis comes from col.load.  F
-    is sampled at _WINDOW_SAMPLES points across it in one array call; a
-    sample where F is exactly zero is a root (the window's top excluded: it
-    is the next window's bottom), and each sign change is refined by Brent.
-    At a local minimum of |F| between samples of one sign, Brent on the
-    complex-step F' finds the stationary point: where F has the other sign
-    there it brackets a close pair of roots, and where F is exactly zero,
-    or negligible against the window's scale or the caller's
-    ``touch_gate(x)`` (a residual explained by the printed precision of
-    the loads), it is a tangency (double) root.
+    is sampled at _WINDOW_SAMPLES points across every column's window in one
+    array call; a sample where F is exactly zero is a root (the window's top
+    excluded: it is the next window's bottom), and each sign change is
+    refined by Brent.  At a local minimum of |F| between samples of one
+    sign, Brent on the complex-step F' finds the stationary point: where F
+    has the other sign there it brackets a close pair of roots, and where F
+    is exactly zero, or negligible against the window's scale or the
+    caller's ``touch_gate(x)`` (a residual explained by the printed
+    precision of the loads), it is a tangency (double) root.  The columns
+    are refined one after the other, and a column whose samples are not all
+    finite raises the scalar residual's error (DomainError for an overflowed
+    wavenumber) when its turn comes.
     """
-    if k < col.first:
-        return []
-    a = col.lo if k == col.first else max(col.lo, col.load(_TWO_PI * (k - 1)))
-    if a >= col.hi:
-        return None
-    b = min(col.hi, col.load(_TWO_PI * k))
-    if b <= a:  # below lo by rounding, or past where 2 pi still moves r1
-        return [] if k == col.first else None
-    xs = np.linspace(a, b, _WINDOW_SAMPLES)
-    vals = _bulk(col.fun, xs)
-    sign = np.sign(vals)  # products of the values themselves may overflow
-    above = sign[1:].tolist()
-    refine = lambda f, lo, hi, *ends: _brentq(f, lo, hi, _SCAN_XTOL, _SCAN_RTOL, *ends)
-    roots = [(float(xs[i]), above[i]) for i in np.flatnonzero(vals[:-1] == 0.0)]
-    roots += [(refine(col.fun, xs[i], xs[i + 1], vals[i], vals[i + 1]), above[i])
-              for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0)]
-    absv = np.abs(vals)
-    pad_abs, pad_sign = np.r_[np.inf, absv, np.inf], np.r_[sign[0], sign, sign[-1]]
-    troughs = ((absv <= pad_abs[:-2]) & (absv <= pad_abs[2:])
-               & (pad_sign[:-2] * sign > 0.0) & (sign * pad_sign[2:] > 0.0))
-    for i in np.flatnonzero(troughs):
-        j, m = max(i - 1, 0), min(i + 1, _WINDOW_SAMPLES - 1)  # an end sample is a minimum too
-        try:
-            x = refine(lambda z: _derivative(col.fun, z), xs[j], xs[m])
-        except RootNotFoundError:  # F' keeps its sign: no stationary point here
+    found = [[] if k < col.first else None for col in cols]
+    live, ends = [], []
+    for slot, col in enumerate(cols):
+        if k < col.first:
             continue
-        f = col.fun(x)
-        if f != 0.0 and (f < 0.0) != (vals[i] < 0.0):
-            roots += [(refine(col.fun, xs[j], x, vals[j], f), math.copysign(1.0, f)),
-                      (refine(col.fun, x, xs[m], f, vals[m]), float(sign[i]))]
-        elif f == 0.0 or (touch_gate is not None
-                          and abs(f) <= max(_TOUCH_REL * absv.max(), touch_gate(x))):
-            roots.append((x, float(sign[i])))
-    if not roots and col.rootless_tail(xs):
-        return None
-    roots.sort()
-    return roots
+        a = col.lo if k == col.first else max(col.lo, col.load(_TWO_PI * (k - 1)))
+        if a >= col.hi:
+            continue
+        b = min(col.hi, col.load(_TWO_PI * k))
+        if b > a:
+            live.append((slot, col))
+            ends.append((a, b))
+        elif k == col.first:  # b below lo by rounding; later, past where 2 pi still moves r1
+            found[slot] = []
+    if not live:
+        return found
+    a, b = np.array(ends).T
+    xs = _STEPS * ((b - a) / (_WINDOW_SAMPLES - 1))[:, None] + a[:, None]  # np.linspace's rule
+    xs[:, -1] = b
+    with np.errstate(all="ignore"):
+        vals = live[0][1].sample([col for _, col in live], xs)
+        finite = np.isfinite(vals).all(axis=1).tolist()
+        sign = np.sign(vals)  # products of the values themselves may overflow
+        absv = np.abs(vals)
+        inf = np.full((len(live), 1), np.inf)
+        pad_abs = np.concatenate((inf, absv, inf), axis=1)
+        # an end sample is its own outer neighbour in sign, and below inf in |F|
+        pad_sign = np.concatenate((sign[:, :1], sign, sign[:, -1:]), axis=1)
+        trough = ((absv <= pad_abs[:, :-2]) & (absv <= pad_abs[:, 2:])
+                  & (pad_sign[:, :-2] * sign > 0.0) & (sign * pad_sign[:, 2:] > 0.0))
+        hits = np.stack((vals == 0.0, sign * pad_sign[:, 2:] < 0.0, trough), axis=1)
+    hits[:, 0, -1] = False  # the window's top is the next window's bottom
+    todo = {}  # row: [(0 zero | 1 sign change | 2 trough, sample)], in that order
+    for r, kind, i in np.argwhere(hits).tolist():
+        todo.setdefault(r, []).append((kind, i))
+    refine = lambda f, lo, hi, *ends: _brentq(f, lo, hi, _SCAN_XTOL, _SCAN_RTOL, *ends)
+    for r, (slot, col) in enumerate(live):
+        x, v, s = xs[r], vals[r], sign[r]
+        if not finite[r]:
+            i = int(np.argmin(np.isfinite(v)))
+            with np.errstate(all="ignore"):
+                col.fun(x[i])
+            raise DomainError(f"the residual evaluates to {v[i]}")
+        above = s[1:].tolist()
+        roots = []
+        for kind, i in todo.get(r, ()):
+            if kind == 0:
+                roots.append((float(x[i]), above[i]))
+            elif kind == 1:
+                roots.append((refine(col.fun, x[i], x[i + 1], v[i], v[i + 1]), above[i]))
+            else:
+                j, m = max(i - 1, 0), min(i + 1, _WINDOW_SAMPLES - 1)
+                try:
+                    z = refine(lambda t: _derivative(col.fun, t), x[j], x[m])
+                except RootNotFoundError:  # F' keeps its sign: no stationary point here
+                    continue
+                f = col.fun(z)
+                if f != 0.0 and (f < 0.0) != (v[i] < 0.0):
+                    roots += [(refine(col.fun, x[j], z, v[j], f), math.copysign(1.0, f)),
+                              (refine(col.fun, z, x[m], f, v[m]), float(s[i]))]
+                elif f == 0.0 or (touch_gate is not None
+                                  and abs(f) <= max(_TOUCH_REL * absv[r].max(), touch_gate(z))):
+                    roots.append((z, float(s[i])))
+        if roots or not col.rootless_tail(x):
+            roots.sort()
+            found[slot] = roots
+    return found
 
 
 def _scan_roots(col: _Column, count, touch_gate=None) -> list:
@@ -362,7 +401,7 @@ def _scan_roots(col: _Column, count, touch_gate=None) -> list:
     upward from col.first; fewer roots when the families run out first."""
     roots = []
     for k in itertools.count(col.first):
-        found = _family_roots(col, k, touch_gate)
+        (found,) = _family_roots([col], k, touch_gate)
         if found is None:
             break
         roots += [x for x, _ in found]
@@ -562,8 +601,7 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     while walks and len(units) < mode_index:
         k = max(k + 1, min(col.first for _, col in walks))
         lower, upper, live = [], [], []
-        for l1, col in walks:
-            found = _family_roots(col, k)
+        for (l1, col), found in zip(walks, _family_roots([col for _, col in walks], k)):
             if found is not None:
                 live.append((l1, col))
                 for x, above in found:
@@ -599,6 +637,6 @@ def _axis_has_root(kappa: float, family: int) -> bool:
     cosh(r2) overflows (kappa < 2e-6, far families), A/rho is ~0 and the
     family has axis roots."""
     try:
-        return bool(_family_roots(_Column(0.0, kappa, 1, 1e-9, math.inf), family))
+        return bool(_family_roots([_Column(0.0, kappa, 1, 1e-9, math.inf)], family)[0])
     except DomainError:
         return True

@@ -10,8 +10,8 @@ scan, the reference for the family-window root rule.
 import numpy as np
 
 from nanorod.bvp import BvpSolution, _central_second_derivative, _sign_changes
-from nanorod.charcurve import _SCAN_RTOL, _SCAN_XTOL, _TOUCH_REL, _brentq, _bulk, _derivative
-from nanorod.errors import RootNotFoundError
+from nanorod.charcurve import _SCAN_RTOL, _SCAN_XTOL, _TOUCH_REL, _brentq, _derivative
+from nanorod.errors import DomainError, RootNotFoundError
 from nanorod.model import LoadPoint
 from nanorod.modes import ClosedFormShape
 from nanorod.quadrature import ChebRule, Grid
@@ -106,6 +106,21 @@ def clenshaw(rule: ChebRule, values, t) -> np.ndarray:
 
 SCAN_PANELS = 2000
 _NO_INDEX = np.empty(0, dtype=np.intp)
+
+
+def _bulk(fun, xs):
+    """fun(xs), evaluated elementwise on the array xs with numpy's
+    floating-point warnings off.  At a non-finite value fun is called again
+    on that point alone, so the scalar path raises its error (DomainError
+    for an overflowed wavenumber)."""
+    with np.errstate(all="ignore"):
+        vals = fun(xs)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            fun(xs[i])
+            raise DomainError(f"the residual evaluates to {vals[i]}")
+    return vals
 
 
 def _sign_brackets(vals):

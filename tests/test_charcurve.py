@@ -56,7 +56,7 @@ def _walk(col, count=math.inf):
     of them when the families run out first."""
     roots = []
     for k in itertools.count(col.first):
-        found = _family_roots(col, k)
+        (found,) = _family_roots([col], k)
         if found is None:
             return roots
         roots += [(x, above, k) for x, above in found]
@@ -72,14 +72,15 @@ def _stop(x):
 
 @pytest.fixture
 def family_sizes(monkeypatch):
-    """(family, number of roots) of every lambda2 window a trace walks, in walk order."""
+    """(family, number of roots) of every lambda2 column and window a trace
+    walks, in walk order."""
     sizes = []
     family_roots = charcurve._family_roots
 
-    def recorded(col, k, touch_gate=None):
-        found = family_roots(col, k, touch_gate)
-        if col.axis == 2 and found is not None:
-            sizes.append((k, len(found)))
+    def recorded(cols, k, touch_gate=None):
+        found = family_roots(cols, k, touch_gate)
+        sizes.extend((k, len(roots)) for col, roots in zip(cols, found)
+                     if col.axis == 2 and roots is not None)
         return found
 
     monkeypatch.setattr(charcurve, "_family_roots", recorded)
@@ -366,6 +367,24 @@ class TestRootSolvers:
         with pytest.raises(InvalidInputError, match=r"kappa must be nonnegative, got -"):
             call()
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: solve_lambda2(math.nan, 0.45), "lambda1"),
+        (lambda: solve_lambda2(-math.inf, 0.45), "lambda1"),
+        (lambda: solve_lambda2(5.0, math.nan), "kappa"),
+        (lambda: solve_lambda2(5.0, math.inf), "kappa"),
+        (lambda: solve_lambda2(5.0, math.nan, bracket=(0.1, 0.5)), "kappa"),
+        (lambda: solve_lambda1(math.nan, 0.25), "lambda2"),
+        (lambda: solve_lambda1(0.0, math.inf), "kappa"),
+        (lambda: trace_curve(0.45, [1.0, math.nan]), "lambda1"),
+        (lambda: trace_curve(math.nan, [1.0]), "kappa"),
+        (lambda: trace_curve(math.inf, []), "kappa"),
+        (lambda: lambda2_max(math.nan), "kappa"),
+    ])
+    def test_non_finite_load_rejected(self, call, name):
+        # a nan load used to end in "cannot convert float NaN to integer"
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: solve_lambda2(10.0, 0.25, which=0),
         lambda: solve_lambda2(10.0, 0.25, which=-1),
@@ -477,9 +496,10 @@ class TestTraceCurve:
 
     @pytest.mark.parametrize("kappa", [0.25, 0.45])
     def test_residual_work_gate(self, kappa, monkeypatch):
-        # one array call per scan column plus the axis test's samples, and
-        # scalar Brent calls only on the brackets the mode can lie in
-        # (3,986 real scalar calls at 0.25 when every bracket is refined)
+        # one array call per family window walked, every column's window in
+        # it (one window for mode 1), plus the axis test's, and scalar Brent
+        # calls only on the brackets the mode can lie in (3,986 real scalar
+        # calls at 0.25 when every bracket is refined)
         calls = {"array": 0, "real": 0, "complex": 0}
         residual = charcurve._residual
 
@@ -494,7 +514,7 @@ class TestTraceCurve:
         grid_l1 = list(np.arange(0.5, 8.5 + 1e-9, 0.25))
         assert trace_curve(kappa, grid_l1)
         assert calls["real"] <= 420
-        assert len(grid_l1) <= calls["array"] <= len(grid_l1) + 3
+        assert calls["array"] == 2
 
     @pytest.mark.parametrize("kappa,mode,ceiling", [(0.25, 1, 70), (0.45, 1, 70), (0.45, 3, 210)])
     def test_bracket_work_gate(self, kappa, mode, ceiling, family_sizes):
@@ -734,7 +754,8 @@ class TestArrayScanAndBrent:
         # once, by the window above it), inside a panel, and none at all
         def line(p, slope=1.0):
             return SimpleNamespace(first=1, lo=0.0, hi=3.0, load=lambda r1: r1 / (2.0 * math.pi),
-                                   fun=lambda x: slope * (x - p), rootless_tail=lambda xs: False)
+                                   fun=lambda x: slope * (x - p), rootless_tail=lambda xs: False,
+                                   sample=lambda cols, xs: slope * (xs - p))
 
         on_sample = 5.0 / (charcurve._WINDOW_SAMPLES - 1)
         assert _walk(line(on_sample)) == [(on_sample, 1.0, 1)]
@@ -751,9 +772,10 @@ class TestArrayScanAndBrent:
         # halvings > 100
         step = lambda p, x: np.where(x > p, 1.0, -1.0)
         col = SimpleNamespace(first=1, lo=0.0, hi=1e40, load=lambda r1: 1e40 * r1 / (2.0 * math.pi),
-                              fun=lambda x: step(1.0 / 3.0, x), rootless_tail=lambda xs: False)
+                              fun=lambda x: step(1.0 / 3.0, x), rootless_tail=lambda xs: False,
+                              sample=lambda cols, xs: step(1.0 / 3.0, xs))
         with pytest.raises(RootNotFoundError, match="did not converge"):
-            _family_roots(col, 1)
+            _family_roots([col], 1)
         with pytest.raises(RootNotFoundError, match="did not converge"):
             _brentq(lambda x: step(1.0 / 3.0, x), 0.0, 5e36, xtol=1e-14, rtol=8.9e-16)
 
@@ -763,6 +785,80 @@ class TestArrayScanAndBrent:
         roots = _scan_roots(_Column(0.0, 0.25, 1, 1e-6, 60.0), math.inf)
         assert ref and len(roots) == len(ref)
         assert all(abs(r - x) <= _stop(x) for r, x in zip(roots, ref))
+
+
+def _per_column(cols, k, touch_gate=None):
+    """_family_roots called once per column, in column order."""
+    return [_family_roots([col], k, touch_gate)[0] for col in cols]
+
+
+def _row_stand_in(fun, hi, load):
+    """A stand-in column on [0, hi) with one family from 0 to load(2 pi);
+    its sample evaluates every column's own fun on its row."""
+    return SimpleNamespace(first=1, lo=0.0, hi=hi, load=load, fun=fun,
+                           rootless_tail=lambda xs: False,
+                           sample=lambda cols, xs: np.array([c.fun(x) for c, x in zip(cols, xs)]))
+
+
+class TestBatchedWindows:
+    """_family_roots samples the family window of every column in one array
+    call and refines the columns one after the other, in their order."""
+
+    def test_mixed_columns_match_one_column_at_a_time(self):
+        kappa, hi = 0.45, lambda2_max(0.45)
+        cols = [
+            _Column(5.0, kappa, 2, 2.17, hi),                # lo in family 3: below col.first
+            _Column(5.0, kappa, 2, 1e-9, 1.5),               # window 2 starts past hi
+            _Column(1.75, kappa, 2, 2.1803022118431388, hi),  # lo on window 2's top: b <= a
+            _Column(5.0, kappa, 2, 1e-9, hi),                # a folded pair
+            _Column(5.0, kappa, 2, 2.1, hi),                 # its upper root only
+            _Column(9.0, kappa, 2, 1e-9, hi),                # past the fold: a rootless tail
+            _Column(8.6931, kappa, 2, 1e-9, hi),             # just past family 2's fold: a touch
+        ]
+        assert cols[0].first == 3
+        assert cols[2].first == 2 and cols[2].load(4.0 * math.pi) <= cols[2].lo
+        sizes = [0, None, 0, 2, 1, None]
+        for touch_gate, touches in ((None, 0), (lambda x: 1e-6, 1)):
+            found = _family_roots(cols, 2, touch_gate)
+            assert [None if f is None else len(f) for f in found] == sizes + [touches]
+            assert found == _per_column(cols, 2, touch_gate)
+            assert _family_roots(cols[::-1], 2, touch_gate) == found[::-1]
+
+    def test_window_points_are_linspace(self, monkeypatch):
+        kappa, hi = 0.25, lambda2_max(0.25)
+        # at lambda1 5 from -3, 16 steps of (b - a) / 16 from a miss b by rounding
+        cols = [_Column(l1, kappa, 2, lo, hi)
+                for l1, lo in ((0.5, 1e-9), (10.0, 0.3), (33.0, -3.0), (5.0, -3.0))]
+        samples = []
+        residual = charcurve._residual
+
+        def recorded(l1, l2, k):
+            samples.append(l2)
+            return residual(l1, l2, k)
+
+        monkeypatch.setattr(charcurve, "_residual", recorded)
+        for k in (1, 2, 3):
+            samples.clear()
+            _family_roots(cols, k)
+            xs = next(x for x in samples if isinstance(x, np.ndarray))
+            ends = [(col.lo if k == col.first else max(col.lo, col.load(2.0 * math.pi * (k - 1))),
+                     min(col.hi, col.load(2.0 * math.pi * k))) for col in cols]
+            assert xs.shape == (len(cols), charcurve._WINDOW_SAMPLES)
+            for row, (a, b) in zip(xs, ends):
+                assert row.tobytes() == np.linspace(a, b, charcurve._WINDOW_SAMPLES).tobytes()
+
+    def test_first_error_in_column_order(self):
+        # a step function defeats Brent's interpolation (the iteration cap
+        # ends it); at lambda1 3e11 cosh(r2) overflows on every sample
+        stuck = _row_stand_in(lambda x: np.where(x > 1.0 / 3.0, 1.0, -1.0), 1e40,
+                              lambda r1: 1e40 * r1 / (2.0 * math.pi))
+        overflow = _row_stand_in(lambda x: _residual(3e11, x, 0.0), 1.0,
+                                 lambda r1: r1 / (2.0 * math.pi))
+        for cols, error, message in (([stuck, overflow], RootNotFoundError, "did not converge"),
+                                     ([overflow, stuck], DomainError, "residual overflows")):
+            got = _outcome(_family_roots, cols, 1)
+            assert got == _outcome(_per_column, cols, 1)
+            assert got[0] is error and message in got[1]
 
 
 def _outcome(solve, *args, **kwargs):
@@ -870,7 +966,8 @@ class TestLazyTrace:
             for p, _ in branch.points:
                 turns = _phase(p.lambda1, p.lambda2, kappa)[0] / (2.0 * math.pi) + 0.5
                 family = round(turns)
-                column = dict(_family_roots(_Column(p.lambda1, kappa, 2, 1e-9, hi), family))
+                (column,) = _family_roots([_Column(p.lambda1, kappa, 2, 1e-9, hi)], family)
+                column = dict(column)
                 assert p.lambda2 in column and column[p.lambda2] in sides[branch.branch_tag]
                 labels.add((family, column[p.lambda2]))
             assert len(labels) == 1
@@ -915,7 +1012,7 @@ class TestFamilyWindows:
         limit = kappa * kappa * l1 / math.cosh(math.sqrt(l1 / (kappa * l1 + 1.0 / kappa)))
         assert limit > 1.0
         k = col.first
-        while _family_roots(col, k) is not None:
+        while _family_roots([col], k)[0] is not None:
             k += 1
         a = col.lo if k == col.first else col.load(charcurve._TWO_PI * (k - 1))
         gap = np.geomspace(1.0 / kappa - a, 1e-12 / kappa, 4001)  # distance below 1/kappa

@@ -55,6 +55,7 @@ REMOVED = (
     ("charcurve", "_touch_roots"),
     ("charcurve", "_past_families"),
     ("charcurve", "_units"),
+    ("charcurve", "_bulk"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs
