@@ -40,6 +40,7 @@ from .errors import (
     AmplitudeSeedError,
     ConstitutiveSingularityError,
     DomainError,
+    InvalidInputError,
     NoConvergenceError,
     RegimeError,
 )
@@ -207,8 +208,13 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
 
     If the Chebyshev tail of theta or m is not resolved on CHEB_N + 1 nodes,
     Newton restarts once on 2 * CHEB_N + 1 nodes from the CHEB_N solution.
+    A Newton that lands on the straight rod (max |theta| below COLLOC_TOL,
+    where the tail test would compare roundoff with roundoff) is reported
+    as such.
     """
     theta, m, iterations = _collocation_newton(p, setup, theta, m)
+    if np.max(np.abs(theta)) < COLLOC_TOL:
+        raise NoConvergenceError("collocation converged to the straight rod")
     rule = cheb_rule(len(theta) - 1)
     if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
         coarse, rule = rule, cheb_rule(2 * CHEB_N)
@@ -331,7 +337,7 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     if grid is None:
         grid = Grid()
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
     yL, _, rc = critical_chain(p0, kappa, grid)
     if rc.verdict is Verdict.DEGENERATE:
         raise DomainError("degenerate critical point; no seeding amplitude")

@@ -29,6 +29,7 @@ Conventions adopted here:
 import cmath
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Optional
@@ -90,6 +91,16 @@ _COMPLEX_OPS = SimpleNamespace(sqrt=cmath.sqrt, cos=cmath.cos, cosh=cmath.cosh,
 def _check_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
+def _check_index(name: str, value) -> None:
+    """value counts from 1: an int or numpy integer of at least 1."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if index < 1:
+        raise InvalidInputError(f"{name} must be at least 1, got {value}")
 
 
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
@@ -412,8 +423,7 @@ def _scan_roots(col: _Column, count, touch_gate=None) -> list:
 
 def _solve_axis(fixed: float, kappa: float, axis: int, lo: float, hi: float, which: int) -> float:
     """The which-th root in lambda_axis of the residual, the other load held at fixed."""
-    if which < 1:
-        raise InvalidInputError(f"root index must be at least 1, got {which}")
+    _check_index("root index", which)
     if not lo < hi:
         raise InvalidInputError(f"bracket must have lo < hi, got ({lo}, {hi})")
 
@@ -511,6 +521,9 @@ def _local_scale(l1, l2, kappa):
 
 def _stationary_point(kappa: float, guess: LoadPoint, wrt: int, what: str) -> tuple[float, float]:
     """(lambda1, lambda2) with F = 0 and dF/dlambda_wrt = 0 near the guess, wrt 1 or 2."""
+    _check_finite("kappa", kappa)
+    _check_finite("lambda1", guess.lambda1)
+    _check_finite("lambda2", guess.lambda2)
     scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
 
     def system(x):
@@ -543,6 +556,8 @@ def find_kappa_cr(guess_kappa: float = 0.37, guess_lambda1: float = 29.0) -> tup
     (kappa, l1).  Equivalently, the branch minimum of the folded first-mode
     curve touches the lambda2 = 0 axis.
     """
+    _check_finite("guess_kappa", guess_kappa)
+    _check_finite("guess_lambda1", guess_lambda1)
     scale = _local_scale(guess_lambda1, 0.0, guess_kappa)
 
     def system(x):
@@ -593,8 +608,7 @@ def trace_curve(kappa, lambda1_grid, mode_index: int = 1):
     refined from the midpoint of its branch ends; when that refinement
     fails, fold is None.
     """
-    if mode_index < 1:
-        raise InvalidInputError(f"mode index must be at least 1, got {mode_index}")
+    _check_index("mode index", mode_index)
     hi = lambda2_max(kappa)
     walks = [(l1, _Column(l1, kappa, 2, 1e-9, hi)) for l1 in map(float, lambda1_grid)]
     units, k = [], 0

@@ -36,7 +36,6 @@ EXIT_DOMAIN = 2
 EXIT_CONVERGENCE = 3
 
 FORMATS = ("csv", "json")
-KERNEL_ORDERS = {"q2": 2, "q4": 4}
 MAX_RANGE_POINTS = 10_000  # the README grid has 33
 MAX_GRID_N = 16 * DEFAULT_N  # 65,536 intervals; a grid holds arrays of n + 1 floats
 
@@ -244,14 +243,14 @@ def cmd_mode(args):
 def cmd_reduce(args):
     grid = Grid(args.n)
     p0 = _critical_point(args)
-    _, _, rc = reduction.critical_chain(p0, args.kappa, grid, KERNEL_ORDERS[args.kernel])
+    _, _, rc = reduction.critical_chain(p0, args.kappa, grid)
     rows = [[p0.lambda1, p0.lambda2, rc.c11, rc.c12, rc.c13, rc.c3, rc.eta_prime,
              rc.tangential_coefficient, rc.crossing_coefficient,
              rc.epsilon, rc.delta, str(rc.verdict)]]
     _emit(rows,
           ["lambda1", "lambda2", "c11", "c12", "c13", "c3", "eta_prime",
            "tangential_coefficient", "crossing_coefficient", "epsilon", "delta", "verdict"],
-          args, {"command": "reduce", "kappa": args.kappa, "kernel": args.kernel})
+          args, {"command": "reduce", "kappa": args.kappa})
     return EXIT_OK
 
 
@@ -276,7 +275,7 @@ def cmd_unfold(args):
     rho0 = _profile_from_file(args.profile) if args.profile else section_fixture_curvature
     grid = Grid(args.n)
     p0 = _critical_point(args)
-    yL, q, rc = reduction.critical_chain(p0, args.kappa, grid, KERNEL_ORDERS[args.kernel])
+    yL, q, rc = reduction.critical_chain(p0, args.kappa, grid)
     uc = unfolding.unfolding_coefficients(p0, args.kappa, yL, q, rho0, grid)
     report = unfolding.is_universal_unfolding(rc, uc)
     names = ["d01", "d02", "d11", "d12", "d13", "d14", "d21", "d22", "d23", "d24",
@@ -430,13 +429,11 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="reduction coefficients and verdict")
     critical_args(p)
-    p.add_argument("--kernel", choices=tuple(KERNEL_ORDERS), default="q2")
     common(p)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("unfold", help="imperfection unfolding constants")
     critical_args(p)
-    p.add_argument("--kernel", choices=tuple(KERNEL_ORDERS), default="q2")
     p.add_argument("--profile", help="two-column CSV t,value curvature profile")
     common(p)
     p.set_defaults(func=cmd_unfold)

@@ -147,7 +147,9 @@ def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
 
 
 def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
-    """Closed-form normalized adjoint kernel of order 2 or 4."""
+    """Closed-form normalized adjoint kernel of order 2 or 4.  The reduction
+    uses order 2; order 4 fails the nonlinear imperfection law (see the
+    reduction module) and is kept for the acceptance checks."""
     if order not in (2, 4):
         raise DomainError(f"adjoint kernel order must be 2 or 4, got {order}")
     r1, r2 = _critical_wavenumbers(p0, kappa)

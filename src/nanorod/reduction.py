@@ -37,14 +37,18 @@ minima (where eta' changes sign) and folds, and matches the side on which
 the nonlinear equilibrium branch is actually found by the collocation solver.
 The tangential value is exported for inspection.
 
-The verdict is taken with the order-2 kernel q2, which every caller uses by
-default (CLI, critical_chain, solve_postbuckling).  The order-4 kernel gives
-the same verdict only at some points, and agreement is verified only at the
-points acceptance criterion 07 checks (kappa = 0.25 at lambda1 = 10, and
-kappa = 0.45).  Elsewhere q4 can disagree: at kappa = 0.25 for lambda1 in
-{2.4, 2.5, 5, 6, 7, 7.5}, including Fig. 6 caption points, and on the
-kappa = 0.45 lower branch for lambda1 in {1.1, 1.5, 2.3}, q2 gives
-Supercritical and q4 Subcritical.
+Kernel choice.  Everything here and in the unfolding uses the order-2
+kernel q2 (critical_chain).  A nonlinear oracle (tests/test_imperfection_law.py)
+rules out the order-4 kernel q4: at the acceptance criterion-10 points with
+a small shape or tip-load imperfection alpha, the collocated rod's <y, yL>
+follows c3 a^3 = -(alpha1 d01 + alpha2 d02) with q2's constants (relative
+error 1.4e-5 to 6.8e-4 at alpha = 1e-5, falling as alpha^(2/3)) and misses
+it by 288 times that or more with q4's, whose alpha2 amplitude has the
+wrong sign at 7 of the 8 points.  Where the verdicts disagree (kappa = 0.25
+at lambda1 in {2.4, 2.5, 5, 6, 7, 7.5}, the kappa = 0.45 lower branch at
+lambda1 in {1.1, 1.5, 2.3}: q2 Supercritical, q4 Subcritical), the
+nonlinear branch lies on q2's side with q2's sqrt amplitude.  q4 stays as
+adjoint_kernel(4, ...) for the acceptance checks.
 """
 
 import math
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .charcurve import eta_prime
-from .errors import DegeneratePointError, DomainError, FoldPointError
+from .errors import DegeneratePointError, DomainError, FoldPointError, InvalidInputError
 from .model import LoadPoint
 from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, chain_rule, mode_shape
 from .quadrature import Grid
@@ -143,12 +147,12 @@ def reduction_coefficients(
     )
 
 
-def critical_chain(p0: LoadPoint, kappa: float, grid: Grid, order: int = 2):
-    """Mode, order-2 or order-4 adjoint kernel, and reduction coefficients at
-    a verified critical point: (yL, q, rc).
+def critical_chain(p0: LoadPoint, kappa: float, grid: Grid):
+    """Mode, order-2 adjoint kernel, and reduction coefficients at a verified
+    critical point: (yL, q, rc).
     """
     yL = mode_shape(p0, kappa, grid)
-    q = adjoint_kernel(order, p0, kappa, grid)
+    q = adjoint_kernel(2, p0, kappa, grid)
     return yL, q, reduction_coefficients(p0, kappa, yL, q, grid)
 
 
@@ -163,7 +167,7 @@ def crossing_offsets(rc: ReductionCoefficients, delta: float, direction: str) ->
         return delta, -rc.eta_prime * delta
     if direction == "along-lambda2":
         return -rc.eta_prime * delta, delta
-    raise ValueError(f"unknown offset direction {direction!r}")
+    raise InvalidInputError(f"unknown offset direction {direction!r}")
 
 
 def amplitude_for_offsets(rc: ReductionCoefficients, dl1: float, dl2: float):

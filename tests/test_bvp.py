@@ -21,6 +21,7 @@ from nanorod.charcurve import eta_prime, solve_lambda2
 from nanorod.errors import (
     AmplitudeSeedError,
     ConstitutiveSingularityError,
+    InvalidInputError,
     NoConvergenceError,
     RegimeError,
 )
@@ -234,6 +235,12 @@ class TestPostbuckling:
         # leaves the |theta| < pi/2 regime; the step is retried from the
         # unscaled step-4 solution, one collocation solve more
         _check_continuation_pair(critical_point(1.0, 0.0), 7, bgrid, monkeypatch)
+
+    @pytest.mark.parametrize("sign", [2, 0, 0.5, math.nan])
+    def test_sign_other_than_one_rejected(self, sign):
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        with pytest.raises(InvalidInputError, match="^sign must be \\+1 or -1, got "):
+            solve_postbuckling(p0, 0.25, 0.3, sign=sign, grid=Grid(64))
 
     def test_trivial_side_carries_offset_load(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)

@@ -385,6 +385,19 @@ class TestRootSolvers:
         with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
             call()
 
+    @pytest.mark.parametrize("call,name", [
+        (lambda: find_fold(math.nan, LoadPoint(8.3, 1.16)), "kappa"),
+        (lambda: find_fold(0.45, LoadPoint(math.nan, 1.16)), "lambda1"),
+        (lambda: find_branch_minimum(0.45, LoadPoint(6.3, math.inf)), "lambda2"),
+        (lambda: find_kappa_cr(math.nan), "guess_kappa"),
+        (lambda: find_kappa_cr(0.37, -math.inf), "guess_lambda1"),
+    ], ids=["find_fold_kappa", "find_fold_seed", "find_branch_minimum_seed",
+            "find_kappa_cr_kappa", "find_kappa_cr_seed"])
+    def test_non_finite_newton_input_rejected(self, call, name):
+        # checked before Newton starts, not reported as NoFoldError after it
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
+            call()
+
     @pytest.mark.parametrize("call", [
         lambda: solve_lambda2(10.0, 0.25, which=0),
         lambda: solve_lambda2(10.0, 0.25, which=-1),
@@ -400,6 +413,21 @@ class TestRootSolvers:
     def test_mode_index_below_one_rejected(self, mode_index):
         with pytest.raises(InvalidInputError, match=r"mode index must be at least 1, got "):
             trace_curve(0.45, [1.0, 1.5, 2.0], mode_index=mode_index)
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_lambda2(5.0, 0.45, which=1.5),
+        lambda: solve_lambda2(5.0, 0.45, which=math.nan),
+        lambda: solve_lambda1(0.0, 0.25, which=2.0),
+        lambda: trace_curve(0.45, [1.0], mode_index=math.nan),
+        lambda: trace_curve(0.45, [1.0], mode_index=1.5),
+    ], ids=["solve_lambda2_1.5", "solve_lambda2_nan", "solve_lambda1_2.0",
+            "trace_curve_nan", "trace_curve_1.5"])
+    def test_non_integer_index_rejected(self, call):
+        with pytest.raises(InvalidInputError, match=r"^(root|mode) index must be an integer, got "):
+            call()
+
+    def test_numpy_integer_index_accepted(self):
+        assert solve_lambda2(5.0, 0.45, which=np.int64(2)) == solve_lambda2(5.0, 0.45, which=2)
 
 
 class TestFoldAndCritical:

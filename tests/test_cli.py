@@ -85,14 +85,21 @@ def test_reduce_prints_verdict():
     assert "Supercritical" in out
 
 
-def test_reduce_q4_same_verdict():
-    code2, out2 = run_cli(["reduce", "--kappa", "0.45", "--l1", "0.05",
-                           "--which", "2", "--n", "2048"])
-    code4, out4 = run_cli(["reduce", "--kappa", "0.45", "--l1", "0.05",
-                           "--which", "2", "--kernel", "q4", "--n", "2048"])
-    assert code2 == code4 == 0
-    assert out2.strip().splitlines()[1].split(",")[-1] == \
-        out4.strip().splitlines()[1].split(",")[-1]
+@pytest.mark.parametrize("command,kernel", [("reduce", "q4"), ("unfold", "q2")])
+def test_kernel_option_is_gone(command, kernel, capsys):
+    # reduce and unfold take the order-2 kernel only: q4's coefficients fail
+    # the nonlinear imperfection law (tests/test_imperfection_law.py)
+    code, out = run_cli([command, "--kappa", "0.45", "--l1", "0.05", "--which", "2",
+                         "--kernel", kernel])
+    err = capsys.readouterr().err
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --kernel" in err and err.count("\n") == 1
+
+
+def test_reduce_json_meta():
+    code, out = run_cli(["reduce", "--kappa", "0.25", "--l1", "10", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["meta"] == {"command": "reduce", "kappa": 0.25}
 
 
 @pytest.mark.parametrize("which", [2, 3, 5])

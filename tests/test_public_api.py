@@ -75,6 +75,7 @@ REMOVED_PARAMETERS = (
     ("bvp", "linear_shooting_determinant", "n_steps"),
     ("unfolding", "is_universal_unfolding", "tol"),
     ("charcurve", "_local_scale", "dl"),
+    ("reduction", "critical_chain", "order"),
 )
 
 

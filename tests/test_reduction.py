@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from nanorod.charcurve import find_fold
-from nanorod.errors import FoldPointError
+from nanorod.errors import FoldPointError, InvalidInputError
 from nanorod.model import LoadPoint
 from nanorod.modes import adjoint_kernel, mode_shape
 from nanorod.quadrature import Grid
 from nanorod.reduction import (
     Verdict,
     amplitude_for_offsets,
-    critical_chain,
     crossing_offsets,
     reduction_coefficients,
 )
@@ -20,7 +19,9 @@ from oracles import i2
 
 def build_rc(lambda1, kappa, near, grid, order=2, which=1):
     p0 = critical_point(lambda1, kappa, near=near, which=which)
-    return (p0, *critical_chain(p0, kappa, grid, order))
+    yL = mode_shape(p0, kappa, grid)
+    q = adjoint_kernel(order, p0, kappa, grid)
+    return p0, yL, q, reduction_coefficients(p0, kappa, yL, q, grid)
 
 
 class TestCoefficients:
@@ -157,6 +158,11 @@ class TestClassifyAndAmplitude:
     def test_zero_offset_amplitude(self, grid):
         _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
         assert lambda1_amplitude(rc, 0.0) is None
+
+    def test_unknown_direction_rejected(self, grid):
+        _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)
+        with pytest.raises(InvalidInputError, match="^unknown offset direction 'sideways'$"):
+            crossing_offsets(rc, 0.1, "sideways")
 
     def test_wrong_side_returns_none(self, grid):
         _, _, _, rc = build_rc(10.0, 0.25, 0.682732, grid)

@@ -13,9 +13,9 @@ from nanorod.unfolding import (
 from conftest import critical_point, fixture_curvature, fresh_rules
 
 
-def build_all(lambda1, kappa, near, grid, order=2, which=1, rho0=fixture_curvature):
+def build_all(lambda1, kappa, near, grid, which=1, rho0=fixture_curvature):
     p0 = critical_point(lambda1, kappa, near=near, which=which)
-    yL, q, rc = critical_chain(p0, kappa, grid, order)
+    yL, q, rc = critical_chain(p0, kappa, grid)
     uc = unfolding_coefficients(p0, kappa, yL, q, rho0, grid)
     return p0, yL, q, rc, uc
 
