@@ -22,12 +22,13 @@ D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
 Chebyshev coefficients of all five states with the basis samples them on
 the requested grid.  The nodes, D, Q0, Q1, the resolution test on the
 Chebyshev tail and that basis all come from one quadrature.ChebRule per
-size, shared through cheb_rule with the critical-point chain.
+size, shared through cheb_rule with the critical-point chain.  On the
+trivial side of the pitchfork `solve_postbuckling` returns the straight rod.
 
 `shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
 integration is classical fixed-step 4th order with one step per grid
 interval, so trajectories land exactly on the shared quadrature grid.  It
-solves the straight rod on the trivial side and is the tests' oracle.
+is the tests' oracle; no production path calls it.
 """
 
 import math
@@ -37,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import (
-    AmplitudeSeedError,
     ConstitutiveSingularityError,
     DomainError,
     InvalidInputError,
@@ -55,10 +55,12 @@ SHOOT_MAX_ITER = 50
 CHEB_N = 32  # collocation intervals; one retry at 2 * CHEB_N if the tail is not resolved
 CHEB_TAIL = 1e-10  # last three Chebyshev coefficients relative to the largest: resolved
 COLLOC_TOL = 1e-12
+COLLOC_STRAIGHT = 1e-6  # max |theta| below this share of the seed's: the straight rod
 COLLOC_MAX_ITER = 30
 COLLOC_ACCEPT_STEP = 0.125  # the line search takes the step once halved to this
 COLLOC_STALL_STEP = 1e-3  # and reports a stall below this, as shoot does
-DETERMINANT_STEPS = 512  # RK4 steps of linear_shooting_determinant
+DETERMINANT_STEPS = 512  # fewest RK4 steps of linear_shooting_determinant
+DETERMINANT_STEP_RATE = 0.02  # its largest h max(r1, r2)
 
 
 def _make_rhs(p: LoadPoint, setup: RodSetup):
@@ -136,7 +138,7 @@ class BvpSolution:
     m0: float
     terminal_residuals: tuple
     m2_residual: Optional[float] = field(default=None)
-    path: Optional[str] = None  # solve_postbuckling: "direct" or "continuation"
+    path: Optional[str] = None  # solve_postbuckling: "direct", "continuation" or "trivial"
     newton_iterations: Optional[int] = None  # collocation Newton steps of the returned solve
 
 
@@ -208,12 +210,13 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
 
     If the Chebyshev tail of theta or m is not resolved on CHEB_N + 1 nodes,
     Newton restarts once on 2 * CHEB_N + 1 nodes from the CHEB_N solution.
-    A Newton that lands on the straight rod (max |theta| below COLLOC_TOL,
-    where the tail test would compare roundoff with roundoff) is reported
-    as such.
+    A Newton that lands on the straight rod (max |theta| below the larger
+    of COLLOC_TOL and COLLOC_STRAIGHT times the seed's, where the tail test
+    would compare roundoff with roundoff) is reported as such.
     """
+    straight = max(COLLOC_TOL, COLLOC_STRAIGHT * np.max(np.abs(theta)))
     theta, m, iterations = _collocation_newton(p, setup, theta, m)
-    if np.max(np.abs(theta)) < COLLOC_TOL:
+    if np.max(np.abs(theta)) < straight:
         raise NoConvergenceError("collocation converged to the straight rod")
     rule = cheb_rule(len(theta) - 1)
     if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
@@ -321,7 +324,7 @@ def _mode_seed(yL, amplitude: float):
 def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
                        direction: str = "along-lambda1", sign: int = 1,
                        grid: Optional[Grid] = None) -> BvpSolution:
-    """Nontrivial equilibrium near a critical point, loads offset across the curve.
+    """Equilibrium near a critical point, loads offset across the curve.
 
     The offset follows the crossing path of the reduction module
     ((delta, -eta' delta) for along-lambda1, (-eta' delta, delta) for
@@ -332,26 +335,35 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     continuation steps, each seeded with the previous solution's theta and m
     at the nodes scaled by the amplitude law a ~ sqrt(offset); a step that
     fails from that seed is retried once from the unscaled previous solution.
-    The solution's path records which of the two returned it.
+    Where the amplitude law has no positive radicand (the trivial side), the
+    straight rod at the offset load is returned in closed form, and no
+    Newton runs.  The solution's path records which of the three returned it.
     """
     if grid is None:
         grid = Grid()
     if sign not in (1, -1):
         raise InvalidInputError(f"sign must be +1 or -1, got {sign!r}")
+    if not math.isfinite(delta):
+        raise InvalidInputError(f"delta must be finite, got {delta}")
     yL, _, rc = critical_chain(p0, kappa, grid)
     if rc.verdict is Verdict.DEGENERATE:
         raise DomainError("degenerate critical point; no seeding amplitude")
 
     setup = RodSetup(kappa=kappa)
+    dl1, dl2 = crossing_offsets(rc, delta, direction)
+    if amplitude_for_offsets(rc, dl1, dl2) is None:
+        # only a = 0 solves the bifurcation equation: the straight rod
+        traj = Trajectory(grid.t.copy(), grid.t.copy(), *(np.zeros(grid.n + 1) for _ in range(4)))
+        return BvpSolution(trajectory=traj, load=p0.offset(dl1, dl2), setup=setup, v0=0.0,
+                           m0=0.0, terminal_residuals=(0.0, 0.0), m2_residual=0.0,
+                           path="trivial", newton_iterations=0)
     tip_mode = float(yL(1.0))
 
     def attempt(d, guess=None):
         dl1, dl2 = crossing_offsets(rc, d, direction)
-        amp = amplitude_for_offsets(rc, dl1, dl2)
+        # None only where a subnormal offset's radicand underflows: seed zero
+        amp = amplitude_for_offsets(rc, dl1, dl2) or 0.0
         p = p0.offset(dl1, dl2)
-        if amp is None:
-            raise AmplitudeSeedError(
-                f"offset {d} lies on the trivial side; no nontrivial branch to seed", load=p)
         theta, m = guess if guess is not None else _mode_seed(yL, sign * amp)
         sol = _collocate(p, setup, theta, m, grid=grid)
         # the tip must carry the requested sign and a share of the predicted size
@@ -446,21 +458,29 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float) -> float:
 
     The linearized system s' = A s has constant coefficients, so one
     classical RK4 step of size h is exactly s -> M s with the stability
-    polynomial M = sum_{k<=4} (hA)^k / k!, and DETERMINANT_STEPS steps are
-    its power.
+    polynomial M = sum_{k<=4} (hA)^k / k!, and the steps are its power.
 
-    As an oracle it resolves a root only while h r1 stays well below 1, h
-    = 1 / DETERMINANT_STEPS: at kappa 0, lambda1 1 (h r1 = 0.05) its root
-    lies 8.8e-5 above F's root 713.0749 (1.2e-7 relative), and at kappa
-    1e-6, lambda1 1, lambda2 611679.34 (h r1 = 2.5) it keeps one sign
-    within 1 of a sign change of F.
+    The step count is the smallest power of two, at least
+    DETERMINANT_STEPS, with h max(r1, r2) <= DETERMINANT_STEP_RATE, where
+    r1 and r2 are the wavenumbers of y'''' + co2 y'' - co0 y = 0, so the
+    oracle resolves the roots of far families too: its sign change lies
+    within 1e-8 relative of F's root at kappa 0, lambda1 1, lambda2 713.07
+    (2048 steps) and at kappa 1e-6, lambda1 1, lambda2 611679.34 (65536
+    steps).  At the README points 512 steps meet the bound.
     """
     denom = 1.0 - kappa * p.lambda2
     if denom <= 0.0:
         return float("nan")
     co2 = (kappa * p.lambda1 + p.lambda2) / denom
     co0 = p.lambda1 / denom
-    h = 1.0 / DETERMINANT_STEPS
+    # max(r1, r2), from r1^2, r2^2 = (sqrt(co2^2 + 4 co0) +- co2) / 2
+    rate = math.sqrt(0.5 * abs(co2) + 0.5 * math.hypot(co2, 2.0 * math.sqrt(co0)))
+    if not math.isfinite(rate):
+        return float("nan")
+    steps = DETERMINANT_STEPS
+    while DETERMINANT_STEP_RATE * steps < rate:
+        steps *= 2
+    h = 1.0 / steps
 
     # state (y, y', y'', y'''), y'''' = -co2 y'' + co0 y
     hA = np.zeros((4, 4))
@@ -471,7 +491,7 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float) -> float:
         term = term @ hA / k
         step = step + term
     # columns: the unit solutions started from y''(0) = 1 and y'''(0) = 1
-    s = np.linalg.matrix_power(step, DETERMINANT_STEPS)[:, 2:]
+    s = np.linalg.matrix_power(step, steps)[:, 2:]
     b1 = s[2] * denom + kappa * p.lambda1 * s[0]
     b2 = s[3] * denom + (kappa * p.lambda1 + p.lambda2) * s[1]
     return float(b1[0] * b2[1] - b2[0] * b1[1])

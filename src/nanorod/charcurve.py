@@ -521,9 +521,7 @@ def _local_scale(l1, l2, kappa):
 
 def _stationary_point(kappa: float, guess: LoadPoint, wrt: int, what: str) -> tuple[float, float]:
     """(lambda1, lambda2) with F = 0 and dF/dlambda_wrt = 0 near the guess, wrt 1 or 2."""
-    _check_finite("kappa", kappa)
-    _check_finite("lambda1", guess.lambda1)
-    _check_finite("lambda2", guess.lambda2)
+    _check_finite("kappa", kappa)  # the guess is a LoadPoint, finite on construction
     scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
 
     def system(x):

@@ -25,8 +25,8 @@ import tempfile
 import numpy as np
 
 from . import bvp, charcurve, reduction, unfolding
-from .errors import AmplitudeSeedError, ConvergenceError, DomainError
-from .model import LoadPoint, RodSetup
+from .errors import ConvergenceError, DomainError
+from .model import LoadPoint
 from .modes import linear_residual_L4, mode_shape
 from .quadrature import DEFAULT_N, Grid
 
@@ -295,12 +295,7 @@ def cmd_postbuckle(args):
     p0 = _critical_point(args)
     direction = "along-lambda1" if args.dl1 is not None else "along-lambda2"
     delta = args.dl1 if args.dl1 is not None else args.dl2
-    try:
-        sol = bvp.solve_postbuckling(p0, args.kappa, delta, direction,
-                                     sign=args.sign, grid=grid)
-    except AmplitudeSeedError as exc:
-        # offset lies on the trivial side: the equilibrium there is straight
-        sol = bvp.shoot(exc.load, RodSetup(kappa=args.kappa), 0.0, 0.0, grid=grid)
+    sol = bvp.solve_postbuckling(p0, args.kappa, delta, direction, sign=args.sign, grid=grid)
     traj = sol.trajectory
     rows = [[float(x), float(y)] for x, y in zip(traj.x, traj.y)]
     _emit(rows, ["x", "y"], args,

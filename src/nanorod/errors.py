@@ -73,11 +73,3 @@ class NoConvergenceError(ConvergenceError):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.residual = residual
-
-
-class AmplitudeSeedError(ConvergenceError):
-    """The offset lies on the trivial side; carries the offset load (straight rod there)."""
-
-    def __init__(self, message, load):
-        super().__init__(message)
-        self.load = load

@@ -16,6 +16,7 @@ downstream formula consumes alpha1/rho0.  It is called with an array of t
 and returns an array of that shape, or a scalar for a constant profile.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -34,6 +35,10 @@ class LoadPoint:
     lambda2: float
 
     def __post_init__(self):
+        if not math.isfinite(self.lambda1):
+            raise InvalidInputError(f"lambda1 must be finite, got {self.lambda1}")
+        if not math.isfinite(self.lambda2):
+            raise InvalidInputError(f"lambda2 must be finite, got {self.lambda2}")
         if self.lambda1 < 0.0:
             raise InvalidInputError(f"lambda1 must be nonnegative, got {self.lambda1}")
 

@@ -106,7 +106,7 @@ def _critical_wavenumbers(p0: LoadPoint, kappa: float) -> tuple[float, float]:
     if probe >= top:  # p0 within 0.05 of 1/kappa: probe inside the admissible range
         probe = 0.5 * (p0.lambda2 + top)
     scale = max(abs(char_residual(LoadPoint(p0.lambda1, probe), kappa)), 1.0)
-    if abs(res) > CRITICAL_TOL * scale:
+    if not abs(res) <= CRITICAL_TOL * scale:  # fail-closed: a NaN residual is refused
         raise DomainError(
             f"({p0.lambda1}, {p0.lambda2}) is not a critical point: residual {res:.3e}"
         )

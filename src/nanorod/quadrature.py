@@ -21,6 +21,7 @@ critical-point chain (see modes.chain_rule).
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -33,8 +34,13 @@ class Grid:
     """Uniform grid t_i = i/n on [0, 1] with composite-Simpson weights, n even."""
 
     def __init__(self, n: int = DEFAULT_N):
-        if n <= 0 or n % 2 != 0:
+        try:
+            size = operator.index(n)
+        except TypeError:
+            size = 0
+        if size <= 0 or size % 2 != 0:
             raise ConfigurationError(f"grid size must be a positive even integer, got {n}")
+        n = size
         self.n = n
         self.h = 1.0 / n
         self.t = np.linspace(0.0, 1.0, n + 1)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from nanorod.bvp import (
 )
 from nanorod.charcurve import eta_prime, solve_lambda2
 from nanorod.errors import (
-    AmplitudeSeedError,
     ConstitutiveSingularityError,
     InvalidInputError,
     NoConvergenceError,
@@ -242,12 +242,38 @@ class TestPostbuckling:
         with pytest.raises(InvalidInputError, match="^sign must be \\+1 or -1, got "):
             solve_postbuckling(p0, 0.25, 0.3, sign=sign, grid=Grid(64))
 
-    def test_trivial_side_carries_offset_load(self, bgrid):
+    def test_trivial_side_returns_straight_rod(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
-        with pytest.raises(AmplitudeSeedError, match="lies on the trivial side") as err:
-            solve_postbuckling(p0, 0.25, -0.3, grid=bgrid)
+        sol = solve_postbuckling(p0, 0.25, -0.3, grid=bgrid)
         # along-lambda1 offsets are (delta, -eta' delta)
-        assert err.value.load == p0.offset(-0.3, 0.3 * eta_prime(p0, 0.25))
+        assert sol.load == p0.offset(-0.3, 0.3 * eta_prime(p0, 0.25))
+        assert (sol.path, sol.newton_iterations) == ("trivial", 0)
+        traj = sol.trajectory
+        assert np.array_equal(traj.t, bgrid.t) and np.array_equal(traj.x, bgrid.t)
+        for values in (traj.y, traj.theta, traj.v, traj.m):
+            assert not np.any(values)
+        assert len({id(a) for a in (traj.t, traj.x, traj.y, traj.theta, traj.v, traj.m)}) == 6
+        assert residual_M2(sol) == sol.m2_residual == 0.0
+        assert (sol.v0, sol.m0, sol.terminal_residuals) == (0.0, 0.0, (0.0, 0.0))
+        assert node_count(sol) == 0
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("direction", ["along-lambda1", "along-lambda2"])
+    def test_non_finite_offset_rejected(self, delta, direction):
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="^delta must be finite, got -?(nan|inf)$"):
+                solve_postbuckling(p0, 0.25, delta, direction, grid=Grid(64))
+
+    def test_subnormal_offset_fails_as_no_convergence(self):
+        # the direct solve from an amplitude of 1e-162 lands on the straight
+        # rod, and the continuation's first offset delta / 25 underflows the
+        # amplitude law's radicand to 0
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        with pytest.raises(NoConvergenceError,
+                           match="^collocation converged to the straight rod$"):
+            solve_postbuckling(p0, 0.25, 2e-323, "along-lambda2", grid=Grid(64))
 
     def test_supercritical_amplitude_scaling(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
@@ -464,6 +490,23 @@ class TestLinearShootingDeterminant:
         stepwise = cols[0][0] * cols[1][1] - cols[0][1] * cols[1][0]
         det = linear_shooting_determinant(LoadPoint(l1, l2), kappa)
         assert det == pytest.approx(stepwise, rel=1e-10)
+
+    @pytest.mark.parametrize("rel", [1e-6, 1e-8])
+    @pytest.mark.parametrize("kappa,which,bracket", [
+        (0.0, 9, None),  # lambda2 713.07, 2048 steps
+        (1e-6, 1, (611679.0, 611680.0)),  # family 200, 65536 steps
+    ], ids=["kappa0-root9", "kappa1e-6-family200"])
+    def test_resolves_far_family_roots(self, kappa, which, bracket, rel):
+        # at 512 steps the first root lay 1.2e-7 relative above F's and the
+        # second kept one sign within +-1 of F's sign change
+        root = solve_lambda2(1.0, kappa, which=which, bracket=bracket)
+        lo = linear_shooting_determinant(LoadPoint(1.0, root * (1.0 - rel)), kappa)
+        hi = linear_shooting_determinant(LoadPoint(1.0, root * (1.0 + rel)), kappa)
+        assert lo * hi < 0.0
+
+    def test_overflowing_coefficient_gives_nan(self):
+        # kappa lambda1 overflows while 1 - kappa lambda2 stays positive
+        assert math.isnan(linear_shooting_determinant(LoadPoint(1e300, 1e-11), 1e10))
 
     def test_agrees_with_char_residual_roots(self):
         from scipy.optimize import brentq

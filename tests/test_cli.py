@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 from nanorod import bvp, charcurve, errors
 from nanorod.cli import MAX_GRID_N, main
 from nanorod.errors import ConvergenceError, NanorodError
-from nanorod.model import LoadPoint
 from nanorod.reduction import Verdict
 
 
@@ -205,6 +204,7 @@ def test_postbuckle_trivial_regime_straight_table(tmp_path):
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["meta"]["tip_deflection"] == 0.0
+    assert (payload["meta"]["path"], payload["meta"]["newton_iterations"]) == ("trivial", 0)
     assert all(row["y"] == 0.0 for row in payload["rows"])
 
 
@@ -257,10 +257,8 @@ def test_convergence_error_exit_code():
     if isinstance(cls, type) and issubclass(cls, NanorodError) and cls is not NanorodError
 ], ids=lambda cls: cls.__name__)
 def test_exit_code_follows_the_base(cls, monkeypatch, capsys):
-    extra = {"load": LoadPoint(1.0, 0.0)} if cls is errors.AmplitudeSeedError else {}
-
     def fail(*args):
-        raise cls("boom", **extra)
+        raise cls("boom")
 
     monkeypatch.setattr(charcurve, "find_kappa_cr", fail)
     code, out = run_cli(["kcr"])
@@ -394,7 +392,7 @@ def test_grid_size_cap_is_inclusive():
 
 
 FUZZ_NUMBERS = ("0", "-1", "1e-9", "0.25", "0.45", "1", "5", "10", "29", "1e200", "nan", "x")
-FUZZ_CHOICES = {"--branch": ("lower", "upper", "x"), "--kernel": ("q2", "q4", "x")}
+FUZZ_CHOICES = {"--branch": ("lower", "upper", "x")}
 _CRITICAL = ("--kappa", "--l1")
 FUZZ_OPTIONS = {  # command: (required options, optional options)
     "curve": (("--kappa", "--l1"), ("--mode",)),
@@ -402,8 +400,8 @@ FUZZ_OPTIONS = {  # command: (required options, optional options)
     "fold": (("--kappa",), ("--seed-l1", "--seed-l2")),
     "minimum": (("--kappa",), ("--seed-l1", "--seed-l2")),
     "mode": (_CRITICAL, ("--which", "--branch")),
-    "reduce": (_CRITICAL, ("--which", "--branch", "--kernel")),
-    "unfold": (_CRITICAL, ("--which", "--branch", "--kernel")),
+    "reduce": (_CRITICAL, ("--which", "--branch")),
+    "unfold": (_CRITICAL, ("--which", "--branch")),
     "postbuckle": (_CRITICAL + ("--dl1",), ("--which", "--branch", "--dl2", "--sign")),
 }
 

@@ -29,7 +29,7 @@ def test_every_error_sits_under_exactly_one_base(cls):
 
 def test_convergence_errors_and_the_breakdown_base():
     convergence = {cls.__name__ for cls in ERROR_CLASSES if issubclass(cls, ConvergenceError)}
-    assert convergence == {"NoFoldError", "NoConvergenceError", "AmplitudeSeedError"}
+    assert convergence == {"NoFoldError", "NoConvergenceError"}
     assert errors.ConstitutiveSingularityError.__bases__ == (errors.RegimeError,)
 
 

@@ -72,3 +72,13 @@ def test_singular_curvature_rejected():
 def test_negative_lambda1_rejected():
     with pytest.raises(InvalidInputError):
         LoadPoint(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("lambda1,lambda2,name", [
+    (float("nan"), 1.0, "lambda1"), (float("-inf"), 1.0, "lambda1"),
+    (1.0, float("inf"), "lambda2"), (1.0, float("nan"), "lambda2"),
+])
+def test_non_finite_load_rejected(lambda1, lambda2, name):
+    # a NaN load once passed, and mode_shape returned a shape full of NaN there
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
+        LoadPoint(lambda1, lambda2)

@@ -57,6 +57,13 @@ class TestModeShape:
         with pytest.raises(DomainError, match="not a critical point"):
             mode_shape(LoadPoint(10.0, 0.5), 0.25, grid)
 
+    def test_nan_residual_is_not_critical(self, grid, p25, monkeypatch):
+        # the critical-point test is fail-closed: NaN compares false both ways
+        import nanorod.modes as modes
+        monkeypatch.setattr(modes, "char_residual", lambda p, kappa: float("nan"))
+        with pytest.raises(DomainError, match="not a critical point: residual nan"):
+            mode_shape(p25, 0.25, grid)
+
     def test_zero_lambda1_is_degenerate(self, grid):
         # r2 = 0 at lambda1 = 0: the closed forms divide by it
         p0 = LoadPoint(0.0, solve_lambda2(0.0, 0.25))

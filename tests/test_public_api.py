@@ -56,6 +56,7 @@ REMOVED = (
     ("charcurve", "_past_families"),
     ("charcurve", "_units"),
     ("charcurve", "_bulk"),
+    ("errors", "AmplitudeSeedError"),
 )
 
 # (module, function, parameter) that became constants or are derived from inputs

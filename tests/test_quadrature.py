@@ -18,6 +18,14 @@ def test_grid_requires_even_size():
         Grid(4095)
 
 
+@pytest.mark.parametrize("n", [4.0, 4096.0, "4", None])
+def test_grid_size_must_be_an_integer(n):
+    # np.linspace raised a bare TypeError for a float size
+    message = f"^grid size must be a positive even integer, got {n}$"
+    with pytest.raises(ConfigurationError, match=message):
+        Grid(n)
+
+
 def test_i1_constant_exact(grid):
     out = grid.i1(np.ones_like(grid.t))
     assert np.max(np.abs(out - (1.0 - grid.t))) < 1e-14
