@@ -18,21 +18,24 @@ N + 1 Lobatto nodes are the unknowns, y = Q0 sin(theta), x = Q0 cos(theta)
 and v = alpha2 + l1 Q1 y follow by spectral integration, and a damped
 Newton with an analytic Jacobian drives D theta - theta' and
 D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
-13).  Newton starts from the linear mode at the nodes.  One product of the
-Chebyshev coefficients of all five states with the basis samples them on
-the requested grid.  The nodes, D, Q0, Q1, the resolution test on the
+13).  Q0 and Q1 anchor x, y and v, and theta(0) = 0 and m(1) = 0 replace
+two rows, so the boundary conditions hold by construction.  Newton starts
+from the linear mode at the nodes.  One product of the Chebyshev
+coefficients of all five states with the basis samples them on the
+requested grid.  The nodes, D, Q0, Q1, the resolution test on the
 Chebyshev tail and that basis all come from one quadrature.ChebRule per
 size, shared through cheb_rule with the critical-point chain.  On the
 trivial side of the pitchfork `solve_postbuckling` returns the straight rod.
 
-`shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, and the
-integration is classical fixed-step 4th order with one step per grid
-interval, so trajectories land exactly on the shared quadrature grid.  It
-is the tests' oracle; no production path calls it.
+`shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, read back
+as trajectory.v[0] and trajectory.m[0], and the integration is classical
+fixed-step 4th order with one step per grid interval, so trajectories
+land exactly on the shared quadrature grid.  It is the tests' oracle; no
+production path calls it.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,6 +46,7 @@ from .errors import (
     InvalidInputError,
     NoConvergenceError,
     RegimeError,
+    SingularDenominatorError,
 )
 from .model import LoadPoint, RodSetup
 from .quadrature import Grid, cheb_rule
@@ -61,6 +65,7 @@ COLLOC_ACCEPT_STEP = 0.125  # the line search takes the step once halved to this
 COLLOC_STALL_STEP = 1e-3  # and reports a stall below this, as shoot does
 DETERMINANT_STEPS = 512  # fewest RK4 steps of linear_shooting_determinant
 DETERMINANT_STEP_RATE = 0.02  # its largest h max(r1, r2)
+DETERMINANT_MAX_STEPS = 2**20  # its most: 16 times the 2**16 of family 200 at kappa 1e-6
 
 
 def _make_rhs(p: LoadPoint, setup: RodSetup):
@@ -92,13 +97,12 @@ class Trajectory:
     v: np.ndarray
     m: np.ndarray
 
-    def terminal(self):
-        return self.v[-1], self.m[-1]
-
 
 def integrate(p: LoadPoint, setup: RodSetup, v0: float, m0: float,
               grid: Optional[Grid] = None) -> Trajectory:
     """Fixed-step RK4 integration from the clamp, one step per grid interval."""
+    if not math.isfinite(v0) or not math.isfinite(m0):
+        raise InvalidInputError(f"v(0) and m(0) must be finite, got {v0}, {m0}")
     if grid is None:
         grid = Grid()
     n = grid.n
@@ -134,10 +138,7 @@ class BvpSolution:
     trajectory: Trajectory
     load: LoadPoint
     setup: RodSetup
-    v0: float
-    m0: float
-    terminal_residuals: tuple
-    m2_residual: Optional[float] = field(default=None)
+    m2_residual: Optional[float] = None
     path: Optional[str] = None  # solve_postbuckling: "direct", "continuation" or "trivial"
     newton_iterations: Optional[int] = None  # collocation Newton steps of the returned solve
 
@@ -152,8 +153,7 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
 
     def residual(uu):
         traj = integrate(p, setup, uu[0], uu[1], grid=grid)
-        v1, m1 = traj.terminal()
-        return np.array([v1 - setup.alpha2, m1]), traj
+        return np.array([traj.v[-1] - setup.alpha2, traj.m[-1]]), traj
 
     try:
         r, traj = residual(u)
@@ -162,8 +162,7 @@ def shoot(p: LoadPoint, setup: RodSetup, guess_v0: float, guess_m0: float,
                                  last_iterate=tuple(u)) from exc
     for _ in range(SHOOT_MAX_ITER):
         if np.max(np.abs(r)) < SHOOT_TOL:
-            sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(u[0]),
-                              m0=float(u[1]), terminal_residuals=(float(r[0]), float(r[1])))
+            sol = BvpSolution(trajectory=traj, load=p, setup=setup)
             sol.m2_residual = residual_M2(sol)
             return sol
         jac = np.zeros((2, 2))
@@ -238,9 +237,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
         raise NoConvergenceError("collocation solution leaves the regime between the nodes",
                                  last_iterate=(float(v[0]), float(m[0])))
     traj = Trajectory(t=grid.t.copy(), x=xs, y=ys, theta=ths, v=vs, m=ms)
-    sol = BvpSolution(trajectory=traj, load=p, setup=setup, v0=float(v[0]), m0=float(m[0]),
-                      terminal_residuals=(float(vs[-1] - setup.alpha2), float(ms[-1])),
-                      newton_iterations=iterations)
+    sol = BvpSolution(trajectory=traj, load=p, setup=setup, newton_iterations=iterations)
     sol.m2_residual = residual_M2(sol)
     return sol
 
@@ -354,9 +351,8 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
     if amplitude_for_offsets(rc, dl1, dl2) is None:
         # only a = 0 solves the bifurcation equation: the straight rod
         traj = Trajectory(grid.t.copy(), grid.t.copy(), *(np.zeros(grid.n + 1) for _ in range(4)))
-        return BvpSolution(trajectory=traj, load=p0.offset(dl1, dl2), setup=setup, v0=0.0,
-                           m0=0.0, terminal_residuals=(0.0, 0.0), m2_residual=0.0,
-                           path="trivial", newton_iterations=0)
+        return BvpSolution(trajectory=traj, load=p0.offset(dl1, dl2), setup=setup,
+                           m2_residual=0.0, path="trivial", newton_iterations=0)
     tip_mode = float(yL(1.0))
 
     def attempt(d, guess=None):
@@ -369,7 +365,8 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         # the tip must carry the requested sign and a share of the predicted size
         if sign * math.copysign(1.0, tip_mode) * tip_deflection(sol) < 0.2 * amp * abs(tip_mode):
             raise NoConvergenceError("converged to the trivial or the mirrored branch",
-                                     last_iterate=(sol.v0, sol.m0))
+                                     last_iterate=(float(sol.trajectory.v[0]),
+                                                   float(sol.trajectory.m[0])))
         return sol
 
     try:
@@ -466,17 +463,22 @@ def linear_shooting_determinant(p: LoadPoint, kappa: float) -> float:
     oracle resolves the roots of far families too: its sign change lies
     within 1e-8 relative of F's root at kappa 0, lambda1 1, lambda2 713.07
     (2048 steps) and at kappa 1e-6, lambda1 1, lambda2 611679.34 (65536
-    steps).  At the README points 512 steps meet the bound.
+    steps).  At the README points 512 steps meet the bound.  A load that
+    would need more than DETERMINANT_MAX_STEPS steps, or whose rate
+    overflows, raises DomainError.
     """
+    if not math.isfinite(kappa):
+        raise InvalidInputError(f"kappa must be finite, got {kappa}")
     denom = 1.0 - kappa * p.lambda2
     if denom <= 0.0:
-        return float("nan")
+        raise SingularDenominatorError(
+            f"1 - kappa*lambda2 = {denom:.3e} <= 0 at lambda2 = {p.lambda2}")
     co2 = (kappa * p.lambda1 + p.lambda2) / denom
     co0 = p.lambda1 / denom
     # max(r1, r2), from r1^2, r2^2 = (sqrt(co2^2 + 4 co0) +- co2) / 2
     rate = math.sqrt(0.5 * abs(co2) + 0.5 * math.hypot(co2, 2.0 * math.sqrt(co0)))
-    if not math.isfinite(rate):
-        return float("nan")
+    if rate > DETERMINANT_STEP_RATE * DETERMINANT_MAX_STEPS:
+        raise DomainError(f"max(r1, r2) = {rate:.3e} needs over {DETERMINANT_MAX_STEPS} RK4 steps")
     steps = DETERMINANT_STEPS
     while DETERMINANT_STEP_RATE * steps < rate:
         steps *= 2

@@ -104,8 +104,9 @@ def _check_index(name: str, value) -> None:
 
 
 def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
-    if kappa < 0.0:
-        raise InvalidInputError(f"kappa must be nonnegative, got {kappa}")
+    if not 0.0 <= kappa < math.inf:  # nan fails both comparisons
+        raise InvalidInputError(
+            f"kappa must be {'nonnegative' if kappa < 0.0 else 'finite'}, got {kappa}")
     denom = 1.0 - kappa * lambda2
     if denom <= 0.0:
         raise SingularDenominatorError(
@@ -118,7 +119,8 @@ def _check_admissible(lambda1: float, lambda2: float, kappa: float) -> float:
 
 def _check_admissible_array(lambda1, lambda2, kappa: float):
     denom = 1.0 - kappa * lambda2
-    if kappa < 0.0 or ((denom <= 0.0) | (lambda1 < 0.0)).any():  # np.any costs ~6 us a call
+    # the .any() method: np.any costs ~6 us a call
+    if not 0.0 <= kappa < math.inf or ((denom <= 0.0) | (lambda1 < 0.0)).any():
         for l1, l2 in np.broadcast(lambda1, lambda2):
             _check_admissible(float(l1), float(l2), kappa)  # raises at the first bad point
     return denom
@@ -135,6 +137,9 @@ def wavenumbers(p: LoadPoint, kappa: float) -> Wavenumbers:
     l1, l2 = p.lambda1, p.lambda2
     denom = _check_admissible(l1, l2, kappa)
     r1, r2 = _wavenumbers(l1, l2, kappa, denom, _SCALAR_OPS)
+    if not math.isfinite(r1 + r2):
+        raise DomainError(f"the wavenumbers overflow at lambda1 = {l1}, "
+                          f"lambda2 = {l2}: load too large")
     return Wavenumbers(r1=r1, r2=r2)
 
 
@@ -272,7 +277,6 @@ class _Column:
 
     def __init__(self, fixed: float, kappa: float, axis: int, lo: float, hi: float):
         _check_finite(f"lambda{3 - axis}", fixed)
-        _check_finite("kappa", kappa)
         self.fixed, self.kappa, self.axis, self.lo, self.hi = fixed, kappa, axis, lo, hi
         l1, l2 = (fixed, lo) if axis == 2 else (lo, fixed)
         r1 = _wavenumbers(l1, l2, kappa, _check_admissible(l1, l2, kappa), _SCALAR_OPS)[0]
@@ -521,7 +525,6 @@ def _local_scale(l1, l2, kappa):
 
 def _stationary_point(kappa: float, guess: LoadPoint, wrt: int, what: str) -> tuple[float, float]:
     """(lambda1, lambda2) with F = 0 and dF/dlambda_wrt = 0 near the guess, wrt 1 or 2."""
-    _check_finite("kappa", kappa)  # the guess is a LoadPoint, finite on construction
     scale = _local_scale(guess.lambda1, guess.lambda2, kappa)
 
     def system(x):

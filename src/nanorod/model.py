@@ -60,6 +60,9 @@ class RodSetup:
     rho0: Callable[[np.ndarray], Union[np.ndarray, float]] = field(default=_zero_curvature)
 
     def __post_init__(self):
+        for name in ("kappa", "alpha1", "alpha2"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0.0:
             raise InvalidInputError(f"kappa must be nonnegative, got {self.kappa}")
 
@@ -100,10 +103,13 @@ def nondimensionalize(rod: PhysicalRod) -> tuple[RodSetup, LoadPoint]:
     sup-norm is approximated on a uniform grid of 10001 samples.
     """
     ei = rod.E * rod.I
-    kappa = (rod.ell / rod.L) ** 2
-    lambda1 = rod.mu * rod.omega**2 * rod.L**4 / ei
-    lambda2 = rod.H0 * rod.L**2 / ei
-    alpha2 = rod.V0 * rod.L**2 / ei
+    try:
+        kappa = (rod.ell / rod.L) ** 2
+        lambda1 = rod.mu * rod.omega**2 * rod.L**4 / ei
+        lambda2 = rod.H0 * rod.L**2 / ei
+        alpha2 = rod.V0 * rod.L**2 / ei
+    except (OverflowError, ZeroDivisionError):
+        raise InvalidInputError("a dimensionless group overflows a float") from None
 
     if rod.R0_profile is None:
         return RodSetup(kappa=kappa, alpha1=0.0, alpha2=alpha2), LoadPoint(lambda1, lambda2)

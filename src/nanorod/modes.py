@@ -31,8 +31,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charcurve import char_residual, lambda2_max, wavenumbers
-from .errors import DegenerateShapeError, DomainError
+from .charcurve import _check_admissible, char_residual, lambda2_max, wavenumbers
+from .errors import DegenerateShapeError, DomainError, InvalidInputError
 from .model import LoadPoint
 from .quadrature import Grid, cheb_rule
 
@@ -122,10 +122,10 @@ def _ratio(num: float, den: float, what: str, p0: LoadPoint) -> float:
     return num / den
 
 
-def _normalized(raw: ClosedFormShape, grid: Grid, probe_t: float, probe_k: int) -> ClosedFormShape:
-    """raw scaled to unit L2 norm, with its k-th derivative positive at the probe."""
+def _normalized(raw: ClosedFormShape, grid: Grid, probe_k: int) -> ClosedFormShape:
+    """raw scaled to unit L2 norm, with its k-th derivative positive at the clamp."""
     c_const = 1.0 / grid.norm(raw.sample(grid))
-    if raw(probe_t, probe_k) * c_const < 0.0:
+    if raw(0.0, probe_k) * c_const < 0.0:
         c_const = -c_const
     return raw.scaled(c_const)
 
@@ -143,7 +143,7 @@ def _raw_mode(p0: LoadPoint, kappa: float, r1: float, r2: float) -> ClosedFormSh
 def mode_shape(p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
     """Closed-form normalized mode shape at a verified critical point."""
     raw = _raw_mode(p0, kappa, *_critical_wavenumbers(p0, kappa))
-    return _normalized(raw, chain_rule(raw, grid), 0.0, 2)
+    return _normalized(raw, chain_rule(raw, grid), 2)
 
 
 def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> ClosedFormShape:
@@ -159,16 +159,16 @@ def adjoint_kernel(order: int, p0: LoadPoint, kappa: float, grid: Grid) -> Close
     if order == 2:
         raw = ClosedFormShape(p0, kappa, 2, r1, r2, 1.0, r2**2 / r1**2,
                               -b_const, -b_const * r2 / r1)
-        return _normalized(raw, chain_rule(raw, grid), 0.0, 0)
+        return _normalized(raw, chain_rule(raw, grid), 0)
     raw = ClosedFormShape(p0, kappa, 4, r1, r2, 1.0, -1.0, -b_const, b_const * r1 / r2)
-    return _normalized(raw, chain_rule(raw, grid), 0.0, 2)
+    return _normalized(raw, chain_rule(raw, grid), 2)
 
 
 def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Grid):
     """Interior sup-residual of the fourth-order linearization, plus its four
     boundary values, for a closed-form shape.
     """
-    denom = 1.0 - kappa * p.lambda2
+    denom = _check_admissible(p.lambda1, p.lambda2, kappa)
     co2, co0 = (kappa * p.lambda1 + p.lambda2) / denom, p.lambda1 / denom
     interior = y.sample(grid, 4) + co2 * y.sample(grid, 2) - co0 * y.sample(grid)
     b = [
@@ -178,6 +178,14 @@ def linear_residual_L4(y: ClosedFormShape, p: LoadPoint, kappa: float, grid: Gri
         float(y(1.0, 3) * denom + (kappa * p.lambda1 + p.lambda2) * y(1.0, 1)),
     ]
     return float(np.max(np.abs(interior))), b
+
+
+def _check_shapes(p0: LoadPoint, kappa: float, *shapes: ClosedFormShape) -> None:
+    """The shapes were built at the critical point (p0, kappa)."""
+    for shape in shapes:
+        if (shape.p0, shape.kappa) != (p0, kappa):
+            raise InvalidInputError(f"a shape built at {shape.p0}, kappa {shape.kappa} "
+                                    f"is used at {p0}, kappa {kappa}")
 
 
 def _mode_profile(yL: ClosedFormShape, grid: Grid):

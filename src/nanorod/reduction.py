@@ -58,7 +58,14 @@ from enum import Enum
 from .charcurve import eta_prime
 from .errors import DegeneratePointError, DomainError, FoldPointError, InvalidInputError
 from .model import LoadPoint
-from .modes import ClosedFormShape, _mode_profile, adjoint_kernel, chain_rule, mode_shape
+from .modes import (
+    ClosedFormShape,
+    _check_shapes,
+    _mode_profile,
+    adjoint_kernel,
+    chain_rule,
+    mode_shape,
+)
 from .quadrature import Grid
 
 DEGENERATE_TOL = 1e-10
@@ -95,6 +102,7 @@ def reduction_coefficients(
     grid: Grid,
 ) -> ReductionCoefficients:
     """Assemble the reduction coefficients at a verified critical point."""
+    _check_shapes(p0, kappa, yL, q)
     l1, l2 = p0.lambda1, p0.lambda2
     x = 1.0 - kappa * l2
     rule = chain_rule(yL, grid)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import SingularCurvatureError
 from .model import LoadPoint
-from .modes import ClosedFormShape, _mode_profile, chain_rule
+from .modes import ClosedFormShape, _check_shapes, _mode_profile, chain_rule
 from .quadrature import Grid
 from .reduction import DEGENERATE_TOL, ReductionCoefficients, Verdict
 
@@ -66,6 +66,7 @@ def unfolding_coefficients(
     grid: Grid,
 ) -> UnfoldingCoefficients:
     """All d-constants at a verified critical point, by quadrature."""
+    _check_shapes(p0, kappa, yL, q)
     l1, l2 = p0.lambda1, p0.lambda2
     x = 1.0 - kappa * l2
     rule = chain_rule(yL, grid, lambda t: _curvature_samples(rho0, t))

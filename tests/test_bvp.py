@@ -21,9 +21,11 @@ from nanorod.bvp import (
 from nanorod.charcurve import eta_prime, solve_lambda2
 from nanorod.errors import (
     ConstitutiveSingularityError,
+    DomainError,
     InvalidInputError,
     NoConvergenceError,
     RegimeError,
+    SingularDenominatorError,
 )
 from nanorod.model import LoadPoint, RodSetup
 from nanorod.quadrature import Grid, cheb_rule
@@ -31,6 +33,17 @@ from nanorod.reduction import amplitude_for_offsets, critical_chain, crossing_of
 
 from conftest import critical_point, fixture_curvature
 from oracles import closed_form_moment
+
+
+def _clamp_state(sol):
+    """(v(0), m(0)) of the returned trajectory: the RK4 start that reproduces it."""
+    return float(sol.trajectory.v[0]), float(sol.trajectory.m[0])
+
+
+def _tip_residual(sol):
+    """Largest violation of the tip conditions v(1) = alpha2 and m(1) = 0."""
+    traj = sol.trajectory
+    return max(abs(traj.v[-1] - sol.setup.alpha2), abs(traj.m[-1]))
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +82,12 @@ class TestIntegrate:
         assert np.max(np.abs(traj.y)) == 0.0
         assert traj.x[-1] == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("v0,m0", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_start_rejected(self, v0, m0):
+        # the trajectory used to come back full of nan
+        with pytest.raises(InvalidInputError, match="^v\\(0\\) and m\\(0\\) must be finite"):
+            integrate(LoadPoint(2.0, 0.5), RodSetup(0.25), v0, m0, Grid(64))
+
     def test_shear_matches_quadrature_of_deflection(self, bgrid):
         p0 = critical_point(10.0, 0.25, near=0.682732)
         sol = solve_postbuckling(p0, 0.25, 0.3, grid=bgrid)
@@ -80,8 +99,8 @@ class TestIntegrate:
         p0 = critical_point(10.0, 0.25, near=0.682732)
         sol = solve_postbuckling(p0, 0.25, 0.3, grid=bgrid)
         setup = RodSetup(kappa=0.25)
-        coarse = integrate(sol.load, setup, sol.v0, sol.m0, grid=Grid(1024))
-        fine = integrate(sol.load, setup, sol.v0, sol.m0, grid=Grid(2048))
+        coarse = integrate(sol.load, setup, *_clamp_state(sol), grid=Grid(1024))
+        fine = integrate(sol.load, setup, *_clamp_state(sol), grid=Grid(2048))
         assert abs(coarse.y[-1] - fine.y[-1]) < 1e-8
 
     def test_inextensibility_structural(self, bgrid):
@@ -96,7 +115,7 @@ class TestShoot:
         setup = RodSetup(kappa=0.25)
         sol = shoot(LoadPoint(5.0, 0.3), setup, 0.0, 0.0, grid=bgrid)
         assert tip_deflection(sol) == 0.0
-        assert max(abs(r) for r in sol.terminal_residuals) < 1e-9
+        assert _tip_residual(sol) < 1e-9
 
     def test_tangential_offset_carries_small_branch(self, bgrid):
         # loads moved along the curve tangent: a small nontrivial solution
@@ -254,7 +273,6 @@ class TestPostbuckling:
             assert not np.any(values)
         assert len({id(a) for a in (traj.t, traj.x, traj.y, traj.theta, traj.v, traj.m)}) == 6
         assert residual_M2(sol) == sol.m2_residual == 0.0
-        assert (sol.v0, sol.m0, sol.terminal_residuals) == (0.0, 0.0, (0.0, 0.0))
         assert node_count(sol) == 0
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
@@ -306,7 +324,7 @@ def _check_continuation_pair(p0, solves, grid, monkeypatch):
         assert sols[sign].path == "continuation"
         assert np.sign(tip_deflection(sols[sign])) == sign
         assert sols[sign].m2_residual < 1e-4
-        assert max(abs(r) for r in sols[sign].terminal_residuals) < 1e-9
+        assert _tip_residual(sols[sign]) < 1e-9
     assert np.max(np.abs(sols[1].trajectory.y + sols[-1].trajectory.y)) < 1e-8
 
 
@@ -335,15 +353,15 @@ class TestDirectSolve:
 
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
     def test_matches_shooting(self, grid, l1, kappa, which, delta, direction):
-        # shooting from the collocation solution's own (v0, m0) on the same
+        # shooting from the collocation solution's own (v(0), m(0)) on the same
         # grid stays on it, to within the shooting tolerance's effect
         p0 = critical_point(l1, kappa, which=which)
         for sign in (1, -1):
             sol = solve_postbuckling(p0, kappa, delta, direction, sign=sign, grid=grid)
-            ref = shoot(sol.load, sol.setup, sol.v0, sol.m0, grid=grid)
+            ref = shoot(sol.load, sol.setup, *_clamp_state(sol), grid=grid)
             assert len(sol.trajectory.y) == grid.n + 1
             assert np.max(np.abs(sol.trajectory.y - ref.trajectory.y)) <= 1e-8
-            assert max(abs(r) for r in sol.terminal_residuals) < SHOOT_TOL
+            assert _tip_residual(sol) < SHOOT_TOL
 
 
 # the collocation accuracy points: Fig. 6 shapes at kappa 0.25, and both sides
@@ -361,7 +379,7 @@ COLLOCATION_POINTS = [
 class TestCollocation:
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", COLLOCATION_POINTS)
     def test_tip_conditions_and_sampling(self, l1, kappa, which, delta, direction):
-        # a fine RK4 shot from the returned (v0, m0) meets both tip conditions;
+        # a fine RK4 shot from the returned (v(0), m(0)) meets both tip conditions;
         # the clamp samples are exact zeros on every grid
         p0 = critical_point(l1, kappa, which=which)
         for sign in (1, -1):
@@ -371,7 +389,7 @@ class TestCollocation:
                 traj = sol.trajectory
                 assert len(traj.y) == grid.n + 1
                 assert (traj.x[0], traj.y[0], traj.theta[0]) == (0.0, 0.0, 0.0)
-            fine = integrate(sol.load, sol.setup, sol.v0, sol.m0, grid=Grid(16384))
+            fine = integrate(sol.load, sol.setup, *_clamp_state(sol), grid=Grid(16384))
             assert abs(fine.v[-1] - sol.setup.alpha2) <= 1e-11
             assert abs(fine.m[-1]) <= 1e-11
 
@@ -426,7 +444,7 @@ class TestCollocation:
         assert sol.path == "direct" and sol.newton_iterations > coarse_steps
         traj = sol.trajectory
         assert (traj.x[0], traj.y[0], traj.theta[0]) == (0.0, 0.0, 0.0)
-        fine = integrate(sol.load, sol.setup, sol.v0, sol.m0, grid=Grid(16384))
+        fine = integrate(sol.load, sol.setup, *_clamp_state(sol), grid=Grid(16384))
         assert abs(fine.v[-1] - sol.setup.alpha2) <= 1e-11
         assert abs(fine.m[-1]) <= 1e-11
 
@@ -504,9 +522,19 @@ class TestLinearShootingDeterminant:
         hi = linear_shooting_determinant(LoadPoint(1.0, root * (1.0 + rel)), kappa)
         assert lo * hi < 0.0
 
-    def test_overflowing_coefficient_gives_nan(self):
+    @pytest.mark.parametrize("p,kappa,error,message", [
         # kappa lambda1 overflows while 1 - kappa lambda2 stays positive
-        assert math.isnan(linear_shooting_determinant(LoadPoint(1e300, 1e-11), 1e10))
+        (LoadPoint(1e300, 1e-11), 1e10, DomainError, r"^max\(r1, r2\) = inf needs over "),
+        # 2**339 steps, and a result of -8.0e-317, before the cap
+        (LoadPoint(1.0, 1e200), 0.0, DomainError, r"^max\(r1, r2\) = 1\.000e\+100 needs over"),
+        (LoadPoint(1.0, 4.0), 0.25, SingularDenominatorError, r"^1 - kappa\*lambda2 = 0\.000e\+00"),
+        (LoadPoint(1.0, 1.0), math.nan, InvalidInputError, "^kappa must be finite, got nan$"),
+        (LoadPoint(1.0, 1.0), math.inf, InvalidInputError, "^kappa must be finite, got inf$"),
+        (LoadPoint(1.0, 1.0), -math.inf, InvalidInputError, "^kappa must be finite, got -inf$"),
+    ], ids=["overflow", "step-cap", "singular", "kappa-nan", "kappa-inf", "kappa-minus-inf"])
+    def test_refuses_instead_of_nan(self, p, kappa, error, message):
+        with pytest.raises(error, match=message):
+            linear_shooting_determinant(p, kappa)
 
     def test_agrees_with_char_residual_roots(self):
         from scipy.optimize import brentq

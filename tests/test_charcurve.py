@@ -128,6 +128,11 @@ class TestWavenumbers:
         with pytest.raises(SingularDenominatorError):
             wavenumbers(LoadPoint(1.0, 5.0), 0.25)
 
+    def test_overflow_raises(self):
+        # half * half overflows: the wavenumbers were (inf, inf)
+        with pytest.raises(DomainError, match="^the wavenumbers overflow at lambda1 = 1e"):
+            wavenumbers(LoadPoint(1e300, 0.68), 0.25)
+
 
 class TestResidual:
     def test_branching_point_from_text(self):
@@ -379,6 +384,11 @@ class TestRootSolvers:
         (lambda: trace_curve(math.nan, [1.0]), "kappa"),
         (lambda: trace_curve(math.inf, []), "kappa"),
         (lambda: lambda2_max(math.nan), "kappa"),
+        (lambda: char_residual(LoadPoint(10.0, 0.6827), math.nan), "kappa"),
+        (lambda: char_partials(LoadPoint(10.0, 0.6827), math.nan), "kappa"),
+        (lambda: eta_prime(LoadPoint(10.0, 0.6827), math.inf), "kappa"),
+        (lambda: wavenumbers(LoadPoint(10.0, 0.6827), math.nan), "kappa"),
+        (lambda: find_branch_minimum(math.inf, LoadPoint(6.3, 1.04)), "kappa"),
     ])
     def test_non_finite_load_rejected(self, call, name):
         # a nan load used to end in "cannot convert float NaN to integer"

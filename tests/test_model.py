@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanorod.errors import InvalidInputError, SingularCurvatureError
-from nanorod.model import LoadPoint, PhysicalRod, nondimensionalize
+from nanorod.model import LoadPoint, PhysicalRod, RodSetup, nondimensionalize
 
 
 def test_unloaded_straight_rod_maps_to_zero():
@@ -82,3 +82,22 @@ def test_non_finite_load_rejected(lambda1, lambda2, name):
     # a NaN load once passed, and mode_shape returned a shape full of NaN there
     with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
         LoadPoint(lambda1, lambda2)
+
+
+@pytest.mark.parametrize("field,value", [("L", 1e-300), ("ell", 1e300), ("omega", 1e300)])
+def test_overflowing_group_rejected(field, value):
+    # (ell / L)^2 and omega^2 raised a bare OverflowError
+    base = dict(E=1.0, I=1.0, L=2.0, mu=1.0, ell=1.0, omega=1.0)
+    with pytest.raises(InvalidInputError, match="^a dimensionless group overflows a float$"):
+        nondimensionalize(PhysicalRod(**{**base, field: value}))
+
+
+@pytest.mark.parametrize("fields,name", [
+    ({"kappa": float("nan")}, "kappa"), ({"kappa": float("inf")}, "kappa"),
+    ({"kappa": float("-inf")}, "kappa"), ({"kappa": 0.25, "alpha1": float("nan")}, "alpha1"),
+    ({"kappa": 0.25, "alpha2": float("-inf")}, "alpha2"),
+])
+def test_non_finite_setup_rejected(fields, name):
+    # RodSetup(kappa=nan) and RodSetup(0.25, alpha1=nan) once constructed
+    with pytest.raises(InvalidInputError, match=rf"^{name} must be finite, got -?(nan|inf)$"):
+        RodSetup(**fields)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from nanorod.reduction import (
     reduction_coefficients,
 )
 
-from conftest import critical_point
+from nanorod.unfolding import unfolding_coefficients
+
+from conftest import critical_point, fixture_curvature
 from oracles import i2
 
 
@@ -91,6 +95,19 @@ class TestCoefficients:
         q = adjoint_kernel(2, fold, 0.45, grid)
         with pytest.raises(FoldPointError):
             reduction_coefficients(fold, 0.45, yL, q, grid)
+
+    @pytest.mark.parametrize("p0,kappa", [
+        (LoadPoint(10.0, 1.5), 0.25), (None, 0.0), (None, math.inf), (None, 1e300),
+    ], ids=["load", "kappa-zero", "kappa-inf", "kappa-huge"])
+    def test_shapes_of_another_point_rejected(self, grid, p0, kappa):
+        # the shapes carry their critical point; other loads or kappa once gave
+        # numbers, a RuntimeWarning or an OverflowError
+        p_shapes, yL, q, _ = build_rc(10.0, 0.25, 0.682732, grid)
+        p0 = p0 or p_shapes
+        with pytest.raises(InvalidInputError, match="^a shape built at LoadPoint"):
+            reduction_coefficients(p0, kappa, yL, q, grid)
+        with pytest.raises(InvalidInputError, match="^a shape built at LoadPoint"):
+            unfolding_coefficients(p0, kappa, yL, q, fixture_curvature, grid)
 
     def test_grid_refinement_stability(self):
         coarse = Grid(2048)
