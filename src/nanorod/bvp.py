@@ -20,12 +20,19 @@ Newton with an analytic Jacobian drives D theta - theta' and
 D m - m' to zero (Trefethen, Spectral Methods in MATLAB, 2000, ch. 6 and
 13).  Q0 and Q1 anchor x, y and v, and theta(0) = 0 and m(1) = 0 replace
 two rows, so the boundary conditions hold by construction.  Newton starts
-from the linear mode at the nodes.  One product of the Chebyshev
+from the linear mode at the nodes, and builds the Jacobian only at an
+accepted iterate that has not converged.  One product of the Chebyshev
 coefficients of all five states with the basis samples them on the
-requested grid.  The nodes, D, Q0, Q1, the resolution test on the
-Chebyshev tail and that basis all come from one quadrature.ChebRule per
-size, shared through cheb_rule with the critical-point chain.  On the
-trivial side of the pitchfork `solve_postbuckling` returns the straight rod.
+requested grid, the one step that touches it; the grid keeps that basis.
+The reported m2_residual is the single-equation operator residual of the
+collocated theta, with y = Q0 sin(theta), y'' = D sin(theta) and the
+integral kernels by Q1, at the nodes and on twice as many nodes, the larger
+of the two: it measures the solve, whatever the grid.  The nodes, D, Q0, Q1,
+the resolution test on the Chebyshev tail and the basis all come from one
+quadrature.ChebRule per size, shared through cheb_rule with the
+critical-point chain.  On the trivial side of the pitchfork
+`solve_postbuckling` returns the straight rod.  `residual_M2` is the same
+operator by central differences on a sampled trajectory.
 
 `shoot` is the RK4 path: (v(0), m(0)) are the shooting unknowns, read back
 as trajectory.v[0] and trajectory.m[0], and the integration is classical
@@ -211,7 +218,9 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
     Newton restarts once on 2 * CHEB_N + 1 nodes from the CHEB_N solution.
     A Newton that lands on the straight rod (max |theta| below the larger
     of COLLOC_TOL and COLLOC_STRAIGHT times the seed's, where the tail test
-    would compare roundoff with roundoff) is reported as such.
+    would compare roundoff with roundoff) is reported as such.  m2_residual
+    is _spectral_m2 of the solution at its nodes and on twice as many, the
+    larger value.
     """
     straight = max(COLLOC_TOL, COLLOC_STRAIGHT * np.max(np.abs(theta)))
     theta, m, iterations = _collocation_newton(p, setup, theta, m)
@@ -220,7 +229,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
     rule = cheb_rule(len(theta) - 1)
     if not (rule.resolved(theta, CHEB_TAIL) and rule.resolved(m, CHEB_TAIL)):
         coarse, rule = rule, cheb_rule(2 * CHEB_N)
-        theta, m = coarse.eval([theta, m], rule.t)
+        theta, m = coarse.eval([theta, m], rule)
         theta[0] = 0.0
         theta, m, more = _collocation_newton(p, setup, theta, m)
         iterations += more
@@ -230,7 +239,7 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
 
     x, y = rule.q0 @ np.cos(theta), rule.q0 @ np.sin(theta)
     v = setup.alpha2 + p.lambda1 * (rule.q1 @ y)
-    xs, ys, ths, vs, ms = rule.eval([x, y, theta, v, m], grid.t)
+    xs, ys, ths, vs, ms = rule.eval([x, y, theta, v, m], grid)
     xs[0] = ys[0] = ths[0] = 0.0
     den = 1.0 + setup.kappa * (vs * np.sin(ths) - p.lambda2 * np.cos(ths))
     if np.max(np.abs(ths)) >= THETA_LIMIT or np.min(np.abs(den)) < SING_TOL:
@@ -238,21 +247,32 @@ def _collocate(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray,
                                  last_iterate=(float(v[0]), float(m[0])))
     traj = Trajectory(t=grid.t.copy(), x=xs, y=ys, theta=ths, v=vs, m=ms)
     sol = BvpSolution(trajectory=traj, load=p, setup=setup, newton_iterations=iterations)
-    sol.m2_residual = residual_M2(sol)
+    fine = cheb_rule(2 * rule.n)
+    sol.m2_residual = max(_spectral_m2(p, setup, rule, theta),
+                          _spectral_m2(p, setup, fine, rule.eval(theta, fine)))
     return sol
+
+
+def _spectral_m2(p: LoadPoint, setup: RodSetup, rule, theta: np.ndarray) -> float:
+    """Sup-norm of the single-equation operator residual at the nodes of rule,
+    for theta at those nodes: y' = sin(theta), y = Q0 y', y'' = D y'."""
+    yd = np.sin(theta)
+    res = _m2_operator(rule, p, setup, rule.q0 @ yd, yd, rule.d @ yd)
+    return float(np.max(np.abs(res)))
 
 
 def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.ndarray):
     """Damped Newton on the collocation residual over (theta, m) at the nodes,
-    with the analytic Jacobian; returns (theta, m, iterations)."""
+    with the analytic Jacobian; returns (theta, m, iterations).  The Jacobian
+    is built only at an accepted iterate that has not converged."""
     n1 = len(theta)
     rule = cheb_rule(n1 - 1)
     nodes, d, q0, q1 = rule.t, rule.d, rule.q0, rule.q1
     l1, l2, kappa, alpha2 = p.lambda1, p.lambda2, setup.kappa, setup.alpha2
     curv = setup.alpha1 * np.asarray(setup.rho0(nodes), dtype=float) if setup.alpha1 else 0.0
 
-    def system(th, mm):
-        """(residual, Jacobian, v(0)), or None outside the regime at a node."""
+    def residual(th, mm):
+        """(residual, terms for the Jacobian), or None outside the regime at a node."""
         c, s = np.cos(th), np.sin(th)
         y = q0 @ s
         v = alpha2 + l1 * (q1 @ y)
@@ -261,37 +281,27 @@ def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.
             return None
         num = mm - kappa * l1 * y * c + curv
         r = np.concatenate([d @ th - num / den, d @ mm + v * c + l2 * s])
-        dy = q0 * c  # dy/dtheta = Q0 diag(cos theta)
-        dv = l1 * (q1 @ dy)
-        dnum = -kappa * l1 * (c[:, None] * dy - np.diag(y * s))
-        dden = kappa * (s[:, None] * dv + np.diag(v * c + l2 * s))
-        jac = np.empty((2 * n1, 2 * n1))
-        jac[:n1, :n1] = d - dnum / den[:, None] + (num / den**2)[:, None] * dden
-        jac[:n1, n1:] = np.diag(-1.0 / den)
-        jac[n1:, :n1] = c[:, None] * dv + np.diag(l2 * c - v * s)
-        jac[n1:, n1:] = d
         # the rows of theta at t = 0 and of m at t = 1 carry theta(0) = 0, m(1) = 0
         r[0], r[-1] = th[0], mm[-1]
-        jac[[0, -1]] = 0.0
-        jac[0, 0] = jac[-1, -1] = 1.0
-        return r, jac, float(v[0])
+        return r, (c, s, y, v, den, num)
 
-    current = system(theta, m)
+    current = residual(theta, m)
     if current is None:
         raise NoConvergenceError("collocation seed leaves the regime at a node")
     for iteration in range(COLLOC_MAX_ITER):
-        r, jac, v0 = current
+        r, terms = current
         base = float(np.max(np.abs(r)))
         if base < COLLOC_TOL:
             return theta, m, iteration
+        v0 = float(terms[3][0])  # v(0), for the errors' last iterate
         try:
-            step = np.linalg.solve(jac, -r)
+            step = np.linalg.solve(_collocation_jacobian(rule, p, kappa, *terms), -r)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError("singular collocation Jacobian",
                                      last_iterate=(v0, float(m[0]))) from exc
         lam = 1.0
         while lam > COLLOC_STALL_STEP:
-            current = system(theta + lam * step[:n1], m + lam * step[n1:])
+            current = residual(theta + lam * step[:n1], m + lam * step[n1:])
             if current is None:
                 lam *= 0.5
                 continue
@@ -304,7 +314,28 @@ def _collocation_newton(p: LoadPoint, setup: RodSetup, theta: np.ndarray, m: np.
         theta, m = theta + lam * step[:n1], m + lam * step[n1:]
     raise NoConvergenceError(
         f"collocation Newton did not converge in {COLLOC_MAX_ITER} iterations",
-        last_iterate=(current[2], float(m[0])), residual=float(np.max(np.abs(current[0]))))
+        last_iterate=(float(current[1][3][0]), float(m[0])),
+        residual=float(np.max(np.abs(current[0]))))
+
+
+def _collocation_jacobian(rule, p: LoadPoint, kappa: float, c, s, y, v, den, num) -> np.ndarray:
+    """The analytic Jacobian of the collocation residual over (theta, m) at the
+    nodes of rule, from the terms of its residual evaluation."""
+    n1 = rule.n + 1
+    d, q0, q1 = rule.d, rule.q0, rule.q1
+    l1, l2 = p.lambda1, p.lambda2
+    dy = q0 * c  # dy/dtheta = Q0 diag(cos theta)
+    dv = l1 * (q1 @ dy)
+    dnum = -kappa * l1 * (c[:, None] * dy - np.diag(y * s))
+    dden = kappa * (s[:, None] * dv + np.diag(v * c + l2 * s))
+    jac = np.empty((2 * n1, 2 * n1))
+    jac[:n1, :n1] = d - dnum / den[:, None] + (num / den**2)[:, None] * dden
+    jac[:n1, n1:] = np.diag(-1.0 / den)
+    jac[n1:, :n1] = c[:, None] * dv + np.diag(l2 * c - v * s)
+    jac[n1:, n1:] = d
+    jac[[0, -1]] = 0.0
+    jac[0, 0] = jac[-1, -1] = 1.0
+    return jac
 
 
 def _mode_seed(yL, amplitude: float):
@@ -363,7 +394,8 @@ def solve_postbuckling(p0: LoadPoint, kappa: float, delta: float,
         theta, m = guess if guess is not None else _mode_seed(yL, sign * amp)
         sol = _collocate(p, setup, theta, m, grid=grid)
         # the tip must carry the requested sign and a share of the predicted size
-        if sign * math.copysign(1.0, tip_mode) * tip_deflection(sol) < 0.2 * amp * abs(tip_mode):
+        tip = float(sol.trajectory.y[-1])
+        if sign * math.copysign(1.0, tip_mode) * tip < 0.2 * amp * abs(tip_mode):
             raise NoConvergenceError("converged to the trivial or the mirrored branch",
                                      last_iterate=(float(sol.trajectory.v[0]),
                                                    float(sol.trajectory.m[0])))
@@ -401,38 +433,54 @@ def _central_second_derivative(slope: np.ndarray, h: float) -> np.ndarray:
 
 
 def residual_M2(sol: BvpSolution) -> float:
-    """Sup-norm of the single-equation operator residual on the sampled deflection.
+    """Sup-norm of the single-equation operator residual on a sampled trajectory.
 
-    The deflection's second derivative is taken by central differences; the
-    integral kernels by the shared quadrature.  The first and last grid
-    points are skipped (one-sided stencils would dominate the residual).
+    A check of the trajectory as sampled on its uniform grid, whatever solved
+    it: the deflection's second derivative is taken by central differences,
+    the integral kernels by the grid's quadrature, so the value carries the
+    stencil's O(h^2) error.  The first and last grid points are skipped
+    (one-sided stencils would dominate the residual).  solve_postbuckling
+    reports the spectral residual of its collocation instead.
     """
-    grid = Grid(len(sol.trajectory.t) - 1)
-    setup, p = sol.setup, sol.load
-    kappa, l1, l2 = setup.kappa, p.lambda1, p.lambda2
-    y = sol.trajectory.y
-    yd = np.sin(sol.trajectory.theta)
-    j1 = grid.j1(yd)  # rejects |y'| >= 1
-    j2 = grid.j2(y, yd)
-    ydd = _central_second_derivative(yd, grid.h)
-
-    root = np.sqrt(1.0 - yd**2)
-    i1y = grid.i1(y)
-    i1yd = grid.i1(yd)
-    curv = setup.alpha1 * np.asarray(setup.rho0(grid.t), dtype=float) if setup.alpha1 else 0.0
-    numer = curv + setup.alpha2 * j1 + l1 * (j2 - kappa * y * root) + l2 * i1yd
-    denom = 1.0 + kappa * setup.alpha2 * yd + kappa * l1 * yd * i1y - kappa * l2 * root
-    res = ydd - root * numer / denom
+    traj = _finite_trajectory(sol)
+    grid = Grid(len(traj.t) - 1)
+    yd = np.sin(traj.theta)
+    res = _m2_operator(grid, sol.load, sol.setup, traj.y, yd,
+                       _central_second_derivative(yd, grid.h))
     return float(np.max(np.abs(res[1:-1])))
 
 
+def _m2_operator(quad: Grid, p: LoadPoint, setup: RodSetup, y, yd, ydd) -> np.ndarray:
+    """The single-equation operator residual y'' - sqrt(1 - y'^2) N / D at the
+    points of quad, with the integral kernels by quad's quadrature."""
+    kappa, l1, l2 = setup.kappa, p.lambda1, p.lambda2
+    j1 = quad.j1(yd)  # rejects |y'| >= 1
+    j2 = quad.j2(y, yd)
+    root = np.sqrt(1.0 - yd**2)
+    i1y = quad.i1(y)
+    i1yd = quad.i1(yd)
+    curv = setup.alpha1 * np.asarray(setup.rho0(quad.t), dtype=float) if setup.alpha1 else 0.0
+    numer = curv + setup.alpha2 * j1 + l1 * (j2 - kappa * y * root) + l2 * i1yd
+    denom = 1.0 + kappa * setup.alpha2 * yd + kappa * l1 * yd * i1y - kappa * l2 * root
+    return ydd - root * numer / denom
+
+
+def _finite_trajectory(sol: BvpSolution) -> Trajectory:
+    """sol's trajectory, once every sample of it is checked finite."""
+    traj = sol.trajectory
+    for name in ("t", "x", "y", "theta", "v", "m"):
+        if not np.all(np.isfinite(getattr(traj, name))):
+            raise InvalidInputError(f"trajectory.{name} holds a non-finite sample")
+    return traj
+
+
 def tip_deflection(sol: BvpSolution) -> float:
-    return float(sol.trajectory.y[-1])
+    return float(_finite_trajectory(sol).y[-1])
 
 
 def node_count(sol: BvpSolution) -> int:
     """Interior sign changes of y' on (0, 1); 0 is first-mode-like."""
-    return _sign_changes(np.sin(sol.trajectory.theta[1:-1]))
+    return _sign_changes(np.sin(_finite_trajectory(sol).theta[1:-1]))
 
 
 def _sign_changes(samples: np.ndarray) -> int:

@@ -183,24 +183,37 @@ class ChebRule(Grid):
         values is one row of n + 1 node values or a stack of such rows, shape
         (k, n + 1); the result has one row of len(t) samples per row.  The
         Chebyshev coefficients of every row multiply, in one product, the
-        basis T_0 ... T_n at x = 1 - 2t, built by the three-term recurrence.
+        basis T_0 ... T_n at x = 1 - 2t.  t is an array of points or a Grid;
+        a Grid keeps the basis at its points in its memo (slot "cheb basis",
+        keyed by n), so repeated samplings on one grid build it once.
         """
         values = np.asarray(values, dtype=float)
         if values.ndim not in (1, 2) or values.shape[-1] != self.n + 1:
             raise GridMismatchError(
                 f"expected rows of {self.n + 1} node values, got shape {values.shape}")
-        x = 1.0 - 2.0 * np.asarray(t, dtype=float)
-        x2 = 2.0 * x
-        basis = np.empty((self.n + 1, x.size))
-        basis[0], basis[1] = 1.0, x
-        for k in range(2, self.n + 1):
-            np.multiply(x2, basis[k - 1], out=basis[k])
-            basis[k] -= basis[k - 2]
+        if isinstance(t, Grid):
+            basis, = t.memo("cheb basis", self.n, lambda: (_chebyshev_basis(self.n, t.t),))
+        else:
+            basis = _chebyshev_basis(self.n, t)
         return (values @ self.coef.T) @ basis
 
 
+def _chebyshev_basis(n: int, t) -> np.ndarray:
+    """T_0 ... T_n at x = 1 - 2t, one row each, by the three-term recurrence."""
+    x = 1.0 - 2.0 * np.asarray(t, dtype=float)
+    x2 = 2.0 * x
+    basis = np.empty((n + 1, x.size))
+    basis[0], basis[1] = 1.0, x
+    for k in range(2, n + 1):
+        np.multiply(x2, basis[k - 1], out=basis[k])
+        basis[k] -= basis[k - 2]
+    return basis
+
+
 # The collocation's 32 and 64 and the chain's 64, 128 and 256 are four sizes,
-# so a post-buckling solve and a chain never evict each other's rules.
+# so a post-buckling solve and a chain never evict each other's rules.  The
+# collocation's residual check on 2 x 32 = 64 and 2 x 64 = 128 nodes adds no
+# fifth size.
 @functools.lru_cache(maxsize=4)
 def cheb_rule(n: int) -> ChebRule:
     """The ChebRule on n + 1 nodes, built on first use and then shared."""

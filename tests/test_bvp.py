@@ -351,6 +351,31 @@ class TestDirectSolve:
         assert calls == []
         assert sol.newton_iterations <= 4
 
+    # the criterion points, and one that retries on 2 * CHEB_N + 1 nodes
+    @pytest.mark.parametrize("l1,kappa,which,delta,direction",
+                             CRITERION_POINTS + [(10.0, 0.1, 2, 1.0, "along-lambda1")])
+    def test_one_jacobian_per_newton_step(self, monkeypatch, l1, kappa, which, delta, direction):
+        # none at the converged iterate, none at a rejected line-search trial
+        p0 = critical_point(l1, kappa, which=which)
+        built, build = [], bvp._collocation_jacobian
+        monkeypatch.setattr(bvp, "_collocation_jacobian",
+                            lambda *a: built.append(a) or build(*a))
+        sol = solve_postbuckling(p0, kappa, delta, direction, grid=Grid(256))
+        assert sol.path == "direct"
+        assert len(built) == sol.newton_iterations
+
+    def test_ten_solves_sample_with_one_basis(self, monkeypatch):
+        # the basis T_0 ... T_32 at the grid's points is built by the first
+        # solve and kept in the grid's memo for the other nine
+        import nanorod.quadrature as quadrature
+        grid, built, build = Grid(1024), [], quadrature._chebyshev_basis
+        monkeypatch.setattr(quadrature, "_chebyshev_basis",
+                            lambda n, t: built.append((n, np.size(t))) or build(n, t))
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        for k in range(10):
+            solve_postbuckling(p0, 0.25, 0.05 * (k + 1), sign=(-1) ** k, grid=grid)
+        assert [b for b in built if b[1] == grid.n + 1] == [(bvp.CHEB_N, grid.n + 1)]
+
     @pytest.mark.parametrize("l1,kappa,which,delta,direction", CRITERION_POINTS)
     def test_matches_shooting(self, grid, l1, kappa, which, delta, direction):
         # shooting from the collocation solution's own (v(0), m(0)) on the same
@@ -464,6 +489,32 @@ class TestResidualM2:
         setup = RodSetup(kappa=0.25)
         sol = shoot(LoadPoint(5.0, 0.3), setup, 0.0, 0.0, grid=bgrid)
         assert residual_M2(sol) < 1e-10
+
+    def test_finite_difference_converges_to_the_spectral_residual(self):
+        # on the README solve the stencil's O(h^2) error falls 4x per grid
+        # doubling, toward the collocation's spectral residual
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        fd = []
+        for n in (1024, 2048, 4096):
+            sol = solve_postbuckling(p0, 0.25, 0.5, grid=Grid(n))
+            assert sol.m2_residual < 1e-11
+            fd.append(residual_M2(sol))
+        for coarse, fine in zip(fd, fd[1:]):
+            assert 3.5 < coarse / fine < 4.5
+        assert fd[-1] > 1e3 * sol.m2_residual
+
+    @pytest.mark.parametrize("state", ["t", "x", "y", "theta", "v", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, state, value):
+        p0 = critical_point(10.0, 0.25, near=0.682732)
+        sol = solve_postbuckling(p0, 0.25, 0.5, grid=Grid(64))
+        getattr(sol.trajectory, state)[32] = value
+        for metric in (residual_M2, node_count, tip_deflection):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(InvalidInputError,
+                                   match=f"^trajectory.{state} holds a non-finite sample$"):
+                    metric(sol)
 
 
 class TestLinearShootingDeterminant:

@@ -136,6 +136,22 @@ def test_postbuckle_json_meta(tmp_path):
     assert len(payload["rows"]) == 1025
 
 
+def test_verify_passes_on_a_coarse_grid():
+    # the operator residual is the collocation's own, so a coarse --n grid
+    # cannot push it over the 1e-4 gate
+    code, out = run_cli(["verify", "--n", "64"])
+    assert code == 0, out
+    assert "FAIL" not in out
+
+
+def test_postbuckle_m2_residual_does_not_depend_on_n(tmp_path):
+    out_file = tmp_path / "post.json"
+    code, _ = run_cli(["postbuckle", "--kappa", "0.25", "--l1", "10", "--dl1", "0.5",
+                       "--n", "8", "--format", "json", "--out", str(out_file)])
+    assert code == 0
+    assert json.loads(out_file.read_text())["meta"]["m2_residual"] < 1e-10
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

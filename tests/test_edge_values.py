@@ -3,12 +3,13 @@ callable, replaced by an edge value while the others stay valid, gives a
 finite result or a NanorodError, and never a bare Python or numpy error or
 warning.
 
-PhysicalRod is built inside the nondimensionalize case.  Callables that
-only take other calls' results (node_count, residual_M2, tip_deflection,
-is_universal_unfolding, unfolding_determinant) and the result containers
-(BranchCurve, BvpSolution, ReductionCoefficients, UnfoldingCoefficients,
-Verdict, Wavenumbers) are left out: their inputs are the package's own
-outputs.
+PhysicalRod is built inside the nondimensionalize case.  The post-buckling
+metrics (node_count, residual_M2, tip_deflection) take a solved shape with
+one sample of each state in turn replaced.  Callables that only take the
+reduction's and unfolding's results (is_universal_unfolding,
+unfolding_determinant) and the result containers (BranchCurve,
+BvpSolution, ReductionCoefficients, UnfoldingCoefficients, Verdict,
+Wavenumbers) are left out: their inputs are the package's own outputs.
 """
 
 import dataclasses
@@ -37,12 +38,15 @@ from nanorod import (
     linear_residual_L4,
     linear_shooting_determinant,
     mode_shape,
+    node_count,
     nondimensionalize,
     reduction_coefficients,
+    residual_M2,
     shoot,
     solve_lambda1,
     solve_lambda2,
     solve_postbuckling,
+    tip_deflection,
     trace_curve,
     unfolding_coefficients,
     wavenumbers,
@@ -60,10 +64,23 @@ L2 = solve_lambda2(L1, KAPPA)  # the first critical point at lambda1 10
 YL, Q2, _ = critical_chain(LoadPoint(L1, L2), KAPPA, GRID)
 CRITICAL = {"lambda1": L1, "lambda2": L2, "kappa": KAPPA}
 SHOT = {"lambda1": 2.0, "lambda2": 0.5, "kappa": KAPPA, "v0": 0.0, "m0": 0.0}
+SOLVED = solve_postbuckling(LoadPoint(L1, L2), KAPPA, 0.3, grid=GRID)
+MID = GRID.n // 2
+STATES = ("t", "x", "y", "theta", "v", "m")
+SAMPLE = {name: float(getattr(SOLVED.trajectory, name)[MID]) for name in STATES}
 
 
 def _load(kw):
     return LoadPoint(kw["lambda1"], kw["lambda2"])
+
+
+def _solved(kw):
+    """SOLVED with the sample of every state at MID replaced by kw's."""
+    arrays = {name: getattr(SOLVED.trajectory, name).copy() for name in STATES}
+    for name, a in arrays.items():
+        a[MID] = kw[name]
+    return dataclasses.replace(SOLVED, trajectory=dataclasses.replace(SOLVED.trajectory,
+                                                                       **arrays))
 
 
 # public callable -> (call on keyword arguments, valid keyword arguments)
@@ -108,6 +125,9 @@ CASES = {
         lambda kw: solve_postbuckling(_load(kw), kw["kappa"], kw["delta"], sign=kw["sign"],
                                       grid=GRID),
         {**CRITICAL, "delta": 0.3, "sign": 1}),
+    "residual_M2": (lambda kw: residual_M2(_solved(kw)), SAMPLE),
+    "node_count": (lambda kw: node_count(_solved(kw)), SAMPLE),
+    "tip_deflection": (lambda kw: tip_deflection(_solved(kw)), SAMPLE),
 }
 
 DRAWS = [(name, arg, value) for name, (_, valid) in CASES.items() for arg in valid
@@ -130,8 +150,8 @@ def _finite(value):
 
 def test_cases_cover_the_public_callables():
     skipped = {"BranchCurve", "BvpSolution", "ReductionCoefficients", "UnfoldingCoefficients",
-               "Verdict", "Wavenumbers", "PhysicalRod", "node_count", "residual_M2",
-               "tip_deflection", "is_universal_unfolding", "unfolding_determinant"}
+               "Verdict", "Wavenumbers", "PhysicalRod", "is_universal_unfolding",
+               "unfolding_determinant"}
     public = {name for name in nanorod.__all__ if callable(getattr(nanorod, name))}
     assert public == set(CASES) | skipped
     for name, (call, valid) in CASES.items():

@@ -172,6 +172,32 @@ def test_basis_product_matches_clenshaw_oracle(n, other):
         assert np.array_equal(rule.eval(-rows, points), -out)
 
 
+@pytest.mark.parametrize("n", [32, 64])
+def test_eval_on_a_grid_is_eval_at_its_points(n):
+    rule = cheb_rule(n)
+    rows = np.array([np.cos(5.0 * rule.t), np.random.default_rng(n).standard_normal(n + 1)])
+    for grid in (Grid(4096), Grid(8), cheb_rule(2 * n)):
+        assert np.array_equal(rule.eval(rows, grid), rule.eval(rows, grid.t))
+        assert np.array_equal(rule.eval(rows[1], grid), rule.eval(rows[1], grid.t))
+
+
+def test_grid_keeps_one_read_only_basis_per_rule_size(monkeypatch):
+    import nanorod.quadrature as quadrature
+    built, build = [], quadrature._chebyshev_basis
+    monkeypatch.setattr(quadrature, "_chebyshev_basis",
+                        lambda n, t: built.append(n) or build(n, t))
+    grid, rule = Grid(256), cheb_rule(32)
+    for k in range(5):
+        rule.eval(np.cos(k * rule.t), grid)
+    assert built == [32]
+    basis, = grid.memo("cheb basis", 32, pytest.fail)  # held: no build
+    assert basis.shape == (33, 257)
+    with pytest.raises(ValueError, match="read-only"):
+        basis[0, 0] = 0.0
+    rule.eval(rule.t, grid.t)  # points, not a grid: built per call
+    assert built == [32, 32]
+
+
 def test_eval_rejects_rows_of_the_wrong_length():
     rule, s = cheb_rule(32), np.linspace(0.0, 1.0, 11)
     for values in (np.ones(32), np.ones(34), np.ones((5, 34)), np.ones((2, 5, 33))):
